@@ -42,7 +42,8 @@ func TestDrainUnderStorm(t *testing.T) {
 	base := "http://" + sv.Addr()
 
 	// Mixed script: cheap predicts (several keys so the cache churns),
-	// an analyze, a simulate, and a malformed request for the error path.
+	// an analyze, a simulate, small searches, and malformed requests for
+	// the error path.
 	script := make([]struct{ path, body string }, 0, 8)
 	for i := 0; i < 5; i++ {
 		script = append(script, struct{ path, body string }{
@@ -60,6 +61,12 @@ func TestDrainUnderStorm(t *testing.T) {
 		struct{ path, body string }{"/v1/batch", `{"candidates":{"kernel":"matmul","n":16,"tiles":[4,4,4],"cacheKB":4,"dims":["TI","TJ","TK"],"sets":[[2,4,4],[4,4,4],[8,4,4]]}}`},
 		struct{ path, body string }{"/v1/batch", `{"items":[{"path":"/v1/analyze","request":{"kernel":"matmul","n":16,"tiles":[4,4,4]}},{"path":"/v1/predict","request":{"kernel":"matmul","n":16,"tiles":[4,4,4],"cacheKB":4}}]}`},
 		struct{ path, body string }{"/v1/batch", `{}`}, // 400: empty batch
+		// Both searches, plain and streamed: the stream handlers share the
+		// lifecycle and must balance their counters too.
+		struct{ path, body string }{"/v1/tilesearch", `{"kernel":"matmul","n":16,"tiles":[4,4,4],"cacheKB":1,"dims":{"TI":16}}`},
+		struct{ path, body string }{"/v1/tilesearch?stream=1", `{"kernel":"matmul","n":16,"tiles":[4,4,4],"cacheKB":1,"dims":{"TI":16,"TJ":16}}`},
+		struct{ path, body string }{"/v1/optimize", `{"kernel":"twoindexchain","n":8,"cacheElems":64,"autoTile":false}`},
+		struct{ path, body string }{"/v1/optimize?stream=1", `{"kernel":"twoindexchain","n":8,"cacheElems":32,"autoTile":false}`},
 	)
 
 	var drainStarted atomic.Bool
@@ -127,7 +134,7 @@ func TestDrainUnderStorm(t *testing.T) {
 	// Metric balance: no handler path may leak a request.
 	c := m.Counters()
 	var sum int64
-	for _, ep := range []string{"analyze", "predict", "tilesearch", "simulate", "batch"} {
+	for _, ep := range []string{"analyze", "predict", "tilesearch", "optimize", "simulate", "batch"} {
 		req := c["service."+ep+".requests"]
 		acc := c["service."+ep+".ok"] + c["service."+ep+".errors"] + c["service."+ep+".rejected"]
 		if req != acc {
