@@ -25,13 +25,16 @@ race:
 # analytic vs exact agreement, the sampled estimator's bounds, the
 # set-associative simulator's batched-vs-scalar equivalence, and the
 # transformation-plan legality contract (plans apply cleanly or reject
-# before evaluation, and applied plans preserve execution semantics).
+# before evaluation, and applied plans preserve execution semantics), and
+# the service boundary (mutated bodies on every route answer inside the
+# 200/400/429/503/504 taxonomy, never panic, and balance the counters).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzAnalyzeNoPanic$$' -fuzztime 10s ./internal/tilesearch
 	$(GO) test -run '^$$' -fuzz '^FuzzAnalyticVsExact$$' -fuzztime 10s ./internal/validate
 	$(GO) test -run '^$$' -fuzz '^FuzzSampledBounds$$' -fuzztime 10s ./internal/validate
 	$(GO) test -run '^$$' -fuzz '^FuzzAssocBlockVsScalar$$' -fuzztime 10s ./internal/cachesim
 	$(GO) test -run '^$$' -fuzz '^FuzzPlanLegality$$' -fuzztime 10s ./internal/loopir
+	$(GO) test -run '^$$' -fuzz '^FuzzHandler$$' -fuzztime 10s ./internal/service
 
 check: vet race fuzz-smoke
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,6 +14,10 @@ import (
 
 	"repro/internal/service"
 )
+
+// predict16 is the predict body the pretty-printed and over-limit
+// requests share, so the over-limit request adds no distinct key.
+const predict16 = `{"kernel":"matmul","n":16,"tiles":[4,4,4],"cacheKB":4}`
 
 // trafficRequest is one scripted request: path, optional raw query, body.
 type trafficRequest struct {
@@ -33,11 +38,15 @@ func mixedTraffic() []trafficRequest {
 		{"/v1/tilesearch", "stream=1", `{"kernel":"matmul","n":32,"tiles":[4,4,4],"cacheKB":4,"dims":{"TI":32,"TJ":32,"TK":32}}`},
 		{"/v1/optimize", "", `{"kernel":"twoindexchain","n":32,"cacheElems":256,"autoTile":false}`},
 		{"/v1/optimize", "stream=1", `{"kernel":"twoindexchain","n":32,"cacheElems":256,"autoTile":false}`},
-		{"/v1/predict", "pretty=1", `{"kernel":"matmul","n":16,"tiles":[4,4,4],"cacheKB":4}`},
+		{"/v1/predict", "pretty=1", predict16},
 		{"/v1/predict", "", `{"kernel":"matmul","n":16,"tiles":[4,4,4],"cacheKB":4,"ways":1,"line":4,"detail":true}`},
 		// Planning failures must answer identically through the router.
 		{"/v1/predict", "", `{"kernel":"matmul","n":16}`},
 		{"/v1/analyze", "", `{"nest":"this is not a nest"}`},
+		{"/v1/predict", "", `{"kernel":"matmul","n":16,"tiles":[4,4,4],"cacheKB":4}{"kernel":"matmul"}`},
+		{"/v1/batch", "", `{"items":[{"path":"/v1/analyze","request":{"kernel":"matmul","n":16,"tiles":[4,4,4]}}]} garbage`},
+		// So must an over-limit body, which both tiers reject unread.
+		{"/v1/predict", "", predict16 + strings.Repeat(" ", service.MaxBodyBytes+1-len(predict16))},
 		// Batches: explicit items (mixed good and bad), candidates, both.
 		{"/v1/batch", "", `{"items":[` +
 			`{"path":"/v1/analyze","request":{"kernel":"matmul","n":16,"tiles":[4,4,4]}},` +

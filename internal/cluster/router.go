@@ -13,11 +13,8 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/service"
 )
-
-// routerMaxBody bounds proxied request bodies, matching the replicas' own
-// limit — a body the backend would reject as oversized is cut off here.
-const routerMaxBody = 1 << 20
 
 // Config sizes the router. The zero value of every field except Replicas
 // selects a sensible default.
@@ -219,7 +216,9 @@ func (rt *Router) admit(w http.ResponseWriter, r *http.Request) (body []byte, re
 		<-rt.inflight
 		rt.inflightGauge.Set(int64(len(rt.inflight)))
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, routerMaxBody))
+	// The replicas' own body read: an oversized body is rejected here with
+	// the bytes a replica would answer.
+	body, err := service.ReadBody(r.Body)
 	if err != nil {
 		release()
 		rt.errs.Inc()

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net/http"
 	"strconv"
 	"sync"
 
@@ -38,12 +39,8 @@ type BatchItem struct {
 // computation as a /v1/predict per candidate, minus the per-request parse,
 // canonicalization and key-packing tax.
 type BatchCandidates struct {
-	NestRequest
-	CacheElems int64  `json:"cacheElems,omitempty"`
-	CacheKB    int64  `json:"cacheKB,omitempty"`
-	Ways       *int64 `json:"ways,omitempty"`
-	Line       *int64 `json:"line,omitempty"`
-	Detail     bool   `json:"detail,omitempty"`
+	ModelRequest
+	Detail bool `json:"detail,omitempty"`
 	// Dims names the tile symbols each row binds, in row order; every name
 	// must be a symbol of the resolved nest.
 	Dims []string `json:"dims"`
@@ -51,20 +48,12 @@ type BatchCandidates struct {
 	Sets [][]int64 `json:"sets"`
 }
 
-// itemPlan is one planned batch entry: its response-cache key and
-// computation, or the planning error that will become its item record.
-type itemPlan struct {
-	key     string
-	compute func(context.Context) ([]byte, error)
-	err     error
-}
-
 // batchPlan is a fully planned batch body. err is the batch-level error
 // (malformed envelope, over-cap item count, invalid candidates header) that
 // fails the whole request; item-level problems land in the items instead
 // and the batch proceeds around them.
 type batchPlan struct {
-	items []itemPlan
+	items []BatchItemSpec
 	err   error
 }
 
@@ -113,20 +102,15 @@ func ExpandBatch(body []byte, maxItems int) (*BatchExpansion, error) {
 		return nil, fmt.Errorf("%w: batch of %d items exceeds cap %d", ErrOverload, n, maxItems)
 	}
 	exp := &BatchExpansion{Items: make([]BatchItemSpec, 0, n)}
-	for i := range req.Items {
-		it := &req.Items[i]
-		switch it.Path {
-		case "/v1/analyze", "/v1/predict", "/v1/simulate", "/v1/tilesearch", "/v1/optimize":
-			key, compute, err := parseRequest(it.Path, it.Request)
-			exp.Items = append(exp.Items, BatchItemSpec{
-				Path: it.Path, Body: it.Request, Key: key, Err: err, compute: compute,
-			})
-		default:
-			exp.Items = append(exp.Items, BatchItemSpec{
-				Path: it.Path,
-				Err:  fmt.Errorf("%w: path %q is not batchable", errBadRequest, it.Path),
-			})
+	for _, it := range req.Items {
+		spec := BatchItemSpec{Path: it.Path}
+		if ep, ok := endpoints[it.Path]; ok {
+			spec.Body = it.Request
+			spec.Key, spec.compute, spec.Err = ep.plan(it.Request)
+		} else {
+			spec.Err = fmt.Errorf("%w: path %q is not batchable", errBadRequest, it.Path)
 		}
+		exp.Items = append(exp.Items, spec)
 	}
 	if req.Candidates != nil {
 		if err := expandCandidates(exp, req.Candidates); err != nil {
@@ -141,15 +125,7 @@ func ExpandBatch(body []byte, maxItems int) (*BatchExpansion, error) {
 // errors — nothing sensible can be computed per row — while a malformed
 // individual row only fails that row's item.
 func expandCandidates(exp *BatchExpansion, c *BatchCandidates) error {
-	spec, nest, err := c.resolve()
-	if err != nil {
-		return err
-	}
-	cacheElems, err := cacheElemsOf(c.CacheElems, c.CacheKB)
-	if err != nil {
-		return err
-	}
-	cfg, err := assocConfigOf(c.Ways, c.Line, cacheElems)
+	spec, nest, cfg, err := c.resolveModel()
 	if err != nil {
 		return err
 	}
@@ -173,7 +149,7 @@ func expandCandidates(exp *BatchExpansion, c *BatchCandidates) error {
 	for _, set := range c.Sets {
 		if len(set) != len(c.Dims) {
 			exp.Items = append(exp.Items, BatchItemSpec{
-				Path: "/v1/predict",
+				Path: predictPath,
 				Err:  fmt.Errorf("%w: candidate has %d values for %d dims", errBadRequest, len(set), len(c.Dims)),
 			})
 			continue
@@ -186,7 +162,7 @@ func expandCandidates(exp *BatchExpansion, c *BatchCandidates) error {
 		for j, v := range set {
 			if v < 1 {
 				exp.Items = append(exp.Items, BatchItemSpec{
-					Path: "/v1/predict",
+					Path: predictPath,
 					Err:  fmt.Errorf("%w: tile size must be >= 1, got %s=%d", errBadRequest, c.Dims[j], v),
 				})
 				bad = true
@@ -206,21 +182,23 @@ func expandCandidates(exp *BatchExpansion, c *BatchCandidates) error {
 		// the same key and computes the same bytes as this row.
 		rowSpec := &loopir.Spec{Nest: spec.Nest, Env: env}
 		rowBody, merr := marshal(PredictRequest{
-			NestRequest: NestRequest{Nest: rowSpec.Nest, Env: rowSpec.Env},
-			CacheElems:  cfg.CapacityElems,
-			Ways:        c.Ways,
-			Line:        c.Line,
-			Detail:      c.Detail,
+			ModelRequest: ModelRequest{
+				NestRequest: NestRequest{Nest: rowSpec.Nest, Env: rowSpec.Env},
+				CacheElems:  cfg.CapacityElems,
+				Ways:        c.Ways,
+				Line:        c.Line,
+			},
+			Detail: c.Detail,
 		})
 		if merr != nil {
-			exp.Items = append(exp.Items, BatchItemSpec{Path: "/v1/predict", Err: merr})
+			exp.Items = append(exp.Items, BatchItemSpec{Path: predictPath, Err: merr})
 			continue
 		}
 		exp.Items = append(exp.Items, BatchItemSpec{
-			Path: "/v1/predict",
+			Path: predictPath,
 			Body: bytes.TrimSuffix(rowBody, []byte{'\n'}),
 			Key:  predictKey(rowSpec, cfg, c.Detail),
-			compute: func(s *Service, ctx context.Context) ([]byte, error) {
+			compute: func(s *Service, ctx context.Context, _ func(any)) ([]byte, error) {
 				return s.computePredict(ctx, rowSpec, cfg, c.Detail)
 			},
 		})
@@ -228,25 +206,38 @@ func expandCandidates(exp *BatchExpansion, c *BatchCandidates) error {
 	return nil
 }
 
-// planBatch binds ExpandBatch's outcome to this service instance, the
-// batch counterpart of plan.
-func (s *Service) planBatch(body []byte) *batchPlan {
-	exp, err := ExpandBatch(body, s.cfg.MaxBatchItems)
-	if err != nil {
-		return &batchPlan{err: err}
+// serveBatch serves /v1/batch: the planned batch is admitted atomically,
+// then answered either as one aggregated JSON envelope or — with
+// ?stream=1 — as one NDJSON record per item plus a summary line. Per-item
+// outcomes are counted on service.batch.items{,.ok,.errors}; the request
+// itself counts once, like every other route.
+func (s *Service) serveBatch(w http.ResponseWriter, r *http.Request, body []byte) error {
+	plan := s.planBatch(body)
+	if plan.err != nil {
+		return plan.err
 	}
-	plan := &batchPlan{items: make([]itemPlan, len(exp.Items))}
-	for i := range exp.Items {
-		it := &exp.Items[i]
-		plan.items[i] = itemPlan{key: it.Key, err: it.Err}
-		if it.Err == nil {
-			fn := it.compute
-			plan.items[i].compute = func(ctx context.Context) ([]byte, error) {
-				return fn(s, ctx)
-			}
-		}
+	sc := getBatchScratch()
+	defer putBatchScratch(sc)
+	if err := s.batchRun(plan, sc); err != nil {
+		return err
 	}
-	return plan
+	s.batchItems.Add(int64(len(plan.items)))
+	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
+	defer cancel()
+	if r.URL.Query().Get("stream") == "1" {
+		return s.serveBatchStream(ctx, w, plan, sc)
+	}
+	ok, errs := renderBatchEnvelope(plan, sc, func(i int, _ *BatchItemSpec) ([]byte, error) {
+		return entryResult(ctx, sc.entries[i])
+	})
+	s.batchItemsOK.Add(int64(ok))
+	s.batchItemsErr.Add(int64(errs))
+	// Partial success is a 200: the per-item records carry the taxonomy
+	// (status per failed item), and the summary carries the counts.
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(sc.out.Bytes())
+	return nil
 }
 
 // batchScratch is the pooled per-request working set of the batch path:
@@ -284,21 +275,15 @@ func (s *Service) batchRun(plan *batchPlan, sc *batchScratch) error {
 	sc.tasks = sc.tasks[:0]
 	for i := range plan.items {
 		it := &plan.items[i]
-		if it.err != nil {
+		if it.Err != nil {
 			sc.entries = append(sc.entries, nil)
 			continue
 		}
-		e, leader := s.resp.acquire(it.key)
+		e, leader := s.resp.acquire(it.Key)
 		sc.entries = append(sc.entries, e)
 		if leader {
-			compute, entry := it.compute, e
 			sc.leaders = append(sc.leaders, e)
-			sc.tasks = append(sc.tasks, func() {
-				ctx, cancel := context.WithTimeout(context.Background(), s.cfg.RequestTimeout)
-				defer cancel()
-				data, err := compute(ctx)
-				s.resp.complete(entry, data, err)
-			})
+			sc.tasks = append(sc.tasks, s.leaderTask(e, it.compute))
 		}
 	}
 	if len(sc.tasks) > 0 && !s.pool.trySubmitBatch(sc.tasks) {
@@ -387,13 +372,13 @@ func appendBatchSummary(dst []byte, items, ok, errs int) []byte {
 // at any worker count:
 //
 //	{"items":[<record>,...],"summary":{"items":N,"ok":K,"errors":E}}
-func renderBatchEnvelope(plan *batchPlan, sc *batchScratch, get func(i int, it *itemPlan) ([]byte, error)) (ok, errs int) {
+func renderBatchEnvelope(plan *batchPlan, sc *batchScratch, get func(i int, it *BatchItemSpec) ([]byte, error)) (ok, errs int) {
 	sc.out.Reset()
 	sc.out.WriteString(`{"items":[`)
 	for i := range plan.items {
 		it := &plan.items[i]
 		var data []byte
-		ierr := it.err
+		ierr := it.Err
 		if ierr == nil {
 			data, ierr = get(i, it)
 		}
@@ -421,14 +406,14 @@ func renderBatchEnvelope(plan *batchPlan, sc *batchScratch, get func(i int, it *
 // 200, which is what the load generator's byte verification compares
 // against.
 func (s *Service) computeBatchDirect(ctx context.Context, body []byte) ([]byte, error) {
-	plan := s.planBatchCached(body)
+	plan := s.planBatch(body)
 	if plan.err != nil {
 		return nil, plan.err
 	}
 	sc := getBatchScratch()
 	defer putBatchScratch(sc)
-	renderBatchEnvelope(plan, sc, func(_ int, it *itemPlan) ([]byte, error) {
-		return it.compute(ctx)
+	renderBatchEnvelope(plan, sc, func(_ int, it *BatchItemSpec) ([]byte, error) {
+		return it.compute(s, ctx, nil)
 	})
 	return append([]byte(nil), sc.out.Bytes()...), nil
 }

@@ -152,6 +152,7 @@ func TestBatchErrors(t *testing.T) {
 	svc, _ := newTestService(t)
 	h := svc.Handler()
 	okCand := `"cacheKB":4,"dims":["TI"],"sets":[[4]]`
+	okBatch := `{"candidates":{"kernel":"matmul","n":16,"tiles":[4,4,4],` + okCand + `}}`
 	cases := []struct {
 		name, body string
 		method     string
@@ -166,6 +167,10 @@ func TestBatchErrors(t *testing.T) {
 		{"duplicate dim", `{"candidates":{"kernel":"matmul","n":16,"tiles":[4,4,4],"cacheKB":4,"dims":["TI","TI"],"sets":[[4,4]]}}`, http.MethodPost, http.StatusBadRequest},
 		{"candidates without capacity", `{"candidates":{"kernel":"matmul","n":16,"tiles":[4,4,4],"dims":["TI"],"sets":[[4]]}}`, http.MethodPost, http.StatusBadRequest},
 		{"candidates bad spec", `{"candidates":{"kernel":"nope","n":16,` + okCand + `}}`, http.MethodPost, http.StatusBadRequest},
+		{"trailing whitespace", okBatch + "\n ", http.MethodPost, http.StatusOK},
+		{"trailing garbage", okBatch + "garbage", http.MethodPost, http.StatusBadRequest},
+		{"two documents", okBatch + okBatch, http.MethodPost, http.StatusBadRequest},
+		{"over-limit body", overLimit(okBatch), http.MethodPost, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -301,7 +306,7 @@ func TestBatchWarmAllocs(t *testing.T) {
 
 	ctx := context.Background()
 	run := func() {
-		plan := svc.planBatchCached(body)
+		plan := svc.planBatch(body)
 		if plan.err != nil {
 			panic(plan.err)
 		}
@@ -309,7 +314,7 @@ func TestBatchWarmAllocs(t *testing.T) {
 		if err := svc.batchRun(plan, sc); err != nil {
 			panic(err)
 		}
-		ok, errs := renderBatchEnvelope(plan, sc, func(i int, _ *itemPlan) ([]byte, error) {
+		ok, errs := renderBatchEnvelope(plan, sc, func(i int, _ *BatchItemSpec) ([]byte, error) {
 			return entryResult(ctx, sc.entries[i])
 		})
 		if ok != items || errs != 0 {

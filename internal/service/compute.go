@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"sort"
 	"strconv"
 	"strings"
@@ -31,6 +32,93 @@ var (
 	errBadRequest = errors.New("bad request")
 )
 
+// endpoint is one single-request route of the API.
+type endpoint struct {
+	name    string // metric name: service.<name>.*
+	plan    func(body []byte) (key string, compute computeFn, err error)
+	streams bool // ?stream=1 answers NDJSON progress records
+}
+
+// predictPath is the route a batch candidate row is equivalent to.
+const predictPath = "/v1/predict"
+
+// endpoints is the API's single-request routes, keyed by path: the one
+// table the HTTP handlers, Compute, ExpandBatch, CanonicalKeyForRequest
+// (the cluster router's shard key) and New's per-endpoint metrics all read.
+var endpoints = map[string]endpoint{
+	"/v1/analyze":    {name: "analyze", plan: planAnalyze},
+	predictPath:      {name: "predict", plan: planPredict},
+	"/v1/tilesearch": {name: "tilesearch", plan: planTileSearch, streams: true},
+	"/v1/optimize":   {name: "optimize", plan: planOptimize, streams: true},
+	"/v1/simulate":   {name: "simulate", plan: planSimulate},
+}
+
+// computeFn is a planned request's computation. It takes the service that
+// runs it, so planning needs no Service — which is what lets the cluster
+// router derive shard keys through the exact code path the service plans
+// requests with. progress, when non-nil, receives one NDJSON record per
+// completed search step; the response bytes are the same with or without
+// it.
+type computeFn func(s *Service, ctx context.Context, progress func(record any)) ([]byte, error)
+
+// parseRequest parses a request body for an endpoint path and returns its
+// canonical cache key plus the computation that produces its response
+// bytes. The HTTP handlers, Compute, the batch expander and the cluster
+// router's key derivation all share this single resolution path, which is
+// what makes served, directly-computed and cluster-routed bytes identical
+// by construction.
+func parseRequest(path string, body []byte) (string, computeFn, error) {
+	ep, ok := endpoints[path]
+	if !ok {
+		return "", nil, fmt.Errorf("%w: unknown endpoint %s", errBadRequest, path)
+	}
+	return ep.plan(body)
+}
+
+// Compute resolves and computes a request body directly, bypassing HTTP,
+// cache, and admission control — the "direct library call" the load
+// generator verifies served bytes against. path selects the endpoint (any
+// table route, or /v1/batch) and the returned bytes are exactly what the
+// corresponding handler serves on a 200.
+func (s *Service) Compute(ctx context.Context, path string, body []byte) ([]byte, error) {
+	if path == batchPath {
+		return s.computeBatchDirect(ctx, body)
+	}
+	_, compute, err := parseRequest(path, body)
+	if err != nil {
+		return nil, err
+	}
+	return compute(s, ctx, nil)
+}
+
+// CanonicalKeyForRequest derives the canonical cache/shard key of a single-
+// endpoint request body: the same key the service's own planner computes,
+// produced by the same resolution path (decode, canonicalize, key-pack), so
+// a router sharding on this key and a replica caching under it can never
+// disagree. /v1/batch has no single key — a batch is a set of per-item keys
+// (see ExpandBatch) — so it is rejected here.
+func CanonicalKeyForRequest(path string, body []byte) (string, error) {
+	if path == batchPath {
+		return "", fmt.Errorf("%w: /v1/batch has per-item keys; use ExpandBatch", errBadRequest)
+	}
+	key, _, err := parseRequest(path, body)
+	return key, err
+}
+
+// decodeInto strictly decodes a request body: unknown fields are errors,
+// and so is anything but whitespace after the JSON document.
+func decodeInto(body []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("%w: %v", errBadRequest, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return fmt.Errorf("%w: trailing data after JSON body", errBadRequest)
+	}
+	return nil
+}
+
 // NestRequest is the problem-selection half of every request body: either
 // a named kernel from the experiment suite (kernel/n/tiles, with env
 // overlaying the generated bindings) or an inline nest in the textual
@@ -55,11 +143,7 @@ func (nr *NestRequest) resolve() (*loopir.Spec, *loopir.Nest, error) {
 		return nil, nil, fmt.Errorf("%w: request has both nest and kernel; use one", errBadRequest)
 	case nr.Nest != "":
 		spec := &loopir.Spec{Nest: nr.Nest, Env: nr.Env}
-		c, nest, err := spec.Canonicalize()
-		if err != nil {
-			return nil, nil, err
-		}
-		return c, nest, nil
+		return spec.Canonicalize()
 	case nr.Kernel != "":
 		if nr.N <= 0 {
 			return nil, nil, fmt.Errorf("%w: kernel request needs n >= 1", errBadRequest)
@@ -76,54 +160,73 @@ func (nr *NestRequest) resolve() (*loopir.Spec, *loopir.Nest, error) {
 	return nil, nil, fmt.Errorf("%w: request needs a nest or a kernel", errBadRequest)
 }
 
-// decodeInto strictly decodes a request body.
-func decodeInto(body []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&v); err != nil {
-		return fmt.Errorf("%w: %v", errBadRequest, err)
-	}
-	return nil
+// ModelRequest is the problem and cache half of every model request: a
+// nest plus a capacity, given as elements or kilobytes (8-byte elements).
+// Ways, when present, switches to the conflict-aware set-associative model
+// (line is the line size in elements, defaulting to one); omitted ways
+// keeps the fully-associative model and its exact response bytes.
+type ModelRequest struct {
+	NestRequest
+	CacheElems int64  `json:"cacheElems,omitempty"`
+	CacheKB    int64  `json:"cacheKB,omitempty"`
+	Ways       *int64 `json:"ways,omitempty"`
+	Line       *int64 `json:"line,omitempty"`
 }
 
-// cacheElemsOf resolves the capacity pair every model endpoint carries.
-func cacheElemsOf(elems, kb int64) (int64, error) {
+// resolveModel resolves the nest, then the cache config. Omitted ways
+// yields the fully-associative config (Ways zero), so the prediction paths,
+// cache keys and response bytes stay exactly what they were before the
+// fields existed; present ways must name a geometry the set-associative
+// simulator itself would accept.
+func (mr *ModelRequest) resolveModel() (*loopir.Spec, *loopir.Nest, core.CacheConfig, error) {
+	var cfg core.CacheConfig
+	spec, nest, err := mr.resolve()
+	if err != nil {
+		return nil, nil, cfg, err
+	}
 	switch {
-	case elems > 0:
-		return elems, nil
-	case kb > 0:
-		return experiments.KB(kb), nil
+	case mr.CacheElems > 0:
+		cfg.CapacityElems = mr.CacheElems
+	case mr.CacheKB > 0:
+		cfg.CapacityElems = experiments.KB(mr.CacheKB)
+	default:
+		return nil, nil, cfg, fmt.Errorf("%w: request needs cacheElems or cacheKB", errBadRequest)
 	}
-	return 0, fmt.Errorf("%w: request needs cacheElems or cacheKB", errBadRequest)
-}
-
-// assocConfigOf resolves the optional ways/line pair into a cache config.
-// Omitted ways yields the fully-associative config (Ways zero) so the
-// prediction paths, cache keys and response bytes stay exactly what they
-// were before the fields existed. Present ways must name a geometry the
-// set-associative simulator itself would accept.
-func assocConfigOf(ways, line *int64, cacheElems int64) (core.CacheConfig, error) {
-	cfg := core.CacheConfig{CapacityElems: cacheElems}
-	if ways == nil {
-		if line != nil {
-			return cfg, fmt.Errorf("%w: line requires ways", errBadRequest)
-		}
-		return cfg, nil
+	switch {
+	case mr.Ways == nil && mr.Line != nil:
+		return nil, nil, cfg, fmt.Errorf("%w: line requires ways", errBadRequest)
+	case mr.Ways == nil:
+		return spec, nest, cfg, nil
+	case *mr.Ways <= 0:
+		return nil, nil, cfg, fmt.Errorf("%w: ways must be >= 1, got %d", errBadRequest, *mr.Ways)
+	case mr.Line != nil && *mr.Line <= 0:
+		return nil, nil, cfg, fmt.Errorf("%w: line must be >= 1, got %d", errBadRequest, *mr.Line)
 	}
-	if *ways <= 0 {
-		return cfg, fmt.Errorf("%w: ways must be >= 1, got %d", errBadRequest, *ways)
-	}
-	cfg.Ways = *ways
-	if line != nil {
-		if *line <= 0 {
-			return cfg, fmt.Errorf("%w: line must be >= 1, got %d", errBadRequest, *line)
-		}
-		cfg.LineElems = *line
+	cfg.Ways = *mr.Ways
+	if mr.Line != nil {
+		cfg.LineElems = *mr.Line
 	}
 	if err := cfg.Validate(); err != nil {
-		return cfg, fmt.Errorf("%w: %v", errBadRequest, err)
+		return nil, nil, cfg, fmt.Errorf("%w: %v", errBadRequest, err)
 	}
-	return cfg, nil
+	return spec, nest, cfg, nil
+}
+
+// CacheEcho is the cache a model response reports: the capacity, and the
+// effective set-associative geometry, omitted on the fully-associative
+// model.
+type CacheEcho struct {
+	CacheElems int64 `json:"cacheElems"`
+	Ways       int64 `json:"ways,omitempty"`
+	Line       int64 `json:"line,omitempty"`
+}
+
+func echoOf(cfg core.CacheConfig) CacheEcho {
+	e := CacheEcho{CacheElems: cfg.CapacityElems}
+	if cfg.Ways > 0 {
+		e.Ways, e.Line = cfg.Ways, effectiveLine(cfg)
+	}
+	return e
 }
 
 // effectiveLine is the line size a config actually models (LineElems zero
@@ -133,6 +236,30 @@ func effectiveLine(cfg core.CacheConfig) int64 {
 		return 1
 	}
 	return cfg.LineElems
+}
+
+// Key builders: endpoint tag, canonical spec key, then the endpoint's
+// extra parameters, NUL-separated. Two requests share a key exactly when
+// the canonical computation is identical.
+
+// waysKey is the key suffix of a set-associative geometry. Omitted ways
+// must key exactly as before the field existed, so cached
+// fully-associative bytes keep being shared across releases; a present
+// ways keys on the effective geometry (the response echoes it), so
+// {ways:2} and {ways:2,line:1} collide and distinct geometries do not.
+func waysKey(cfg core.CacheConfig) string {
+	if cfg.Ways <= 0 {
+		return ""
+	}
+	return fmt.Sprintf("\x00ways=%d,line=%d", cfg.Ways, effectiveLine(cfg))
+}
+
+func predictKey(spec *loopir.Spec, cfg core.CacheConfig, detail bool) string {
+	k := "predict\x00" + spec.Key() + "\x00" + strconv.FormatInt(cfg.CapacityElems, 10) + waysKey(cfg)
+	if detail {
+		k += "\x00detail"
+	}
+	return k
 }
 
 // encBufPool recycles the buffer+encoder pairs marshal renders responses
@@ -181,46 +308,136 @@ type AnalyzeResponse struct {
 	Components []core.ComponentJSON `json:"components"`
 }
 
-// PredictRequest evaluates the model at concrete bindings. Capacity is
-// given as elements or kilobytes (8-byte elements); detail adds the
-// per-site miss breakdown. Ways, when present, switches to the
-// conflict-aware set-associative model (line is the line size in elements,
-// defaulting to one); omitted ways keeps the fully-associative model and
-// its exact response bytes.
-type PredictRequest struct {
-	NestRequest
-	CacheElems int64  `json:"cacheElems,omitempty"`
-	CacheKB    int64  `json:"cacheKB,omitempty"`
-	Ways       *int64 `json:"ways,omitempty"`
-	Line       *int64 `json:"line,omitempty"`
-	Detail     bool   `json:"detail,omitempty"`
+func planAnalyze(body []byte) (string, computeFn, error) {
+	var req AnalyzeRequest
+	if err := decodeInto(body, &req); err != nil {
+		return "", nil, err
+	}
+	spec, _, err := req.resolve()
+	if err != nil {
+		return "", nil, err
+	}
+	return "analyze\x00" + spec.Nest, func(s *Service, ctx context.Context, _ func(any)) ([]byte, error) {
+		a, err := s.getAnalysis(ctx, spec.Nest)
+		if err != nil {
+			return nil, err
+		}
+		return marshal(AnalyzeResponse{
+			Nest:       a.Nest.Name,
+			Source:     spec.Nest,
+			Symbols:    a.Nest.SymbolNames(),
+			Components: a.ComponentsJSON(),
+		})
+	}, nil
 }
 
-// PredictResponse is a concrete miss prediction. Ways/Line echo the
-// effective set-associative geometry and are omitted on the
-// fully-associative model.
+// PredictRequest evaluates the model at concrete bindings; detail adds the
+// per-site miss breakdown.
+type PredictRequest struct {
+	ModelRequest
+	Detail bool `json:"detail,omitempty"`
+}
+
+// PredictResponse is a concrete miss prediction.
 type PredictResponse struct {
-	Nest       string           `json:"nest"`
-	Env        map[string]int64 `json:"env"`
-	CacheElems int64            `json:"cacheElems"`
-	Ways       int64            `json:"ways,omitempty"`
-	Line       int64            `json:"line,omitempty"`
-	Accesses   int64            `json:"accesses"`
-	Misses     int64            `json:"misses"`
-	BySite     map[string]int64 `json:"bySite,omitempty"`
+	Nest string           `json:"nest"`
+	Env  map[string]int64 `json:"env"`
+	CacheEcho
+	Accesses int64            `json:"accesses"`
+	Misses   int64            `json:"misses"`
+	BySite   map[string]int64 `json:"bySite,omitempty"`
+}
+
+func planPredict(body []byte) (string, computeFn, error) {
+	var req PredictRequest
+	if err := decodeInto(body, &req); err != nil {
+		return "", nil, err
+	}
+	spec, _, cfg, err := req.resolveModel()
+	if err != nil {
+		return "", nil, err
+	}
+	return predictKey(spec, cfg, req.Detail), func(s *Service, ctx context.Context, _ func(any)) ([]byte, error) {
+		return s.computePredict(ctx, spec, cfg, req.Detail)
+	}, nil
+}
+
+// computePredict is the /v1/predict computation: the frame-based fast path
+// of the compiled model, on a pooled frame. A requested set-associative
+// geometry routes through the conflict-aware model and is echoed in the
+// response.
+func (s *Service) computePredict(ctx context.Context, spec *loopir.Spec, cfg core.CacheConfig, detail bool) ([]byte, error) {
+	a, err := s.getAnalysis(ctx, spec.Nest)
+	if err != nil {
+		return nil, err
+	}
+	f := a.GetFrame()
+	defer a.PutFrame(f)
+	f.Bind(spec.ExprEnv())
+	var rep *core.MissReport
+	if cfg.Ways > 0 {
+		rep, err = a.PredictMissesFrameConfig(f, cfg)
+	} else {
+		rep, err = a.PredictMissesFrame(f, cfg.CapacityElems)
+	}
+	if err != nil {
+		return nil, err
+	}
+	resp := PredictResponse{
+		Nest:      a.Nest.Name,
+		Env:       spec.Env,
+		CacheEcho: echoOf(cfg),
+		Accesses:  rep.Accesses,
+		Misses:    rep.Total,
+	}
+	if detail {
+		resp.BySite = rep.BySite
+	}
+	return marshal(resp)
 }
 
 // TileSearchRequest runs the §6 search. Dims maps each tile symbol to its
 // largest candidate size; the base environment must bind the loop bounds.
 type TileSearchRequest struct {
-	NestRequest
-	CacheElems int64            `json:"cacheElems,omitempty"`
-	CacheKB    int64            `json:"cacheKB,omitempty"`
-	Ways       *int64           `json:"ways,omitempty"`
-	Line       *int64           `json:"line,omitempty"`
-	Dims       map[string]int64 `json:"dims"`
-	MinTile    int64            `json:"minTile,omitempty"`
-	DivisorOf  int64            `json:"divisorOf,omitempty"`
+	ModelRequest
+	Dims      map[string]int64 `json:"dims"`
+	MinTile   int64            `json:"minTile,omitempty"`
+	DivisorOf int64            `json:"divisorOf,omitempty"`
+}
+
+// searchKey is the key of a search request under tag: the capacity, the
+// tile-search knobs and dims, extra, then the set-associative geometry.
+func (req *TileSearchRequest) searchKey(tag string, spec *loopir.Spec, cfg core.CacheConfig, extra string) string {
+	var b strings.Builder
+	b.WriteString(tag)
+	b.WriteString(spec.Key())
+	fmt.Fprintf(&b, "\x00%d\x00%d\x00%d\x00", cfg.CapacityElems, req.MinTile, req.DivisorOf)
+	for i, d := range tilesearch.SortedDims(req.Dims) {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, "%s=%d", d.Symbol, d.Max)
+	}
+	b.WriteString(extra)
+	b.WriteString(waysKey(cfg))
+	return b.String()
+}
+
+// options is the search configuration of a resolved request. The search
+// runs sequentially (Parallelism 1): concurrency in the serving layer comes
+// from the worker pool, and nesting a second level of parallelism inside a
+// pool slot would oversubscribe the host.
+func (req *TileSearchRequest) options(ctx context.Context, spec *loopir.Spec, cfg core.CacheConfig) tilesearch.Options {
+	return tilesearch.Options{
+		Dims:       tilesearch.SortedDims(req.Dims),
+		CacheElems: cfg.CapacityElems,
+		Ways:       cfg.Ways,
+		LineElems:  cfg.LineElems,
+		BaseEnv:    spec.ExprEnv(),
+		MinTile:    req.MinTile,
+		DivisorOf:  req.DivisorOf,
+		Context:    ctx,
+	}
 }
 
 // PhaseSummary reports the search's phase structure (coarse sweep,
@@ -236,15 +453,77 @@ type PhaseSummary struct {
 }
 
 // TileSearchResponse is the search outcome plus its phase summary.
-// Ways/Line echo the effective set-associative geometry and are omitted on
-// the fully-associative model.
 type TileSearchResponse struct {
-	Nest       string                `json:"nest"`
-	CacheElems int64                 `json:"cacheElems"`
-	Ways       int64                 `json:"ways,omitempty"`
-	Line       int64                 `json:"line,omitempty"`
-	Result     tilesearch.ResultJSON `json:"result"`
-	Phases     PhaseSummary          `json:"phases"`
+	Nest string `json:"nest"`
+	CacheEcho
+	Result tilesearch.ResultJSON `json:"result"`
+	Phases PhaseSummary          `json:"phases"`
+}
+
+// streamPhaseRecord is one /v1/tilesearch?stream=1 progress line: a
+// completed search phase with the best candidate known so far. The records
+// are deterministic for a given request (phases are barriers and the
+// search is sequential inside its pool slot), so stream output is
+// golden-testable like every other response.
+type streamPhaseRecord struct {
+	Phase      string                   `json:"phase"`
+	Round      int64                    `json:"round,omitempty"`
+	Candidates int64                    `json:"candidates"`
+	Best       tilesearch.CandidateJSON `json:"best"`
+}
+
+// planTileSearch plans a /v1/tilesearch body. The computation reports one
+// progress record per completed search phase, and a per-request obs
+// registry collects the phase counters for the response.
+func planTileSearch(body []byte) (string, computeFn, error) {
+	var req TileSearchRequest
+	if err := decodeInto(body, &req); err != nil {
+		return "", nil, err
+	}
+	spec, _, cfg, err := req.resolveModel()
+	if err != nil {
+		return "", nil, err
+	}
+	return req.searchKey("tilesearch\x00", spec, cfg, ""), func(s *Service, ctx context.Context, progress func(any)) ([]byte, error) {
+		if len(req.Dims) == 0 {
+			return nil, fmt.Errorf("%w: tilesearch request needs dims", errBadRequest)
+		}
+		a, err := s.getAnalysis(ctx, spec.Nest)
+		if err != nil {
+			return nil, err
+		}
+		m := obs.New()
+		opts := req.options(ctx, spec, cfg)
+		opts.Obs = m
+		if progress != nil {
+			opts.Progress = func(ev tilesearch.ProgressEvent) {
+				progress(streamPhaseRecord{
+					Phase:      ev.Phase,
+					Round:      ev.Round,
+					Candidates: ev.Candidates,
+					Best:       tilesearch.CandidateJSON{Tiles: ev.Best.Tiles, Misses: ev.Best.Misses},
+				})
+			}
+		}
+		res, err := tilesearch.Search(a, opts)
+		if err != nil {
+			return nil, err
+		}
+		counters, gauges := m.Counters(), m.Gauges()
+		return marshal(TileSearchResponse{
+			Nest:      a.Nest.Name,
+			CacheEcho: echoOf(cfg),
+			Result:    res.JSON(),
+			Phases: PhaseSummary{
+				Coarse:       counters["search.candidates.coarse"],
+				Refine:       counters["search.candidates.refine"],
+				FrontierSize: gauges["search.frontier.size"],
+				Probes:       counters["search.candidates.frontier"],
+				Pruned:       counters["search.pruned"],
+				Evaluated:    gauges["search.evaluated"],
+			},
+		})
+	}, nil
 }
 
 // SimulateRequest runs a stack-distance simulation engine over the nest's
@@ -285,45 +564,26 @@ type SimulateResponse struct {
 	Sampling   *SamplingJSON        `json:"sampling,omitempty"`
 }
 
-// key builders: endpoint tag, canonical spec key, then the endpoint's
-// extra parameters, NUL-separated. Two requests share a key exactly when
-// the canonical computation is identical.
-
-func analyzeKey(spec *loopir.Spec) string {
-	return "analyze\x00" + spec.Nest
-}
-
-func predictKey(spec *loopir.Spec, cfg core.CacheConfig, detail bool) string {
-	k := "predict\x00" + spec.Key() + "\x00" + strconv.FormatInt(cfg.CapacityElems, 10)
-	// Omitted ways must key exactly as before the field existed, so cached
-	// fully-associative bytes keep being shared across releases; a present
-	// ways keys on the effective geometry (the response echoes it), so
-	// {ways:2} and {ways:2,line:1} collide and distinct geometries do not.
-	if cfg.Ways > 0 {
-		k += fmt.Sprintf("\x00ways=%d,line=%d", cfg.Ways, effectiveLine(cfg))
+func planSimulate(body []byte) (string, computeFn, error) {
+	var req SimulateRequest
+	if err := decodeInto(body, &req); err != nil {
+		return "", nil, err
 	}
-	if detail {
-		k += "\x00detail"
+	spec, _, err := req.resolve()
+	if err != nil {
+		return "", nil, err
 	}
-	return k
-}
-
-func tileSearchKey(spec *loopir.Spec, req *TileSearchRequest, cfg core.CacheConfig) string {
-	dims := tilesearch.SortedDims(req.Dims)
-	var b strings.Builder
-	b.WriteString("tilesearch\x00")
-	b.WriteString(spec.Key())
-	fmt.Fprintf(&b, "\x00%d\x00%d\x00%d\x00", cfg.CapacityElems, req.MinTile, req.DivisorOf)
-	for i, d := range dims {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%s=%d", d.Symbol, d.Max)
+	watches, err := normWatches(req.Watches, req.WatchKB)
+	if err != nil {
+		return "", nil, err
 	}
-	if cfg.Ways > 0 {
-		fmt.Fprintf(&b, "\x00ways=%d,line=%d", cfg.Ways, effectiveLine(cfg))
+	eng, err := cachesim.ParseEngine(req.Engine)
+	if err != nil {
+		return "", nil, fmt.Errorf("%w: %v", errBadRequest, err)
 	}
-	return b.String()
+	return simulateKey(spec, watches, req.PerSite, eng), func(s *Service, ctx context.Context, _ func(any)) ([]byte, error) {
+		return s.computeSimulate(ctx, spec, watches, req.PerSite, eng)
+	}, nil
 }
 
 func simulateKey(spec *loopir.Spec, watches []int64, perSite bool, eng cachesim.Engine) string {
@@ -349,115 +609,29 @@ func simulateKey(spec *loopir.Spec, watches []int64, perSite bool, eng cachesim.
 	return b.String()
 }
 
-// computeAnalyze is the /v1/analyze computation.
-func (s *Service) computeAnalyze(ctx context.Context, spec *loopir.Spec) ([]byte, error) {
-	a, err := s.getAnalysis(ctx, spec.Nest)
-	if err != nil {
-		return nil, err
+// normWatches sorts, dedupes and validates the watch list so equivalent
+// requests key and respond identically.
+func normWatches(watches, watchKB []int64) ([]int64, error) {
+	out := append([]int64(nil), watches...)
+	for _, kb := range watchKB {
+		out = append(out, experiments.KB(kb))
 	}
-	return marshal(AnalyzeResponse{
-		Nest:       a.Nest.Name,
-		Source:     spec.Nest,
-		Symbols:    a.Nest.SymbolNames(),
-		Components: a.ComponentsJSON(),
-	})
-}
-
-// computePredict is the /v1/predict computation: the frame-based fast path
-// of the compiled model, on a pooled frame. A requested set-associative
-// geometry routes through the conflict-aware model and is echoed in the
-// response.
-func (s *Service) computePredict(ctx context.Context, spec *loopir.Spec, cfg core.CacheConfig, detail bool) ([]byte, error) {
-	a, err := s.getAnalysis(ctx, spec.Nest)
-	if err != nil {
-		return nil, err
+	if len(out) == 0 {
+		return nil, fmt.Errorf("%w: simulate request needs watches or watchKB", errBadRequest)
 	}
-	f := a.GetFrame()
-	defer a.PutFrame(f)
-	f.Bind(spec.ExprEnv())
-	var rep *core.MissReport
-	if cfg.Ways > 0 {
-		rep, err = a.PredictMissesFrameConfig(f, cfg)
-	} else {
-		rep, err = a.PredictMissesFrame(f, cfg.CapacityElems)
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	uniq := out[:1]
+	for _, w := range out[1:] {
+		if w != uniq[len(uniq)-1] {
+			uniq = append(uniq, w)
+		}
 	}
-	if err != nil {
-		return nil, err
+	for _, w := range uniq {
+		if w <= 0 {
+			return nil, fmt.Errorf("%w: watch capacities must be positive, got %d", errBadRequest, w)
+		}
 	}
-	resp := PredictResponse{
-		Nest:       a.Nest.Name,
-		Env:        spec.Env,
-		CacheElems: cfg.CapacityElems,
-		Accesses:   rep.Accesses,
-		Misses:     rep.Total,
-	}
-	if cfg.Ways > 0 {
-		resp.Ways = cfg.Ways
-		resp.Line = effectiveLine(cfg)
-	}
-	if detail {
-		resp.BySite = rep.BySite
-	}
-	return marshal(resp)
-}
-
-// computeTileSearch is the /v1/tilesearch computation. The search runs
-// sequentially (Parallelism 1): concurrency in the serving layer comes
-// from the worker pool, and nesting a second level of parallelism inside a
-// pool slot would oversubscribe the host. A per-request obs registry
-// collects the phase counters for the response.
-func (s *Service) computeTileSearch(ctx context.Context, spec *loopir.Spec, req *TileSearchRequest, cfg core.CacheConfig) ([]byte, error) {
-	return s.computeTileSearchProgress(ctx, spec, req, cfg, nil)
-}
-
-// computeTileSearchProgress is computeTileSearch with an optional phase
-// callback: the NDJSON streaming path receives one event per completed
-// search phase and the response bytes stay byte-identical to the
-// non-streaming computation (progress only adds observations, never
-// changes the search).
-func (s *Service) computeTileSearchProgress(ctx context.Context, spec *loopir.Spec, req *TileSearchRequest, cfg core.CacheConfig, progress func(tilesearch.ProgressEvent)) ([]byte, error) {
-	if len(req.Dims) == 0 {
-		return nil, fmt.Errorf("%w: tilesearch request needs dims", errBadRequest)
-	}
-	a, err := s.getAnalysis(ctx, spec.Nest)
-	if err != nil {
-		return nil, err
-	}
-	m := obs.New()
-	res, err := tilesearch.Search(a, tilesearch.Options{
-		Dims:       tilesearch.SortedDims(req.Dims),
-		CacheElems: cfg.CapacityElems,
-		Ways:       cfg.Ways,
-		LineElems:  cfg.LineElems,
-		BaseEnv:    spec.ExprEnv(),
-		MinTile:    req.MinTile,
-		DivisorOf:  req.DivisorOf,
-		Context:    ctx,
-		Obs:        m,
-		Progress:   progress,
-	})
-	if err != nil {
-		return nil, err
-	}
-	resp := TileSearchResponse{
-		Nest:       a.Nest.Name,
-		CacheElems: cfg.CapacityElems,
-	}
-	if cfg.Ways > 0 {
-		resp.Ways = cfg.Ways
-		resp.Line = effectiveLine(cfg)
-	}
-	counters, gauges := m.Counters(), m.Gauges()
-	resp.Result = res.JSON()
-	resp.Phases = PhaseSummary{
-		Coarse:       counters["search.candidates.coarse"],
-		Refine:       counters["search.candidates.refine"],
-		FrontierSize: gauges["search.frontier.size"],
-		Probes:       counters["search.candidates.frontier"],
-		Pruned:       counters["search.pruned"],
-		Evaluated:    gauges["search.evaluated"],
-	}
-	return marshal(resp)
+	return uniq, nil
 }
 
 // computeSimulate is the /v1/simulate computation, dispatched on the
@@ -560,186 +734,4 @@ func (s *Service) computeSimulateAnalytic(ctx context.Context, spec *loopir.Spec
 		Results:    res.JSON(labels),
 		ModelExact: &info.Exact,
 	})
-}
-
-// normWatches sorts, dedupes and validates the watch list so equivalent
-// requests key and respond identically.
-func normWatches(watches, watchKB []int64) ([]int64, error) {
-	out := append([]int64(nil), watches...)
-	for _, kb := range watchKB {
-		out = append(out, experiments.KB(kb))
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("%w: simulate request needs watches or watchKB", errBadRequest)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	uniq := out[:1]
-	for _, w := range out[1:] {
-		if w != uniq[len(uniq)-1] {
-			uniq = append(uniq, w)
-		}
-	}
-	for _, w := range uniq {
-		if w <= 0 {
-			return nil, fmt.Errorf("%w: watch capacities must be positive, got %d", errBadRequest, w)
-		}
-	}
-	return uniq, nil
-}
-
-// Compute resolves and computes a request body directly, bypassing HTTP,
-// cache, and admission control — the "direct library call" the load
-// generator verifies served bytes against. path selects the endpoint
-// ("/v1/analyze", "/v1/predict", "/v1/tilesearch", "/v1/optimize",
-// "/v1/simulate") and the returned bytes are exactly what the
-// corresponding handler serves on a 200.
-func (s *Service) Compute(ctx context.Context, path string, body []byte) ([]byte, error) {
-	if path == "/v1/batch" {
-		return s.computeBatchDirect(ctx, body)
-	}
-	_, compute, err := s.plan(path, body)
-	if err != nil {
-		return nil, err
-	}
-	return compute(ctx)
-}
-
-// statusOf maps a per-item batch error to the status code the equivalent
-// single request would have received: the batch taxonomy is the endpoint
-// taxonomy, applied per item.
-func statusOf(err error) int {
-	switch {
-	case errors.Is(err, ErrOverload):
-		return 429
-	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		return 504
-	}
-	return 400
-}
-
-// computeFn is a parsed request's computation, abstracted over the service
-// instance that will run it: parseRequest resolves a (path, body) pair into
-// its canonical cache key and a computeFn without needing a Service, which
-// is what lets the cluster router derive shard keys through the exact same
-// code path the service plans requests through.
-type computeFn func(*Service, context.Context) ([]byte, error)
-
-// parseRequest parses a request body for an endpoint path and returns its
-// canonical cache key plus the computation that produces its response
-// bytes. The HTTP handlers, Compute, the batch expander and the cluster
-// router's key derivation all share this single resolution path, which is
-// what makes served, directly-computed and cluster-routed bytes identical
-// by construction.
-func parseRequest(path string, body []byte) (string, computeFn, error) {
-	switch path {
-	case "/v1/analyze":
-		var req AnalyzeRequest
-		if err := decodeInto(body, &req); err != nil {
-			return "", nil, err
-		}
-		spec, _, err := req.resolve()
-		if err != nil {
-			return "", nil, err
-		}
-		return analyzeKey(spec), func(s *Service, ctx context.Context) ([]byte, error) {
-			return s.computeAnalyze(ctx, spec)
-		}, nil
-	case "/v1/predict":
-		var req PredictRequest
-		if err := decodeInto(body, &req); err != nil {
-			return "", nil, err
-		}
-		spec, _, err := req.resolve()
-		if err != nil {
-			return "", nil, err
-		}
-		cacheElems, err := cacheElemsOf(req.CacheElems, req.CacheKB)
-		if err != nil {
-			return "", nil, err
-		}
-		cfg, err := assocConfigOf(req.Ways, req.Line, cacheElems)
-		if err != nil {
-			return "", nil, err
-		}
-		return predictKey(spec, cfg, req.Detail), func(s *Service, ctx context.Context) ([]byte, error) {
-			return s.computePredict(ctx, spec, cfg, req.Detail)
-		}, nil
-	case "/v1/tilesearch":
-		var req TileSearchRequest
-		if err := decodeInto(body, &req); err != nil {
-			return "", nil, err
-		}
-		spec, _, err := req.resolve()
-		if err != nil {
-			return "", nil, err
-		}
-		cacheElems, err := cacheElemsOf(req.CacheElems, req.CacheKB)
-		if err != nil {
-			return "", nil, err
-		}
-		cfg, err := assocConfigOf(req.Ways, req.Line, cacheElems)
-		if err != nil {
-			return "", nil, err
-		}
-		return tileSearchKey(spec, &req, cfg), func(s *Service, ctx context.Context) ([]byte, error) {
-			return s.computeTileSearch(ctx, spec, &req, cfg)
-		}, nil
-	case "/v1/optimize":
-		var req OptimizeRequest
-		spec, cfg, err := planOptimize(body, &req)
-		if err != nil {
-			return "", nil, err
-		}
-		return optimizeKey(spec, &req, cfg), func(s *Service, ctx context.Context) ([]byte, error) {
-			return s.computeOptimize(ctx, spec, &req, cfg)
-		}, nil
-	case "/v1/simulate":
-		var req SimulateRequest
-		if err := decodeInto(body, &req); err != nil {
-			return "", nil, err
-		}
-		spec, _, err := req.resolve()
-		if err != nil {
-			return "", nil, err
-		}
-		watches, err := normWatches(req.Watches, req.WatchKB)
-		if err != nil {
-			return "", nil, err
-		}
-		eng, err := cachesim.ParseEngine(req.Engine)
-		if err != nil {
-			return "", nil, fmt.Errorf("%w: %v", errBadRequest, err)
-		}
-		return simulateKey(spec, watches, req.PerSite, eng), func(s *Service, ctx context.Context) ([]byte, error) {
-			return s.computeSimulate(ctx, spec, watches, req.PerSite, eng)
-		}, nil
-	}
-	return "", nil, fmt.Errorf("%w: unknown endpoint %s", errBadRequest, path)
-}
-
-// plan binds parseRequest's outcome to this service instance. The closure
-// is created once per plan-memo miss (planCached stores it), so the warm
-// path still costs one map probe.
-func (s *Service) plan(path string, body []byte) (string, func(context.Context) ([]byte, error), error) {
-	key, fn, err := parseRequest(path, body)
-	if err != nil {
-		return "", nil, err
-	}
-	return key, func(ctx context.Context) ([]byte, error) {
-		return fn(s, ctx)
-	}, nil
-}
-
-// CanonicalKeyForRequest derives the canonical cache/shard key of a single-
-// endpoint request body: the same key the service's own planner computes,
-// produced by the same resolution path (decode, canonicalize, key-pack), so
-// a router sharding on this key and a replica caching under it can never
-// disagree. /v1/batch has no single key — a batch is a set of per-item keys
-// (see ExpandBatch) — so it is rejected here.
-func CanonicalKeyForRequest(path string, body []byte) (string, error) {
-	if path == "/v1/batch" {
-		return "", fmt.Errorf("%w: /v1/batch has per-item keys; use ExpandBatch", errBadRequest)
-	}
-	key, _, err := parseRequest(path, body)
-	return key, err
 }

@@ -146,6 +146,14 @@ func TestEndpointErrors(t *testing.T) {
 		{"line without ways", "/v1/predict", `{"kernel":"matmul","n":16,"cacheKB":4,"line":4}`, http.MethodPost, http.StatusBadRequest},
 		{"tilesearch zero ways", "/v1/tilesearch", `{"kernel":"matmul","n":32,"cacheKB":4,"ways":0,"dims":{"TI":32}}`, http.MethodPost, http.StatusBadRequest},
 		{"tilesearch bad geometry", "/v1/tilesearch", `{"kernel":"matmul","n":32,"cacheKB":4,"ways":3,"dims":{"TI":32}}`, http.MethodPost, http.StatusBadRequest},
+		// The body is one JSON document: trailing whitespace is legal,
+		// anything else after the document is not.
+		{"trailing whitespace", "/v1/predict", validPredict + " \n\t\r\n", http.MethodPost, http.StatusOK},
+		{"trailing garbage", "/v1/predict", validPredict + "garbage", http.MethodPost, http.StatusBadRequest},
+		{"two documents", "/v1/predict", validPredict + validPredict, http.MethodPost, http.StatusBadRequest},
+		{"trailing garbage on analyze", "/v1/analyze", `{"kernel":"matmul","n":16,"tiles":[4,4,4]} x`, http.MethodPost, http.StatusBadRequest},
+		// A body over the limit is rejected whole, never truncated.
+		{"over-limit body", "/v1/predict", overLimit(validPredict), http.MethodPost, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -159,6 +167,21 @@ func TestEndpointErrors(t *testing.T) {
 	}
 	// The oversize guard is MaxTraceLen at work: 2048³ matmul iterations
 	// exceed the default 1<<28 accesses.
+
+	// The over-limit answer names the limit.
+	w := post(t, h, "/v1/predict", overLimit(validPredict))
+	if want := `{"error":"bad request: request body exceeds 1048576 bytes"}` + "\n"; w.Body.String() != want {
+		t.Errorf("over-limit body answered %q, want %q", w.Body.String(), want)
+	}
+}
+
+// validPredict is a small well-formed /v1/predict body.
+const validPredict = `{"kernel":"matmul","n":16,"tiles":[4,4,4],"cacheKB":4}`
+
+// overLimit pads a body with spaces to one byte past MaxBodyBytes: still a
+// valid document once truncated at the limit.
+func overLimit(body string) string {
+	return body + strings.Repeat(" ", MaxBodyBytes+1-len(body))
 }
 
 // TestHealthz: readiness flips with the draining flag.

@@ -12,46 +12,79 @@ import (
 	"time"
 )
 
-// maxBodyBytes bounds request bodies; nest sources are small.
-const maxBodyBytes = 1 << 20
+// batchPath is the many-computations route; every other /v1 route is a row
+// of the endpoint table.
+const batchPath = "/v1/batch"
+
+// MaxBodyBytes bounds request bodies; nest sources are small.
+const MaxBodyBytes = 1 << 20
+
+// ReadBody reads a request body of at most MaxBodyBytes. A longer body is
+// an error that names the limit, never a silently truncated read. The
+// cluster router reads through it too, so both tiers reject an oversized
+// body with the same bytes.
+func ReadBody(r io.Reader) ([]byte, error) {
+	body, err := io.ReadAll(io.LimitReader(r, MaxBodyBytes+1))
+	if err != nil {
+		return nil, err
+	}
+	if len(body) > MaxBodyBytes {
+		return nil, fmt.Errorf("%w: request body exceeds %d bytes", errBadRequest, MaxBodyBytes)
+	}
+	return body, nil
+}
 
 // errorBody is the JSON error envelope every non-200 carries.
 type errorBody struct {
 	Error string `json:"error"`
 }
 
-// Handler returns the service's HTTP mux: the /v1 endpoints plus
-// /healthz (200 while serving, 503 while draining — a readiness probe).
+// httpError is a lifecycle answer with its own status; its message is the
+// response's error text.
+type httpError struct {
+	code int
+	msg  string
+}
+
+func (e *httpError) Error() string { return e.msg }
+
+var (
+	errPostOnly       = &httpError{http.StatusMethodNotAllowed, "POST only"}
+	errDraining       = &httpError{http.StatusServiceUnavailable, "draining"}
+	errNoStream       = &httpError{http.StatusBadRequest, "streaming is not supported on this endpoint"}
+	errWaitTimeout    = &httpError{http.StatusGatewayTimeout, "timed out waiting for result"}
+	errComputeTimeout = &httpError{http.StatusGatewayTimeout, "computation timed out"}
+	// errStreamFailed is a stream that committed its 200 and then failed
+	// (an error trailer, or a client that stopped reading): the request
+	// counts as an error, with nothing left to write.
+	errStreamFailed = errors.New("stream failed")
+)
+
+// statusOf maps an error to its status in the endpoint taxonomy: 429
+// overload, 504 deadline, a lifecycle error's own status, otherwise 400.
+// Batch items and stream trailers carry the same statuses per item.
+func statusOf(err error) int {
+	if he, ok := err.(*httpError); ok {
+		return he.code
+	}
+	switch {
+	case errors.Is(err, ErrOverload):
+		return http.StatusTooManyRequests
+	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
+		return http.StatusGatewayTimeout
+	}
+	return http.StatusBadRequest
+}
+
+// Handler returns the service's HTTP mux: every endpoint-table route and
+// /v1/batch behind the one request lifecycle, plus /healthz (200 while
+// serving, 503 while draining — a readiness probe).
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
-	for _, ep := range []struct{ name, path string }{
-		{"analyze", "/v1/analyze"},
-		{"predict", "/v1/predict"},
-		{"simulate", "/v1/simulate"},
-	} {
-		mux.Handle(ep.path, s.endpoint(ep.path, s.eps[ep.name]))
+	for path, ep := range endpoints {
+		mux.Handle(path, s.handle(ep.name, s.serveEndpoint(path, ep)))
 	}
-	// /v1/tilesearch dispatches on ?stream=1: the sweep-shaped endpoint
-	// gets an NDJSON variant; plain requests keep the shared lifecycle.
-	tsPlain := s.endpoint("/v1/tilesearch", s.eps["tilesearch"])
-	mux.HandleFunc("/v1/tilesearch", func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Query().Get("stream") == "1" {
-			s.serveTileSearchStream(w, r)
-			return
-		}
-		tsPlain(w, r)
-	})
-	// /v1/optimize gets the same treatment: the joint plan search emits one
-	// record per scored variant under ?stream=1.
-	optPlain := s.endpoint("/v1/optimize", s.eps["optimize"])
-	mux.HandleFunc("/v1/optimize", func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Query().Get("stream") == "1" {
-			s.serveOptimizeStream(w, r)
-			return
-		}
-		optPlain(w, r)
-	})
-	mux.Handle("/v1/batch", s.batchEndpoint())
+	mux.Handle(batchPath, s.handle("batch", s.serveBatch))
 	// /healthz keeps its bare one-field contract (200 {"status":"ok"} /
 	// 503 {"error":"draining"}) for existing probes and goldens; ?v=1 opts
 	// into the enriched HealthStatus body the cluster prober consumes, with
@@ -75,100 +108,114 @@ func (s *Service) Handler() http.Handler {
 	return mux
 }
 
-// endpoint wraps one API route with the request lifecycle every endpoint
-// shares: counting, admission, coalescing, timeout, and status mapping.
-// Exactly one of ok/errors/rejected is incremented per request, so
-// requests == ok + errors + rejected holds at every instant the counters
-// are quiescent.
-func (s *Service) endpoint(path string, st *epStats) http.HandlerFunc {
+// route serves one admitted request: it writes a 200 and returns nil, or
+// returns the error the lifecycle answers.
+type route func(w http.ResponseWriter, r *http.Request, body []byte) error
+
+// handle wraps a /v1 route in the request lifecycle every route shares:
+// latency and counters, the POST and draining checks, the bounded body
+// read, then serve, whose error is answered through statusOf. Exactly one
+// of ok/errors/rejected is counted per request — 429 and 503 are
+// rejections, every other failure an error — so requests == ok + errors +
+// rejected holds whenever the counters are quiescent.
+func (s *Service) handle(name string, serve route) http.HandlerFunc {
+	st := s.eps[name]
 	return func(w http.ResponseWriter, r *http.Request) {
 		sw := st.latency.Start()
 		defer sw.Stop()
 		s.total.Inc()
 		st.requests.Inc()
-
-		if r.Method != http.MethodPost {
-			st.errors.Inc()
-			writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "POST only"})
-			return
-		}
-		if r.URL.Query().Get("stream") == "1" {
-			// Streaming exists where incremental records exist: tilesearch,
-			// optimize, and batch. Point lookups answer in one record.
-			st.errors.Inc()
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: "streaming is not supported on this endpoint"})
-			return
-		}
-		if s.draining.Load() {
-			st.rejected.Inc()
-			writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: "draining"})
-			return
-		}
-		body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
-		if err != nil {
-			st.errors.Inc()
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
-			return
-		}
-		key, compute, err := s.planCached(path, body)
-		if err != nil {
-			st.errors.Inc()
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
-			return
-		}
-
-		// Singleflight: first caller for the key leads, the rest coalesce.
-		// The leader's computation runs on the worker pool under the
-		// service timeout, detached from this request's context — a
-		// coalesced waiter must not lose the result because the leader's
-		// client hung up.
-		e, leader := s.resp.acquire(key)
-		if leader {
-			accepted := s.pool.trySubmit(func() {
-				ctx, cancel := context.WithTimeout(context.Background(), s.cfg.RequestTimeout)
-				defer cancel()
-				data, err := compute(ctx)
-				s.resp.complete(e, data, err)
-			})
-			if !accepted {
-				// Complete the entry so coalesced waiters see the same
-				// overload instead of hanging; the error also removes the
-				// entry, so the key retries cleanly.
-				s.resp.complete(e, nil, ErrOverload)
+		var err error
+		switch {
+		case r.Method != http.MethodPost:
+			err = errPostOnly
+		case s.draining.Load():
+			err = errDraining
+		default:
+			var body []byte
+			if body, err = ReadBody(r.Body); err == nil {
+				err = serve(w, r, body)
 			}
 		}
+		switch {
+		case err == nil:
+			st.ok.Inc()
+		case err == errStreamFailed:
+			st.errors.Inc()
+		default:
+			code := statusOf(err)
+			if code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable {
+				st.rejected.Inc()
+			} else {
+				st.errors.Inc()
+			}
+			if code == http.StatusTooManyRequests {
+				w.Header().Set("Retry-After", "1")
+			}
+			writeJSON(w, code, errorBody{Error: err.Error()})
+		}
+	}
+}
 
+// serveEndpoint serves a table route. ?stream=1 runs the search stream
+// where the endpoint has one. Otherwise the first caller for a key leads
+// and the rest coalesce (singleflight): the leader's computation runs on
+// the worker pool under the service timeout, detached from this request's
+// context — a coalesced waiter must not lose the result because the
+// leader's client hung up.
+func (s *Service) serveEndpoint(path string, ep endpoint) route {
+	return func(w http.ResponseWriter, r *http.Request, body []byte) error {
+		q := r.URL.Query()
+		stream := q.Get("stream") == "1"
+		if stream && !ep.streams {
+			return errNoStream
+		}
+		key, compute, err := s.plan(path, body)
+		if err != nil {
+			return err
+		}
+		if stream {
+			return s.serveSearchStream(w, r, compute)
+		}
+		e, leader := s.resp.acquire(key)
+		if leader && !s.pool.trySubmit(s.leaderTask(e, compute)) {
+			// Complete the entry so coalesced waiters see the same
+			// overload instead of hanging; the error also removes the
+			// entry, so the key retries cleanly.
+			s.resp.complete(e, nil, ErrOverload)
+		}
 		wait, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 		defer cancel()
 		select {
 		case <-e.done:
 		case <-wait.Done():
-			st.errors.Inc()
-			writeJSON(w, http.StatusGatewayTimeout, errorBody{Error: "timed out waiting for result"})
-			return
+			return errWaitTimeout
 		}
-
-		switch {
-		case e.err == nil:
-			st.ok.Inc()
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusOK)
-			if r.URL.Query().Get("pretty") == "1" {
-				writePretty(w, e.val)
-			} else {
-				w.Write(e.val)
+		if e.err != nil {
+			if statusOf(e.err) == http.StatusGatewayTimeout {
+				return errComputeTimeout
 			}
-		case errors.Is(e.err, ErrOverload):
-			st.rejected.Inc()
-			w.Header().Set("Retry-After", "1")
-			writeJSON(w, http.StatusTooManyRequests, errorBody{Error: e.err.Error()})
-		case errors.Is(e.err, context.DeadlineExceeded), errors.Is(e.err, context.Canceled):
-			st.errors.Inc()
-			writeJSON(w, http.StatusGatewayTimeout, errorBody{Error: "computation timed out"})
-		default:
-			st.errors.Inc()
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: e.err.Error()})
+			return e.err
 		}
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusOK)
+		if q.Get("pretty") == "1" {
+			writePretty(w, e.val)
+		} else {
+			w.Write(e.val)
+		}
+		return nil
+	}
+}
+
+// leaderTask is the pool task a response-cache leader submits: compute
+// under the service timeout, then publish the result to every waiter.
+func (s *Service) leaderTask(e *flightEntry[[]byte], compute computeFn) func() {
+	return func() {
+		ctx, cancel := context.WithTimeout(context.Background(), s.cfg.RequestTimeout)
+		defer cancel()
+		data, err := compute(s, ctx, nil)
+		s.resp.complete(e, data, err)
 	}
 }
 

@@ -96,11 +96,11 @@ func TestExpandBatchRowBodiesRoundTrip(t *testing.T) {
 			if key != it.Key {
 				t.Errorf("item %d: synthesized body keys %q, row keys %q", i, key, it.Key)
 			}
-			fromBody, err := fn(svc, context.Background())
+			fromBody, err := fn(svc, context.Background(), nil)
 			if err != nil {
 				t.Fatalf("item %d: compute from body: %v", i, err)
 			}
-			fromRow, err := it.compute(svc, context.Background())
+			fromRow, err := it.compute(svc, context.Background(), nil)
 			if err != nil {
 				t.Fatalf("item %d: compute from row: %v", i, err)
 			}

@@ -1,10 +1,12 @@
 package service
 
 import (
+	"bytes"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 )
@@ -63,17 +65,46 @@ func TestLifecycle(t *testing.T) {
 					checkBalance(t, m)
 				}
 				// The point endpoints answer one record and refuse ?stream=1.
-				wantValid, wantDrain := http.StatusOK, http.StatusServiceUnavailable
+				wantValid := http.StatusOK
 				if query != "" && !rt.streams {
-					// The refusal comes before the drain check.
-					wantValid, wantDrain = http.StatusBadRequest, http.StatusBadRequest
+					wantValid = http.StatusBadRequest
 				}
 				send("GET", http.MethodGet, "", http.StatusMethodNotAllowed)
 				send("malformed JSON", http.MethodPost, `{"kernel":`, http.StatusBadRequest)
 				send("valid POST", http.MethodPost, rt.body, wantValid)
 				svc.draining.Store(true)
-				send("POST while draining", http.MethodPost, rt.body, wantDrain)
+				send("POST while draining", http.MethodPost, rt.body, http.StatusServiceUnavailable)
 			})
 		}
 	}
+}
+
+// FuzzHandler sends mutated bodies through Handler() to every route, plain
+// and with ?stream=1. Every answer must come from the documented taxonomy
+// (200, 400, 429, 503, 504), nothing may panic, and the endpoint counters
+// must balance after every request. The small timeout and trace budget
+// keep any one input from holding a worker for long.
+func FuzzHandler(f *testing.F) {
+	for _, fx := range endpointFixtures {
+		f.Add([]byte(fx.body))
+	}
+	f.Add([]byte(batchFixture))
+	m := obs.New()
+	svc := New(Config{Obs: m, Workers: 2, QueueDepth: 16, RequestTimeout: 200 * time.Millisecond, MaxTraceLen: 1 << 16})
+	f.Cleanup(svc.Close)
+	h := svc.Handler()
+	taxonomy := map[int]bool{200: true, 400: true, 429: true, 503: true, 504: true}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		for _, rt := range lifecycleRoutes {
+			for _, query := range []string{"", "?stream=1"} {
+				req := httptest.NewRequest(http.MethodPost, rt.path+query, bytes.NewReader(body))
+				w := httptest.NewRecorder()
+				h.ServeHTTP(w, req)
+				if !taxonomy[w.Code] {
+					t.Errorf("%s%s: status %d outside the taxonomy: %s", rt.path, query, w.Code, w.Body.String())
+				}
+				checkBalance(t, m)
+			}
+		}
+	})
 }

@@ -3,9 +3,7 @@ package service
 import (
 	"context"
 	"fmt"
-	"strings"
 
-	"repro/internal/core"
 	"repro/internal/loopir"
 	"repro/internal/tilesearch"
 )
@@ -19,18 +17,11 @@ import (
 // leave it empty for untiled nests and let autoTile strip-mine the perfect
 // variants.
 type OptimizeRequest struct {
-	NestRequest
-	CacheElems  int64            `json:"cacheElems,omitempty"`
-	CacheKB     int64            `json:"cacheKB,omitempty"`
-	Ways        *int64           `json:"ways,omitempty"`
-	Line        *int64           `json:"line,omitempty"`
-	Dims        map[string]int64 `json:"dims,omitempty"`
-	MinTile     int64            `json:"minTile,omitempty"`
-	DivisorOf   int64            `json:"divisorOf,omitempty"`
-	Permute     *bool            `json:"permute,omitempty"`
-	Fuse        *bool            `json:"fuse,omitempty"`
-	AutoTile    *bool            `json:"autoTile,omitempty"`
-	MaxVariants int              `json:"maxVariants,omitempty"`
+	TileSearchRequest
+	Permute     *bool `json:"permute,omitempty"`
+	Fuse        *bool `json:"fuse,omitempty"`
+	AutoTile    *bool `json:"autoTile,omitempty"`
+	MaxVariants int   `json:"maxVariants,omitempty"`
 }
 
 // axis resolves a tri-state axis flag: omitted means enabled.
@@ -38,110 +29,75 @@ func axis(p *bool) bool { return p == nil || *p }
 
 // OptimizeResponse is the joint-search outcome. Result.Variants[0] is the
 // tile-only baseline, Result.BestIndex the winner; BestPlan echoes the
-// winning plan's text for quick reading. Ways/Line echo the effective
-// set-associative geometry and are omitted on the fully-associative model.
+// winning plan's text for quick reading.
 type OptimizeResponse struct {
-	Nest       string                    `json:"nest"`
-	CacheElems int64                     `json:"cacheElems"`
-	Ways       int64                     `json:"ways,omitempty"`
-	Line       int64                     `json:"line,omitempty"`
-	BestPlan   string                    `json:"bestPlan"`
-	Result     tilesearch.PlanResultJSON `json:"result"`
+	Nest string `json:"nest"`
+	CacheEcho
+	BestPlan string                    `json:"bestPlan"`
+	Result   tilesearch.PlanResultJSON `json:"result"`
 }
 
-// optimizeKey builds the /v1/optimize cache key: endpoint tag, canonical
-// spec key, then the search parameters — axes, variant cap, tile-search
-// knobs, dims, and (when present) the set-associative geometry, mirroring
-// tileSearchKey so equal computations share cached bytes.
-func optimizeKey(spec *loopir.Spec, req *OptimizeRequest, cfg core.CacheConfig) string {
-	var b strings.Builder
-	b.WriteString("optimize\x00")
-	b.WriteString(spec.Key())
-	fmt.Fprintf(&b, "\x00%d\x00%d\x00%d\x00", cfg.CapacityElems, req.MinTile, req.DivisorOf)
-	for i, d := range tilesearch.SortedDims(req.Dims) {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%s=%d", d.Symbol, d.Max)
-	}
-	fmt.Fprintf(&b, "\x00permute=%t,fuse=%t,autotile=%t,maxvariants=%d",
-		axis(req.Permute), axis(req.Fuse), axis(req.AutoTile), req.MaxVariants)
-	if cfg.Ways > 0 {
-		fmt.Fprintf(&b, "\x00ways=%d,line=%d", cfg.Ways, effectiveLine(cfg))
-	}
-	return b.String()
+// streamVariantRecord is one /v1/optimize?stream=1 progress line: a scored
+// structural variant with its best candidate. Variants are scored
+// sequentially in enumeration order, so the records are deterministic for
+// a given request like the tilesearch phase records.
+type streamVariantRecord struct {
+	Variant   int                      `json:"variant"` // index in enumeration order
+	Count     int                      `json:"count"`   // total variants being scored
+	Plan      string                   `json:"plan"`
+	Best      tilesearch.CandidateJSON `json:"best"`
+	Evaluated int                      `json:"evaluated"`
 }
 
-// planOptimize validates an optimize body into its resolved pieces — the
-// same validation, in the same order, for the plan() switch and the
-// streaming handler.
-func planOptimize(body []byte, req *OptimizeRequest) (*loopir.Spec, core.CacheConfig, error) {
-	var zero core.CacheConfig
-	if err := decodeInto(body, req); err != nil {
-		return nil, zero, err
+// planOptimize plans a /v1/optimize body. Its key mirrors the tile
+// search's, with the axes and the variant cap before the geometry, so
+// equal computations share cached bytes.
+func planOptimize(body []byte) (string, computeFn, error) {
+	var req OptimizeRequest
+	if err := decodeInto(body, &req); err != nil {
+		return "", nil, err
 	}
-	spec, _, err := req.resolve()
+	spec, _, cfg, err := req.resolveModel()
 	if err != nil {
-		return nil, zero, err
-	}
-	cacheElems, err := cacheElemsOf(req.CacheElems, req.CacheKB)
-	if err != nil {
-		return nil, zero, err
-	}
-	cfg, err := assocConfigOf(req.Ways, req.Line, cacheElems)
-	if err != nil {
-		return nil, zero, err
+		return "", nil, err
 	}
 	if !axis(req.Permute) && !axis(req.Fuse) && !axis(req.AutoTile) && len(req.Dims) == 0 {
-		return nil, zero, fmt.Errorf("%w: every search axis is disabled and no dims are given; nothing to optimize", errBadRequest)
+		return "", nil, fmt.Errorf("%w: every search axis is disabled and no dims are given; nothing to optimize", errBadRequest)
 	}
-	return spec, cfg, nil
-}
-
-// computeOptimize is the /v1/optimize computation: the joint search over
-// the plan space, sequential inside its pool slot like /v1/tilesearch
-// (serving-layer concurrency comes from the worker pool).
-func (s *Service) computeOptimize(ctx context.Context, spec *loopir.Spec, req *OptimizeRequest, cfg core.CacheConfig) ([]byte, error) {
-	return s.computeOptimizeProgress(ctx, spec, req, cfg, nil)
-}
-
-// computeOptimizeProgress is computeOptimize with an optional per-variant
-// callback for the NDJSON streaming path; the response bytes are identical
-// with or without it.
-func (s *Service) computeOptimizeProgress(ctx context.Context, spec *loopir.Spec, req *OptimizeRequest, cfg core.CacheConfig, progress func(tilesearch.PlanEvent)) ([]byte, error) {
-	nest, err := loopir.Parse(spec.Nest)
-	if err != nil {
-		return nil, err
-	}
-	pr, err := tilesearch.SearchPlans(nest, tilesearch.PlanOptions{
-		Options: tilesearch.Options{
-			Dims:       tilesearch.SortedDims(req.Dims),
-			CacheElems: cfg.CapacityElems,
-			Ways:       cfg.Ways,
-			LineElems:  cfg.LineElems,
-			BaseEnv:    spec.ExprEnv(),
-			MinTile:    req.MinTile,
-			DivisorOf:  req.DivisorOf,
-			Context:    ctx,
-		},
-		Permute:      axis(req.Permute),
-		Fuse:         axis(req.Fuse),
-		AutoTile:     axis(req.AutoTile),
-		MaxVariants:  req.MaxVariants,
-		PlanProgress: progress,
-	})
-	if err != nil {
-		return nil, err
-	}
-	resp := OptimizeResponse{
-		Nest:       nest.Name,
-		CacheElems: cfg.CapacityElems,
-		BestPlan:   pr.Best().Plan.String(),
-		Result:     pr.JSON(),
-	}
-	if cfg.Ways > 0 {
-		resp.Ways = cfg.Ways
-		resp.Line = effectiveLine(cfg)
-	}
-	return marshal(resp)
+	key := req.searchKey("optimize\x00", spec, cfg, fmt.Sprintf("\x00permute=%t,fuse=%t,autotile=%t,maxvariants=%d",
+		axis(req.Permute), axis(req.Fuse), axis(req.AutoTile), req.MaxVariants))
+	return key, func(s *Service, ctx context.Context, progress func(any)) ([]byte, error) {
+		nest, err := loopir.Parse(spec.Nest)
+		if err != nil {
+			return nil, err
+		}
+		opts := tilesearch.PlanOptions{
+			Options:     req.options(ctx, spec, cfg),
+			Permute:     axis(req.Permute),
+			Fuse:        axis(req.Fuse),
+			AutoTile:    axis(req.AutoTile),
+			MaxVariants: req.MaxVariants,
+		}
+		if progress != nil {
+			opts.PlanProgress = func(ev tilesearch.PlanEvent) {
+				progress(streamVariantRecord{
+					Variant:   ev.Index,
+					Count:     ev.Count,
+					Plan:      ev.Plan.String(),
+					Best:      tilesearch.CandidateJSON{Tiles: ev.Best.Tiles, Misses: ev.Best.Misses},
+					Evaluated: ev.Evaluated,
+				})
+			}
+		}
+		pr, err := tilesearch.SearchPlans(nest, opts)
+		if err != nil {
+			return nil, err
+		}
+		return marshal(OptimizeResponse{
+			Nest:      nest.Name,
+			CacheEcho: echoOf(cfg),
+			BestPlan:  pr.Best().Plan.String(),
+			Result:    pr.JSON(),
+		})
+	}, nil
 }

@@ -2,7 +2,6 @@ package service
 
 import (
 	"container/list"
-	"context"
 	"sync"
 
 	"repro/internal/obs"
@@ -85,7 +84,7 @@ func (c *memoLRU[V]) put(key []byte, val V) {
 // malformed body can cause.
 type planned struct {
 	key     string
-	compute func(context.Context) ([]byte, error)
+	compute computeFn
 	err     error
 }
 
@@ -108,41 +107,44 @@ func memoKeyOf(scratch []byte, path string, body []byte) []byte {
 	return append(scratch, body...)
 }
 
-// planCached resolves a request through the plan memo. Only small bodies
-// are memoized so the cache's memory stays bounded by planCacheCap *
-// maxPlanBody.
-func (s *Service) planCached(path string, body []byte) (string, func(context.Context) ([]byte, error), error) {
-	if len(body) > maxPlanBody {
-		return s.plan(path, body)
+// memoized looks (path, body) up in c, computing and installing the value
+// on a miss. Only bodies up to maxBody are memoized, so a memo's memory
+// stays bounded by its capacity times maxBody.
+func memoized[V any](c *memoLRU[V], maxBody int, path string, body []byte, compute func() V) V {
+	if len(body) > maxBody {
+		return compute()
 	}
 	kp := memoKeyPool.Get().(*[]byte)
 	*kp = memoKeyOf(*kp, path, body)
-	if p, ok := s.plans.get(*kp); ok {
-		memoKeyPool.Put(kp)
-		return p.key, p.compute, p.err
+	v, ok := c.get(*kp)
+	if !ok {
+		v = compute()
+		c.put(*kp, v)
 	}
-	key, compute, err := s.plan(path, body)
-	s.plans.put(*kp, &planned{key: key, compute: compute, err: err})
 	memoKeyPool.Put(kp)
-	return key, compute, err
+	return v
 }
 
-// planBatchCached resolves a /v1/batch body through the batch-plan memo:
-// the whole per-request tax — envelope decode, per-item planning, candidate
+// plan resolves a single request through the plan memo; the plain and
+// streamed forms of a route share its entries.
+func (s *Service) plan(path string, body []byte) (string, computeFn, error) {
+	p := memoized(s.plans, maxPlanBody, path, body, func() *planned {
+		key, compute, err := parseRequest(path, body)
+		return &planned{key: key, compute: compute, err: err}
+	})
+	return p.key, p.compute, p.err
+}
+
+// planBatch resolves a /v1/batch body through the batch-plan memo: the
+// whole per-request tax — envelope decode, per-item planning, candidate
 // expansion — collapses to one map probe when the same batch body repeats,
 // which is exactly the cache-hot sweep shape the batch endpoint amortizes.
-func (s *Service) planBatchCached(body []byte) *batchPlan {
-	if len(body) > maxBatchPlanBody {
-		return s.planBatch(body)
-	}
-	kp := memoKeyPool.Get().(*[]byte)
-	*kp = memoKeyOf(*kp, "/v1/batch", body)
-	if p, ok := s.batchPlans.get(*kp); ok {
-		memoKeyPool.Put(kp)
-		return p
-	}
-	p := s.planBatch(body)
-	s.batchPlans.put(*kp, p)
-	memoKeyPool.Put(kp)
-	return p
+func (s *Service) planBatch(body []byte) *batchPlan {
+	return memoized(s.batchPlans, maxBatchPlanBody, batchPath, body, func() *batchPlan {
+		exp, err := ExpandBatch(body, s.cfg.MaxBatchItems)
+		if err != nil {
+			return &batchPlan{err: err}
+		}
+		return &batchPlan{items: exp.Items}
+	})
 }

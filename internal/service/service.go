@@ -166,13 +166,17 @@ func New(cfg Config) *Service {
 		started:       time.Now(),
 	}
 	s.pool = newWorkPool(cfg.Workers, cfg.QueueDepth, m.Gauge("service.queue.depth"))
-	for _, ep := range []string{"analyze", "predict", "tilesearch", "simulate", "optimize", "batch"} {
-		s.eps[ep] = &epStats{
-			requests: m.Counter("service." + ep + ".requests"),
-			ok:       m.Counter("service." + ep + ".ok"),
-			errors:   m.Counter("service." + ep + ".errors"),
-			rejected: m.Counter("service." + ep + ".rejected"),
-			latency:  m.Timer("service." + ep + ".latency"),
+	names := []string{"batch"}
+	for _, ep := range endpoints {
+		names = append(names, ep.name)
+	}
+	for _, name := range names {
+		s.eps[name] = &epStats{
+			requests: m.Counter("service." + name + ".requests"),
+			ok:       m.Counter("service." + name + ".ok"),
+			errors:   m.Counter("service." + name + ".errors"),
+			rejected: m.Counter("service." + name + ".rejected"),
+			latency:  m.Timer("service." + name + ".latency"),
 		}
 	}
 	s.engines = map[cachesim.Engine]*obs.Counter{}

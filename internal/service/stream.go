@@ -3,13 +3,7 @@ package service
 import (
 	"bytes"
 	"context"
-	"errors"
-	"io"
 	"net/http"
-
-	"repro/internal/core"
-	"repro/internal/loopir"
-	"repro/internal/tilesearch"
 )
 
 // ndjsonContentType is the media type of every streamed response: one JSON
@@ -18,145 +12,50 @@ import (
 // line boundary, and the terminal record is always a {"summary":...} line.
 const ndjsonContentType = "application/x-ndjson"
 
-// flush pushes buffered response bytes to the client at a record boundary,
-// timing each flush ("service.stream.flush"). The explicit flush points
-// are what make the stream incremental: without them the records would sit
-// in the server's write buffer until the response ended.
-func (s *Service) flush(fl http.Flusher) {
-	if fl == nil {
-		return
-	}
-	sw := s.streamFlush.Start()
-	fl.Flush()
-	sw.Stop()
+// ndjsonWriter commits a 200 NDJSON response and writes its lines. After a
+// failed write it drops the rest, so the caller can keep accounting for
+// the work it streams.
+type ndjsonWriter struct {
+	s      *Service
+	w      http.ResponseWriter
+	fl     http.Flusher
+	failed bool
 }
 
-// batchEndpoint is the /v1/batch handler: the endpoint lifecycle
-// (counting, draining, admission) around a planned batch, answering either
-// one aggregated JSON envelope or — with ?stream=1 — one NDJSON record per
-// item plus a summary line. Exactly one of ok/errors/rejected is counted
-// per request, preserving the endpoint metric invariant; per-item outcomes
-// are counted separately on service.batch.items{,.ok,.errors}.
-func (s *Service) batchEndpoint() http.HandlerFunc {
-	st := s.eps["batch"]
-	return func(w http.ResponseWriter, r *http.Request) {
-		sw := st.latency.Start()
-		defer sw.Stop()
-		s.total.Inc()
-		st.requests.Inc()
-
-		if r.Method != http.MethodPost {
-			st.errors.Inc()
-			writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "POST only"})
-			return
-		}
-		if s.draining.Load() {
-			st.rejected.Inc()
-			writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: "draining"})
-			return
-		}
-		body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
-		if err != nil {
-			st.errors.Inc()
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
-			return
-		}
-		plan := s.planBatchCached(body)
-		if plan.err != nil {
-			if errors.Is(plan.err, ErrOverload) {
-				st.rejected.Inc()
-				w.Header().Set("Retry-After", "1")
-				writeJSON(w, http.StatusTooManyRequests, errorBody{Error: plan.err.Error()})
-			} else {
-				st.errors.Inc()
-				writeJSON(w, http.StatusBadRequest, errorBody{Error: plan.err.Error()})
-			}
-			return
-		}
-		sc := getBatchScratch()
-		defer putBatchScratch(sc)
-		if err := s.batchRun(plan, sc); err != nil {
-			st.rejected.Inc()
-			w.Header().Set("Retry-After", "1")
-			writeJSON(w, http.StatusTooManyRequests, errorBody{Error: err.Error()})
-			return
-		}
-		s.batchItems.Add(int64(len(plan.items)))
-		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-		defer cancel()
-		if r.URL.Query().Get("stream") == "1" {
-			s.serveBatchStream(ctx, w, plan, sc, st)
-			return
-		}
-		ok, errs := renderBatchEnvelope(plan, sc, func(i int, _ *itemPlan) ([]byte, error) {
-			return entryResult(ctx, sc.entries[i])
-		})
-		s.batchItemsOK.Add(int64(ok))
-		s.batchItemsErr.Add(int64(errs))
-		// Partial success is a 200: the per-item records carry the taxonomy
-		// (status per failed item), and the summary carries the counts.
-		st.ok.Inc()
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusOK)
-		w.Write(sc.out.Bytes())
-	}
-}
-
-// serveBatchStream writes the batch result as NDJSON: item records in
-// request order as their results land, each line flushed whole, then the
-// summary trailer. A request timeout mid-stream turns the remaining items
-// into per-item 504 records — the stream still ends with a well-formed
-// trailer, never a truncated line. A failed client write stops output but
-// still accounts every item (leaders complete on the pool regardless).
-func (s *Service) serveBatchStream(ctx context.Context, w http.ResponseWriter, plan *batchPlan, sc *batchScratch, st *epStats) {
+func (s *Service) startNDJSON(w http.ResponseWriter) ndjsonWriter {
 	w.Header().Set("Content-Type", ndjsonContentType)
 	w.WriteHeader(http.StatusOK)
 	fl, _ := w.(http.Flusher)
-	ok, errs := 0, 0
-	writeFailed := false
-	for i := range plan.items {
-		it := &plan.items[i]
-		var data []byte
-		ierr := it.err
-		if ierr == nil {
-			data, ierr = entryResult(ctx, sc.entries[i])
-		}
-		if ierr == nil {
-			ok++
-		} else {
-			errs++
-		}
-		if writeFailed {
-			continue
-		}
-		sc.rec = appendItemRecord(sc.rec[:0], i, data, ierr)
-		sc.rec = append(sc.rec, '\n')
-		if _, werr := w.Write(sc.rec); werr != nil {
-			writeFailed = true
-			continue
-		}
-		s.flush(fl)
+	return ndjsonWriter{s: s, w: w, fl: fl}
+}
+
+// write writes one whole line and flushes it, timing each flush
+// ("service.stream.flush"). The explicit flush points are what make the
+// stream incremental: without them the records would sit in the server's
+// write buffer until the response ended.
+func (nw *ndjsonWriter) write(line []byte) {
+	if nw.failed {
+		return
 	}
-	if !writeFailed {
-		sc.rec = append(sc.rec[:0], `{"summary":`...)
-		sc.rec = appendBatchSummary(sc.rec, len(plan.items), ok, errs)
-		sc.rec = append(sc.rec, '}', '\n')
-		if _, werr := w.Write(sc.rec); werr != nil {
-			writeFailed = true
-		} else {
-			s.flush(fl)
-		}
+	if _, err := nw.w.Write(line); err != nil {
+		nw.failed = true
+		return
 	}
-	s.batchItemsOK.Add(int64(ok))
-	s.batchItemsErr.Add(int64(errs))
-	if writeFailed {
-		st.errors.Inc()
-	} else {
-		st.ok.Inc()
+	if nw.fl != nil {
+		sw := nw.s.streamFlush.Start()
+		nw.fl.Flush()
+		sw.Stop()
 	}
 }
 
-// streamTrailer is the terminal record of a tilesearch stream: ok on a
+// writeRecord marshals v into one line.
+func (nw *ndjsonWriter) writeRecord(v any) {
+	if line, err := marshal(v); err == nil {
+		nw.write(line)
+	}
+}
+
+// streamTrailer is the terminal record of a search stream: ok on a
 // completed search, otherwise the same status/error taxonomy a
 // non-streaming request would have answered as its HTTP status — the
 // stream has already committed a 200, so the taxonomy moves into the
@@ -171,297 +70,81 @@ type streamSummary struct {
 	Error  string `json:"error,omitempty"`
 }
 
-// planTileSearchStream resolves the request pieces the streaming path
-// needs individually (spec and config feed the progress-aware compute
-// variant): the same validation, in the same order, as the non-streaming
-// plan.
-func planTileSearchStream(body []byte, req *TileSearchRequest) (*loopir.Spec, core.CacheConfig, error) {
-	var zero core.CacheConfig
-	if err := decodeInto(body, req); err != nil {
-		return nil, zero, err
-	}
-	spec, _, err := req.resolve()
-	if err != nil {
-		return nil, zero, err
-	}
-	cacheElems, err := cacheElemsOf(req.CacheElems, req.CacheKB)
-	if err != nil {
-		return nil, zero, err
-	}
-	cfg, err := assocConfigOf(req.Ways, req.Line, cacheElems)
-	if err != nil {
-		return nil, zero, err
-	}
-	return spec, cfg, nil
-}
-
-// streamPhaseRecord is one /v1/tilesearch?stream=1 progress line: a
-// completed search phase with the best candidate known so far. The records
-// are deterministic for a given request (phases are barriers and the
-// search is sequential inside its pool slot), so stream output is
-// golden-testable like every other response.
-type streamPhaseRecord struct {
-	Phase      string                   `json:"phase"`
-	Round      int64                    `json:"round,omitempty"`
-	Candidates int64                    `json:"candidates"`
-	Best       tilesearch.CandidateJSON `json:"best"`
-}
-
-// streamVariantRecord is one /v1/optimize?stream=1 progress line: a scored
-// structural variant with its best candidate. Variants are scored
-// sequentially in enumeration order, so the records are deterministic for
-// a given request like the tilesearch phase records.
-type streamVariantRecord struct {
-	Variant   int                      `json:"variant"` // index in enumeration order
-	Count     int                      `json:"count"`   // total variants being scored
-	Plan      string                   `json:"plan"`
-	Best      tilesearch.CandidateJSON `json:"best"`
-	Evaluated int                      `json:"evaluated"`
-}
-
-// serveOptimizeStream is the ?stream=1 variant of /v1/optimize: one record
-// per scored structural variant, then a {"result":...} record carrying the
-// exact non-streaming response bytes, then the summary trailer — the same
-// shape and error taxonomy as the tilesearch stream.
-func (s *Service) serveOptimizeStream(w http.ResponseWriter, r *http.Request) {
-	st := s.eps["optimize"]
-	sw := st.latency.Start()
-	defer sw.Stop()
-	s.total.Inc()
-	st.requests.Inc()
-
-	if r.Method != http.MethodPost {
-		st.errors.Inc()
-		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "POST only"})
-		return
-	}
-	if s.draining.Load() {
-		st.rejected.Inc()
-		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: "draining"})
-		return
-	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
-	if err != nil {
-		st.errors.Inc()
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
-		return
-	}
-	var req OptimizeRequest
-	spec, cfg, err := planOptimize(body, &req)
-	if err != nil {
-		st.errors.Inc()
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
-		return
-	}
-
+// serveSearchStream is the ?stream=1 form of both searches: a progress
+// record per completed step (tile-search phases, scored plan variants) as
+// the search runs, then a {"result":...} record carrying the exact bytes
+// the plain endpoint serves, then the summary trailer. The search always
+// runs fresh (streamed responses bypass the response cache — replaying
+// cached bytes would fake the progress), with its computation context tied
+// to the client connection so a disconnect cancels the search and frees
+// its pool slot.
+func (s *Service) serveSearchStream(w http.ResponseWriter, r *http.Request, compute computeFn) error {
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
-	events := make(chan tilesearch.PlanEvent, 8)
-	done := make(chan struct{})
+	// The progress callback is synchronous, so once the computation
+	// returns nothing more is sent and the channel can close behind it.
+	records := make(chan any, 8)
 	var data []byte
 	var cerr error
-	accepted := s.pool.trySubmit(func() {
-		defer close(done)
-		data, cerr = s.computeOptimizeProgress(ctx, spec, &req, cfg, func(ev tilesearch.PlanEvent) {
+	if !s.pool.trySubmit(func() {
+		defer close(records)
+		data, cerr = compute(s, ctx, func(rec any) {
 			select {
-			case events <- ev:
+			case records <- rec:
 			case <-ctx.Done():
 			}
 		})
-	})
-	if !accepted {
-		st.rejected.Inc()
-		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusTooManyRequests, errorBody{Error: ErrOverload.Error()})
-		return
+	}) {
+		return ErrOverload
 	}
-
-	w.Header().Set("Content-Type", ndjsonContentType)
-	w.WriteHeader(http.StatusOK)
-	fl, _ := w.(http.Flusher)
-	writeFailed := false
-	emit := func(line []byte) {
-		if writeFailed {
-			return
-		}
-		if _, werr := w.Write(line); werr != nil {
-			writeFailed = true
-			return
-		}
-		s.flush(fl)
+	nw := s.startNDJSON(w)
+	for rec := range records {
+		nw.writeRecord(rec)
 	}
-	emitEvent := func(ev tilesearch.PlanEvent) {
-		line, merr := marshal(streamVariantRecord{
-			Variant:   ev.Index,
-			Count:     ev.Count,
-			Plan:      ev.Plan.String(),
-			Best:      tilesearch.CandidateJSON{Tiles: ev.Best.Tiles, Misses: ev.Best.Misses},
-			Evaluated: ev.Evaluated,
-		})
-		if merr == nil {
-			emit(line)
-		}
+	if cerr != nil {
+		nw.writeRecord(streamTrailer{Summary: streamSummary{Status: statusOf(cerr), Error: cerr.Error()}})
+		return errStreamFailed
 	}
-	for running := true; running; {
-		select {
-		case ev := <-events:
-			emitEvent(ev)
-		case <-done:
-			running = false
-		}
+	line := append([]byte(`{"result":`), bytes.TrimSuffix(data, []byte{'\n'})...)
+	nw.write(append(line, '}', '\n'))
+	nw.write([]byte(`{"summary":{"ok":true}}` + "\n"))
+	if nw.failed {
+		return errStreamFailed
 	}
-	for drained := false; !drained; {
-		select {
-		case ev := <-events:
-			emitEvent(ev)
-		default:
-			drained = true
-		}
-	}
-	if cerr == nil {
-		line := append([]byte(`{"result":`), bytes.TrimSuffix(data, []byte{'\n'})...)
-		line = append(line, '}', '\n')
-		emit(line)
-		emit([]byte(`{"summary":{"ok":true}}` + "\n"))
-	} else {
-		trailer, merr := marshal(streamTrailer{Summary: streamSummary{
-			OK:     false,
-			Status: statusOf(cerr),
-			Error:  cerr.Error(),
-		}})
-		if merr == nil {
-			emit(trailer)
-		}
-	}
-	if cerr != nil || writeFailed {
-		st.errors.Inc()
-	} else {
-		st.ok.Inc()
-	}
+	return nil
 }
 
-// serveTileSearchStream is the ?stream=1 variant of /v1/tilesearch: phase
-// records as the search progresses, then a {"result":...} record carrying
-// the exact bytes the non-streaming endpoint would have served, then the
-// summary trailer. The search always runs fresh (streamed responses bypass
-// the response cache — replaying cached bytes would fake the progress),
-// with its computation context tied to the client connection so a
-// disconnect cancels the search and frees its pool slot.
-func (s *Service) serveTileSearchStream(w http.ResponseWriter, r *http.Request) {
-	st := s.eps["tilesearch"]
-	sw := st.latency.Start()
-	defer sw.Stop()
-	s.total.Inc()
-	st.requests.Inc()
-
-	if r.Method != http.MethodPost {
-		st.errors.Inc()
-		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "POST only"})
-		return
-	}
-	if s.draining.Load() {
-		st.rejected.Inc()
-		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: "draining"})
-		return
-	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
-	if err != nil {
-		st.errors.Inc()
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
-		return
-	}
-	var req TileSearchRequest
-	spec, cfg, err := planTileSearchStream(body, &req)
-	if err != nil {
-		st.errors.Inc()
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
-		return
-	}
-
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-	defer cancel()
-	events := make(chan tilesearch.ProgressEvent, 8)
-	done := make(chan struct{})
-	var data []byte
-	var cerr error
-	accepted := s.pool.trySubmit(func() {
-		defer close(done)
-		data, cerr = s.computeTileSearchProgress(ctx, spec, &req, cfg, func(ev tilesearch.ProgressEvent) {
-			select {
-			case events <- ev:
-			case <-ctx.Done():
-			}
-		})
-	})
-	if !accepted {
-		st.rejected.Inc()
-		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusTooManyRequests, errorBody{Error: ErrOverload.Error()})
-		return
-	}
-
-	w.Header().Set("Content-Type", ndjsonContentType)
-	w.WriteHeader(http.StatusOK)
-	fl, _ := w.(http.Flusher)
-	writeFailed := false
-	emit := func(line []byte) {
-		if writeFailed {
-			return
+// serveBatchStream writes the batch result as NDJSON: item records in
+// request order as their results land, each line flushed whole, then the
+// summary trailer. A request timeout mid-stream turns the remaining items
+// into per-item 504 records — the stream still ends with a well-formed
+// trailer, never a truncated line. A failed client write stops output but
+// still accounts every item (leaders complete on the pool regardless).
+func (s *Service) serveBatchStream(ctx context.Context, w http.ResponseWriter, plan *batchPlan, sc *batchScratch) error {
+	nw := s.startNDJSON(w)
+	ok, errs := 0, 0
+	for i := range plan.items {
+		it := &plan.items[i]
+		var data []byte
+		ierr := it.Err
+		if ierr == nil {
+			data, ierr = entryResult(ctx, sc.entries[i])
 		}
-		if _, werr := w.Write(line); werr != nil {
-			writeFailed = true
-			return
+		if ierr == nil {
+			ok++
+		} else {
+			errs++
 		}
-		s.flush(fl)
+		sc.rec = append(appendItemRecord(sc.rec[:0], i, data, ierr), '\n')
+		nw.write(sc.rec)
 	}
-	emitEvent := func(ev tilesearch.ProgressEvent) {
-		line, merr := marshal(streamPhaseRecord{
-			Phase:      ev.Phase,
-			Round:      ev.Round,
-			Candidates: ev.Candidates,
-			Best:       tilesearch.CandidateJSON{Tiles: ev.Best.Tiles, Misses: ev.Best.Misses},
-		})
-		if merr == nil {
-			emit(line)
-		}
+	sc.rec = appendBatchSummary(append(sc.rec[:0], `{"summary":`...), len(plan.items), ok, errs)
+	sc.rec = append(sc.rec, '}', '\n')
+	nw.write(sc.rec)
+	s.batchItemsOK.Add(int64(ok))
+	s.batchItemsErr.Add(int64(errs))
+	if nw.failed {
+		return errStreamFailed
 	}
-	for running := true; running; {
-		select {
-		case ev := <-events:
-			emitEvent(ev)
-		case <-done:
-			running = false
-		}
-	}
-	// The progress callback is synchronous, so after done closes only
-	// already-buffered events remain; drain them before the terminal
-	// records.
-	for drained := false; !drained; {
-		select {
-		case ev := <-events:
-			emitEvent(ev)
-		default:
-			drained = true
-		}
-	}
-	if cerr == nil {
-		line := append([]byte(`{"result":`), bytes.TrimSuffix(data, []byte{'\n'})...)
-		line = append(line, '}', '\n')
-		emit(line)
-		emit([]byte(`{"summary":{"ok":true}}` + "\n"))
-	} else {
-		trailer, merr := marshal(streamTrailer{Summary: streamSummary{
-			OK:     false,
-			Status: statusOf(cerr),
-			Error:  cerr.Error(),
-		}})
-		if merr == nil {
-			emit(trailer)
-		}
-	}
-	if cerr != nil || writeFailed {
-		st.errors.Inc()
-	} else {
-		st.ok.Inc()
-	}
+	return nil
 }
