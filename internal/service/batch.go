@@ -48,12 +48,22 @@ type BatchCandidates struct {
 	Sets [][]int64 `json:"sets"`
 }
 
+// itemPlan is one planned batch entry: its response-cache key and
+// computation, or the planning error that will become its item record.
+// The batch-plan memo keeps these rather than the expansion's items, whose
+// bodies only the cluster router needs.
+type itemPlan struct {
+	key     string
+	compute computeFn
+	err     error
+}
+
 // batchPlan is a fully planned batch body. err is the batch-level error
 // (malformed envelope, over-cap item count, invalid candidates header) that
 // fails the whole request; item-level problems land in the items instead
 // and the batch proceeds around them.
 type batchPlan struct {
-	items []BatchItemSpec
+	items []itemPlan
 	err   error
 }
 
@@ -227,7 +237,7 @@ func (s *Service) serveBatch(w http.ResponseWriter, r *http.Request, body []byte
 	if r.URL.Query().Get("stream") == "1" {
 		return s.serveBatchStream(ctx, w, plan, sc)
 	}
-	ok, errs := renderBatchEnvelope(plan, sc, func(i int, _ *BatchItemSpec) ([]byte, error) {
+	ok, errs := renderBatchEnvelope(plan, sc, func(i int, _ *itemPlan) ([]byte, error) {
 		return entryResult(ctx, sc.entries[i])
 	})
 	s.batchItemsOK.Add(int64(ok))
@@ -275,11 +285,11 @@ func (s *Service) batchRun(plan *batchPlan, sc *batchScratch) error {
 	sc.tasks = sc.tasks[:0]
 	for i := range plan.items {
 		it := &plan.items[i]
-		if it.Err != nil {
+		if it.err != nil {
 			sc.entries = append(sc.entries, nil)
 			continue
 		}
-		e, leader := s.resp.acquire(it.Key)
+		e, leader := s.resp.acquire(it.key)
 		sc.entries = append(sc.entries, e)
 		if leader {
 			sc.leaders = append(sc.leaders, e)
@@ -372,13 +382,13 @@ func appendBatchSummary(dst []byte, items, ok, errs int) []byte {
 // at any worker count:
 //
 //	{"items":[<record>,...],"summary":{"items":N,"ok":K,"errors":E}}
-func renderBatchEnvelope(plan *batchPlan, sc *batchScratch, get func(i int, it *BatchItemSpec) ([]byte, error)) (ok, errs int) {
+func renderBatchEnvelope(plan *batchPlan, sc *batchScratch, get func(i int, it *itemPlan) ([]byte, error)) (ok, errs int) {
 	sc.out.Reset()
 	sc.out.WriteString(`{"items":[`)
 	for i := range plan.items {
 		it := &plan.items[i]
 		var data []byte
-		ierr := it.Err
+		ierr := it.err
 		if ierr == nil {
 			data, ierr = get(i, it)
 		}
@@ -412,7 +422,7 @@ func (s *Service) computeBatchDirect(ctx context.Context, body []byte) ([]byte, 
 	}
 	sc := getBatchScratch()
 	defer putBatchScratch(sc)
-	renderBatchEnvelope(plan, sc, func(_ int, it *BatchItemSpec) ([]byte, error) {
+	renderBatchEnvelope(plan, sc, func(_ int, it *itemPlan) ([]byte, error) {
 		return it.compute(s, ctx, nil)
 	})
 	return append([]byte(nil), sc.out.Bytes()...), nil

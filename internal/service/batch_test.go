@@ -314,7 +314,7 @@ func TestBatchWarmAllocs(t *testing.T) {
 		if err := svc.batchRun(plan, sc); err != nil {
 			panic(err)
 		}
-		ok, errs := renderBatchEnvelope(plan, sc, func(i int, _ *BatchItemSpec) ([]byte, error) {
+		ok, errs := renderBatchEnvelope(plan, sc, func(i int, _ *itemPlan) ([]byte, error) {
 			return entryResult(ctx, sc.entries[i])
 		})
 		if ok != items || errs != 0 {

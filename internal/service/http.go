@@ -109,7 +109,8 @@ func (s *Service) Handler() http.Handler {
 }
 
 // route serves one admitted request: it writes a 200 and returns nil, or
-// returns the error the lifecycle answers.
+// returns the error the lifecycle answers — errStreamFailed once it has
+// committed a 200 stream.
 type route func(w http.ResponseWriter, r *http.Request, body []byte) error
 
 // handle wraps a /v1 route in the request lifecycle every route shares:

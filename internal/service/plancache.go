@@ -145,6 +145,10 @@ func (s *Service) planBatch(body []byte) *batchPlan {
 		if err != nil {
 			return &batchPlan{err: err}
 		}
-		return &batchPlan{items: exp.Items}
+		plan := &batchPlan{items: make([]itemPlan, len(exp.Items))}
+		for i, it := range exp.Items {
+			plan.items[i] = itemPlan{key: it.Key, compute: it.compute, err: it.Err}
+		}
+		return plan
 	})
 }

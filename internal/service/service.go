@@ -1,7 +1,9 @@
 // Package service is the serving layer of the pipeline: an HTTP JSON API
 // exposing the cache model (/v1/analyze, /v1/predict), the §6 tile-size
-// search (/v1/tilesearch) and the stack-distance simulator (/v1/simulate)
-// as a concurrent network service.
+// search (/v1/tilesearch), the joint plan search (/v1/optimize) and the
+// stack-distance simulator (/v1/simulate) as a concurrent network service.
+// Those routes are the rows of one endpoint table (endpoints); /v1/batch
+// carries many of them in one request.
 //
 // The design centers on three mechanisms:
 //
@@ -23,11 +25,13 @@
 //     are answered 503 while in-flight ones run to completion, so a
 //     SIGTERM loses no accepted work.
 //
-// Every endpoint handler maintains the metric invariant
+// Every route runs one request lifecycle (handle), which maintains the
+// metric invariant
 //
 //	service.<ep>.requests == .ok + .errors + .rejected
 //
-// which the drain storm test asserts under the race detector. Cache
+// that the lifecycle test, the fuzz target and the drain storm (under the
+// race detector) assert. Cache
 // counters follow the determinism stance of flightCache: misses and hits
 // are deterministic for a fixed request script (capacity permitting);
 // coalesced is the timing-dependent subset of hits.

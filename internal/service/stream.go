@@ -83,6 +83,7 @@ func (s *Service) serveSearchStream(w http.ResponseWriter, r *http.Request, comp
 	defer cancel()
 	// The progress callback is synchronous, so once the computation
 	// returns nothing more is sent and the channel can close behind it.
+	// The buffer lets the search run a few records ahead of a slow client.
 	records := make(chan any, 8)
 	var data []byte
 	var cerr error
@@ -126,7 +127,7 @@ func (s *Service) serveBatchStream(ctx context.Context, w http.ResponseWriter, p
 	for i := range plan.items {
 		it := &plan.items[i]
 		var data []byte
-		ierr := it.Err
+		ierr := it.err
 		if ierr == nil {
 			data, ierr = entryResult(ctx, sc.entries[i])
 		}
