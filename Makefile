@@ -1,10 +1,10 @@
 # Developer convenience targets. `make check` is the pre-submit gate:
-# static analysis, the full test suite under the race detector, and a short
-# fuzzing smoke of the analyzer/search entry points.
+# formatting, static analysis, the full test suite under the race detector,
+# and a short fuzzing smoke of the analyzer/search entry points.
 
 GO ?= go
 
-.PHONY: all build test check vet race fuzz-smoke bench bench-sim bench-eval bench-assoc bench-serve bench-serve-smoke bench-optimize bench-cluster bench-cluster-smoke serve-check cover golden
+.PHONY: all build test check fmt vet race fuzz-smoke bench bench-sim bench-eval bench-assoc bench-serve bench-serve-smoke bench-optimize bench-cluster bench-cluster-smoke serve-check cover golden
 
 all: build
 
@@ -13,6 +13,11 @@ build:
 
 test:
 	$(GO) test ./...
+
+# Fails when any tracked Go file is not gofmt-formatted, listing the files.
+fmt:
+	@out=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -36,7 +41,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPlanLegality$$' -fuzztime 10s ./internal/loopir
 	$(GO) test -run '^$$' -fuzz '^FuzzHandler$$' -fuzztime 10s ./internal/service
 
-check: vet race fuzz-smoke
+check: fmt vet race fuzz-smoke
 
 bench:
 	$(GO) test -bench . -benchtime 1x ./...
@@ -52,10 +57,10 @@ bench-sim:
 	$(GO) run ./cmd/simbench -o BENCH_sim.json
 	$(GO) run ./cmd/simbench -smoke
 
-# Symbolic-evaluation benchmarks (tree-walking baseline vs compiled
-# programs on slot frames) and the committed BENCH_eval.json artifact,
-# sharing the internal/evalbench workload definitions the same way
-# bench-sim shares internal/simbench.
+# Expression-evaluation benchmarks (tree walking an Env vs compiled programs
+# on a slot frame, over the tiled-matmul component expressions) and the
+# committed BENCH_eval.json artifact, sharing the internal/evalbench
+# workload definitions the same way bench-sim shares internal/simbench.
 bench-eval:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/evalbench
 	$(GO) run ./cmd/evalbench -o BENCH_eval.json

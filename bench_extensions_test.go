@@ -35,10 +35,11 @@ func benchAblation(b *testing.B, opts core.Options) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pred, err := a0.PredictTotal(env, cache)
+	predRep, err := a0.PredictMissesFrame(a0.SymTab().FrameOf(env), cache)
 	if err != nil {
 		b.Fatal(err)
 	}
+	pred := predRep.Total
 	p, err := trace.Compile(nest, env)
 	if err != nil {
 		b.Fatal(err)
@@ -57,7 +58,7 @@ func benchAblation(b *testing.B, opts core.Options) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := a.PredictTotal(env, cache); err != nil {
+		if _, err := a.PredictMissesFrame(a.SymTab().FrameOf(env), cache); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -101,10 +101,11 @@ func BenchmarkTable2SimulatedScaled(b *testing.B) {
 	const cache = 2048
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pred, err := a.PredictTotal(env, cache)
+		predRep, err := a.PredictMissesFrame(a.SymTab().FrameOf(env), cache)
 		if err != nil {
 			b.Fatal(err)
 		}
+		pred := predRep.Total
 		p, err := trace.Compile(nest, env)
 		if err != nil {
 			b.Fatal(err)
@@ -142,10 +143,11 @@ func BenchmarkTable3SimulatedScaled(b *testing.B) {
 	const cache = 1024
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pred, err := a.PredictTotal(env, cache)
+		predRep, err := a.PredictMissesFrame(a.SymTab().FrameOf(env), cache)
 		if err != nil {
 			b.Fatal(err)
 		}
+		pred := predRep.Total
 		p, err := trace.Compile(nest, env)
 		if err != nil {
 			b.Fatal(err)
@@ -259,9 +261,11 @@ func BenchmarkPredictMissesCached(b *testing.B) {
 		b.Fatal(err)
 	}
 	ec := core.NewEvalCache(a)
+	f := a.SymTab().FrameOf(env)
+	cfg := core.CacheConfig{CapacityElems: 8192}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ec.PredictTotal(env, 8192); err != nil {
+		if _, err := ec.PredictTotalFrameConfig(f, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -366,9 +370,10 @@ func BenchmarkPredictMisses(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	f := a.SymTab().FrameOf(env)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := a.PredictTotal(env, 8192); err != nil {
+		if _, err := a.PredictMissesFrame(f, 8192); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -2,13 +2,9 @@
 // writes the BENCH_eval.json artifact committed at the repository root. It
 // benchmarks exactly the workloads that the go-test benchmarks in
 // internal/evalbench measure, through the same helpers, so the artifact
-// and `make bench-eval` output cannot drift apart:
-//
-//   - raw expression evaluation over the tiled-matmul component
-//     expressions: tree walking an Env versus running compiled op-slice
-//     programs against a slot frame,
-//   - the §6 tile search end to end: the legacy Env/tree scoring path
-//     (tilesearch.Options.TreeEval) versus the per-worker frame path.
+// and `make bench-eval` output cannot drift apart: raw expression
+// evaluation over the tiled-matmul component expressions, tree walking an
+// Env versus running compiled op-slice programs against a slot frame.
 //
 // Usage:
 //
@@ -30,7 +26,7 @@ import (
 // Measurement is one benchmarked configuration.
 type Measurement struct {
 	NsPerOp     int64   `json:"ns_per_op"`
-	NsPerEval   float64 `json:"ns_per_eval,omitempty"`
+	NsPerEval   float64 `json:"ns_per_eval"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	Iterations  int     `json:"iterations"`
@@ -58,24 +54,19 @@ type Artifact struct {
 		N     int64  `json:"n"`
 		Exprs int    `json:"exprs_per_op"`
 	} `json:"workload"`
-	// ExprEval is raw per-expression evaluation; Search is the full §6
-	// search (fresh caches per op, so per-candidate scoring dominates).
+	// ExprEval is raw per-expression evaluation.
 	ExprEval Section `json:"expr_eval"`
-	Search   Section `json:"search"`
 }
 
 func measure(f func(b *testing.B), evals int64) Measurement {
 	r := testing.Benchmark(f)
-	m := Measurement{
+	return Measurement{
 		NsPerOp:     r.NsPerOp(),
+		NsPerEval:   float64(r.NsPerOp()) / float64(evals),
 		AllocsPerOp: r.AllocsPerOp(),
 		BytesPerOp:  r.AllocedBytesPerOp(),
 		Iterations:  r.N,
 	}
-	if evals > 0 {
-		m.NsPerEval = float64(r.NsPerOp()) / float64(evals)
-	}
-	return m
 }
 
 func section(tree, compiled func(b *testing.B), evals int64) Section {
@@ -152,22 +143,6 @@ func mainE() error {
 		return benchErr
 	}
 
-	fmt.Fprintln(os.Stderr, "measuring end-to-end tile search ...")
-	run := func(treeEval bool) func(b *testing.B) {
-		return func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := w.RunSearch(n, treeEval); err != nil {
-					benchErr = err
-					b.Fatal(err)
-				}
-			}
-		}
-	}
-	a.Search = section(run(true), run(false), 0)
-	if benchErr != nil {
-		return benchErr
-	}
-
 	data, err := json.MarshalIndent(a, "", "  ")
 	if err != nil {
 		return err
@@ -179,8 +154,6 @@ func mainE() error {
 	fmt.Printf("wrote %s\n", *out)
 	fmt.Printf("  expr eval: %.1f -> %.1f ns/eval (%.2fx, %d exprs/op)\n",
 		a.ExprEval.Tree.NsPerEval, a.ExprEval.Compiled.NsPerEval, a.ExprEval.Speedup, a.Workload.Exprs)
-	fmt.Printf("  search:    %.2f -> %.2f ms (%.2fx)\n",
-		float64(a.Search.Tree.NsPerOp)/1e6, float64(a.Search.Compiled.NsPerOp)/1e6, a.Search.Speedup)
 	return nil
 }
 

@@ -81,13 +81,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	uM, err := uA.PredictTotal(env, cacheElems)
+	uM, err := uA.PredictMissesFrame(uA.SymTab().FrameOf(env), cacheElems)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fM, err := fA.PredictTotal(env, cacheElems)
+	fM, err := fA.PredictMissesFrame(fA.SymTab().FrameOf(env), cacheElems)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("predicted misses at N=128, V=96, 8 KB cache: unfused %d, fused %d\n", uM, fM)
+	fmt.Printf("predicted misses at N=128, V=96, 8 KB cache: unfused %d, fused %d\n", uM.Total, fM.Total)
 }

@@ -197,14 +197,8 @@ func TestAblationAccuracy(t *testing.T) {
 	res := simulateMisses(t, nest, env, watches)
 	var fullErr, bareErr int64
 	for i, c := range watches {
-		fp, err := full.PredictTotal(env, c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bp, err := bare.PredictTotal(env, c)
-		if err != nil {
-			t.Fatal(err)
-		}
+		fp := predictTotal(t, full, env, c)
+		bp := predictTotal(t, bare, env, c)
 		fd, bd := fp-res.Misses[i], bp-res.Misses[i]
 		if fd < 0 {
 			fd = -fd

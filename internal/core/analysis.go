@@ -13,9 +13,11 @@ import (
 )
 
 // Analysis is the compile-time cache model of a nest: the full component
-// inventory of every reference site. It is env-independent; evaluate it
-// against concrete loop bounds, tile sizes and cache capacities with
-// PredictMisses.
+// inventory of every reference site. It is env-independent; bind concrete
+// loop bounds and tile sizes into a frame over its SymTab (NewFrame,
+// GetFrame, or SymTab().FrameOf for an expr.Env) and ask
+// PredictMissesFrameConfig for a cache geometry. An EvalCache memoizes the
+// same query across many frames.
 type Analysis struct {
 	Nest       *loopir.Nest
 	Components []*Component
@@ -164,37 +166,15 @@ type ComponentMisses struct {
 	Misses    int64
 }
 
-// MissReport is the result of PredictMisses.
+// MissReport is the answer of a prediction query: the predicted misses in
+// total, per site and per component (Detail, in a.Components order), and
+// the accesses they are out of.
 type MissReport struct {
 	CacheElems int64
 	Accesses   int64
 	Total      int64
 	BySite     map[string]int64
 	Detail     []ComponentMisses
-}
-
-// PredictMisses evaluates the analysis at concrete loop bounds and tile
-// sizes and predicts the number of misses in a fully-associative LRU cache
-// with the given capacity in elements. A component misses when its stack
-// distance exceeds the capacity; components with position-dependent stack
-// distance (§5.2) contribute the exact number of positions whose distance
-// exceeds it.
-func (a *Analysis) PredictMisses(env expr.Env, cacheElems int64) (*MissReport, error) {
-	if err := a.Nest.ValidateEnv(env); err != nil {
-		return nil, err
-	}
-	rep := &MissReport{CacheElems: cacheElems, BySite: map[string]int64{}}
-	for _, c := range a.Components {
-		cm, err := evalComponent(c, env, cacheElems)
-		if err != nil {
-			return nil, err
-		}
-		rep.Detail = append(rep.Detail, cm)
-		rep.Total += cm.Misses
-		rep.BySite[c.Site.Key()] += cm.Misses
-		rep.Accesses += cm.Count
-	}
-	return rep, nil
 }
 
 // componentValues are the environment-dependent numbers of one component
@@ -208,49 +188,6 @@ type componentValues struct {
 	SD    int64 // constant stack distance value
 	// Variable stack distance: SD(a) = Base + Slope*a for a in [0, Range).
 	Base, Slope, Range int64
-}
-
-// evalComponentValues evaluates the component's expressions under env.
-func evalComponentValues(c *Component, env expr.Env) (componentValues, error) {
-	var v componentValues
-	count, err := c.Count.Eval(env)
-	if err != nil {
-		return v, err
-	}
-	if count < 0 {
-		count = 0 // e.g. (trip-1) when a loop has a single iteration
-	}
-	v.Count = count
-	if c.SD.Base.IsInf() {
-		v.Inf = true
-		return v, nil
-	}
-	if count == 0 {
-		// No instances: the component contributes nothing at any capacity.
-		// Short-circuit before the SD/range expressions, which may be
-		// degenerate (e.g. a zero free range) in the same boundary regimes
-		// that zero the count.
-		v.Const = true
-		return v, nil
-	}
-	if c.SD.IsConst() {
-		v.Const = true
-		v.SD, err = c.SD.Base.Eval(env)
-		return v, err
-	}
-	if v.Base, err = c.SD.Base.Eval(env); err != nil {
-		return v, err
-	}
-	if v.Slope, err = c.SD.Slope.Eval(env); err != nil {
-		return v, err
-	}
-	if v.Range, err = c.FreeRange.Eval(env); err != nil {
-		return v, err
-	}
-	if v.Range <= 0 {
-		return v, fmt.Errorf("core: non-positive free range for %s", c.Site.Key())
-	}
-	return v, nil
 }
 
 // classifyComponent compares evaluated component values against a cache
@@ -300,38 +237,6 @@ func classifyComponent(c *Component, v componentValues, cache int64) ComponentMi
 	// factors); each position contributes count/rng instances.
 	cm.Misses = v.Count / rng * missPositions
 	return cm
-}
-
-func evalComponent(c *Component, env expr.Env, cache int64) (ComponentMisses, error) {
-	v, err := evalComponentValues(c, env)
-	if err != nil {
-		return ComponentMisses{Component: c, Count: v.Count}, err
-	}
-	return classifyComponent(c, v, cache), nil
-}
-
-// MissCurve evaluates the predicted miss count at each capacity, reusing
-// one pass of component evaluation per capacity. The curve is the model's
-// counterpart of the simulator's success function.
-func (a *Analysis) MissCurve(env expr.Env, capacities []int64) ([]int64, error) {
-	out := make([]int64, len(capacities))
-	for i, c := range capacities {
-		total, err := a.PredictTotal(env, c)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = total
-	}
-	return out, nil
-}
-
-// PredictTotal is a convenience wrapper returning only the total.
-func (a *Analysis) PredictTotal(env expr.Env, cacheElems int64) (int64, error) {
-	rep, err := a.PredictMisses(env, cacheElems)
-	if err != nil {
-		return 0, err
-	}
-	return rep.Total, nil
 }
 
 // StackDistances returns every distinct symbolic stack-distance expression

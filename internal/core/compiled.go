@@ -9,16 +9,17 @@ import (
 // The compiled layer of an Analysis: every environment-dependent expression
 // the miss estimator evaluates — loop trips, array extents, and each
 // component's Count/SD/FreeRange — flattened once into expr.Programs over a
-// single analysis-wide SymTab. PredictMissesFrame then runs the whole
-// prediction through a Frame without allocating an Env map or walking a
-// tree, which is what makes per-candidate evaluation in the tile search
-// cheap enough for the ROADMAP's "millions of evaluations" target.
+// single analysis-wide SymTab. Every prediction query then runs through a
+// Frame without allocating an Env map or walking a tree, which is what makes
+// per-candidate evaluation in the tile search cheap enough for searches that
+// score millions of candidates.
 //
 // Slot assignment is deterministic: nest symbols first (sorted, as
 // SymbolNames returns them), then any remaining symbols in the order the
 // trip, extent and component programs are compiled. Re-analyzing the same
 // nest therefore reproduces the same name→slot mapping, which keeps the
-// EvalCache's packed binary keys stable (symtab_test.go pins the property).
+// EvalCache's packed binary keys stable (TestAnalysisSymTabStableUnderReanalysis
+// pins the property).
 type compiledAnalysis struct {
 	tab      *expr.SymTab
 	symbols  []string // nest.SymbolNames(), sorted
@@ -183,8 +184,9 @@ func (ca *compiledAnalysis) validateFrame(f *expr.Frame) error {
 	return nil
 }
 
-// evalComponentValuesFrame is evalComponentValues through the compiled
-// programs: identical values, identical errors, no Env map.
+// evalComponentValuesFrame evaluates one component's capacity-independent
+// values through its compiled programs. The tree-walking oracle in the tests
+// must agree with it value for value and error for error.
 func (cc *compiledComponent) evalComponentValuesFrame(f *expr.Frame) (componentValues, error) {
 	var v componentValues
 	count, err := cc.count.Eval(f)
@@ -200,8 +202,10 @@ func (cc *compiledComponent) evalComponentValuesFrame(f *expr.Frame) (componentV
 		return v, nil
 	}
 	if count == 0 {
-		// Mirror evalComponentValues: a zero-instance component is constant
-		// zero regardless of its (possibly degenerate) SD expressions.
+		// No instances: the component contributes nothing at any capacity.
+		// Short-circuit before the SD/range programs, which may be
+		// degenerate (e.g. a zero free range) in the same boundary regimes
+		// that zero the count.
 		v.Const = true
 		return v, nil
 	}
@@ -225,33 +229,80 @@ func (cc *compiledComponent) evalComponentValuesFrame(f *expr.Frame) (componentV
 	return v, nil
 }
 
-// PredictMissesFrame is PredictMisses evaluated through the compiled layer:
-// byte-identical reports, no Env map, no tree walks. The frame must stem
-// from a.SymTab() and carry the same bindings an Env would.
-func (a *Analysis) PredictMissesFrame(f *expr.Frame, cacheElems int64) (*MissReport, error) {
-	if err := a.ca.validateFrame(f); err != nil {
+// PredictMissesFrameConfig is the model's prediction query: it evaluates the
+// analysis at the frame's loop bounds and tile sizes and predicts the misses
+// of an LRU cache with the given geometry. A component misses when its stack
+// distance exceeds the capacity; components with position-dependent stack
+// distance (§5.2) contribute the exact number of positions whose distance
+// exceeds it. A set-associative cfg adds the conflict model's self- and
+// cross-interference misses (conflict.go); a fully-associative one is the
+// paper's model. The frame must stem from a.SymTab().
+func (a *Analysis) PredictMissesFrameConfig(f *expr.Frame, cfg CacheConfig) (*MissReport, error) {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	rep := &MissReport{CacheElems: cacheElems, BySite: map[string]int64{}}
-	for i, c := range a.Components {
-		v, err := a.ca.comps[i].evalComponentValuesFrame(f)
-		if err != nil {
-			return nil, err
-		}
-		cm := classifyComponent(c, v, cacheElems)
-		rep.Detail = append(rep.Detail, cm)
-		rep.Total += cm.Misses
-		rep.BySite[c.Site.Key()] += cm.Misses
-		rep.Accesses += cm.Count
+	return a.report(f, cfg.norm(), nil)
+}
+
+// PredictMissesFrame is the fully-associative shorthand for
+// PredictMissesFrameConfig at cacheElems elements. It does not validate the
+// capacity.
+func (a *Analysis) PredictMissesFrame(f *expr.Frame, cacheElems int64) (*MissReport, error) {
+	return a.report(f, CacheConfig{CapacityElems: cacheElems}.norm(), nil)
+}
+
+// report runs predict into a fresh report.
+func (a *Analysis) report(f *expr.Frame, cfg CacheConfig, ec *EvalCache) (*MissReport, error) {
+	rep := &MissReport{CacheElems: cfg.CapacityElems, BySite: map[string]int64{}}
+	if _, err := a.predict(f, cfg, ec, rep); err != nil {
+		return nil, err
 	}
 	return rep, nil
 }
 
-// PredictTotalFrame is PredictMissesFrame returning only the total.
-func (a *Analysis) PredictTotalFrame(f *expr.Frame, cacheElems int64) (int64, error) {
-	rep, err := a.PredictMissesFrame(f, cacheElems)
-	if err != nil {
+// predict is the one classification loop behind every prediction query. It
+// validates the frame, takes each component's values from the memo when ec
+// is non-nil and from the compiled programs otherwise, and classifies them
+// by capacity or, when cfg is set-associative, by the conflict model. It
+// fills rep when rep is non-nil and returns the total. cfg must be
+// normalized.
+func (a *Analysis) predict(f *expr.Frame, cfg CacheConfig, ec *EvalCache, rep *MissReport) (int64, error) {
+	if err := a.ca.validateFrame(f); err != nil {
 		return 0, err
 	}
-	return rep.Total, nil
+	var ce *conflictEval // stays nil on the fully-associative path
+	if !cfg.FullyAssociative() {
+		ce = a.ca.newConflictEval(f, cfg)
+	}
+	var total int64
+	for i, c := range a.Components {
+		var v componentValues
+		var err error
+		if ec != nil {
+			v, err = ec.comps[i].values(ec, f)
+		} else {
+			v, err = a.ca.comps[i].evalComponentValuesFrame(f)
+		}
+		if err != nil {
+			return 0, err
+		}
+		var cm ComponentMisses
+		if ce != nil {
+			if cm, err = ce.classify(i, c, v, cfg.CapacityElems); err != nil {
+				return 0, err
+			}
+		} else {
+			cm = classifyComponent(c, v, cfg.CapacityElems)
+		}
+		total += cm.Misses
+		if rep != nil {
+			rep.Detail = append(rep.Detail, cm)
+			rep.BySite[c.Site.Key()] += cm.Misses
+			rep.Accesses += cm.Count
+		}
+	}
+	if rep != nil {
+		rep.Total = total
+	}
+	return total, nil
 }

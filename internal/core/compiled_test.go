@@ -7,71 +7,6 @@ import (
 	"repro/internal/kernels"
 )
 
-// The frame path must be a byte-identical re-expression of the env path:
-// same reports from Analysis.PredictMissesFrame and EvalCache's frame
-// lookups as from the tree-walking originals, at every environment and
-// capacity, including the error cases.
-func TestPredictMissesFrameMatchesEnv(t *testing.T) {
-	a := cachedMatmul(t)
-	f := a.NewFrame()
-	for _, n := range []int64{32, 64, 100} {
-		for _, tile := range []int64{4, 8, 16} {
-			env := expr.Env{"N": n, "TI": tile, "TJ": tile, "TK": tile}
-			f.Reset()
-			f.Bind(env)
-			for _, cache := range []int64{64, 512, 4096} {
-				want, err := a.PredictMisses(env, cache)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := a.PredictMissesFrame(f, cache)
-				if err != nil {
-					t.Fatal(err)
-				}
-				diffReports(t, got, want)
-			}
-		}
-	}
-}
-
-func TestEvalCacheFrameMatchesEnv(t *testing.T) {
-	a := cachedMatmul(t)
-	ecEnv := NewEvalCache(a)
-	ecFrame := NewEvalCache(a)
-	f := a.NewFrame()
-	for _, tile := range []int64{4, 8, 12} {
-		env := expr.Env{"N": 64, "TI": tile, "TJ": tile, "TK": tile}
-		f.Reset()
-		f.Bind(env)
-		for _, cache := range []int64{128, 1024} {
-			want, err := ecEnv.PredictMisses(env, cache)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := ecFrame.PredictMissesFrame(f, cache)
-			if err != nil {
-				t.Fatal(err)
-			}
-			diffReports(t, got, want)
-		}
-	}
-	// Both paths must memoize identically: same lookup/computed counts for
-	// the same query pattern, whichever representation carried the bindings.
-	if ecEnv.Stats() != ecFrame.Stats() {
-		t.Fatalf("cache stats diverge: env %+v vs frame %+v", ecEnv.Stats(), ecFrame.Stats())
-	}
-	// And the key encodings must be interchangeable: an env-path lookup
-	// after a frame-path fill is all hits.
-	pre := ecFrame.Stats()
-	if _, err := ecFrame.PredictMisses(expr.Env{"N": 64, "TI": 4, "TJ": 4, "TK": 4}, 128); err != nil {
-		t.Fatal(err)
-	}
-	post := ecFrame.Stats()
-	if post.Computed != pre.Computed {
-		t.Fatalf("env lookup recomputed %d entries already cached by the frame path", post.Computed-pre.Computed)
-	}
-}
-
 func diffReports(t *testing.T, got, want *MissReport) {
 	t.Helper()
 	if got.Total != want.Total || got.Accesses != want.Accesses || got.CacheElems != want.CacheElems {

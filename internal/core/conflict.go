@@ -31,14 +31,14 @@ import (
 //
 // Both terms degrade to the fully-associative classifier as S → 1: the
 // lattice covers every "set", the leftover ways become C/L − lines, and the
-// entry points below delegate outright, so predictions without a Ways
-// geometry remain byte-identical to the cacheElems paths.
+// prediction loop (predict in compiled.go) skips the conflict model
+// outright, so predictions without a Ways geometry are the paper's model
+// byte for byte.
 
-// CacheConfig describes a set-associative LRU cache geometry for the
-// associativity-aware prediction entry points. The zero Ways means fully
-// associative (the paper's model, byte-identical to the cacheElems paths);
-// the zero LineElems means one-element lines. CapacityElems must be
-// divisible by Ways·LineElems, mirroring cachesim.NewAssocCache.
+// CacheConfig describes the LRU cache geometry a prediction query classifies
+// against. The zero Ways means fully associative (the paper's model); the
+// zero LineElems means one-element lines. CapacityElems must be divisible by
+// Ways·LineElems, mirroring cachesim.NewAssocCache.
 type CacheConfig struct {
 	CapacityElems int64
 	Ways          int64
@@ -584,68 +584,4 @@ func (ce *conflictEval) evalGens(cc *conflictComp) ([]genVal, error) {
 		out = append(out, genVal{stride: sigma, trip: trip})
 	}
 	return out, nil
-}
-
-// PredictMissesConfig is PredictMisses for an explicit cache geometry. A
-// fully-associative config (Ways == 0) delegates to PredictMisses and is
-// byte-identical to it; a set-associative config adds the conflict model's
-// self- and cross-interference misses to the capacity classification.
-func (a *Analysis) PredictMissesConfig(env expr.Env, cfg CacheConfig) (*MissReport, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	cfg = cfg.norm()
-	if cfg.FullyAssociative() {
-		return a.PredictMisses(env, cfg.CapacityElems)
-	}
-	if err := a.Nest.ValidateEnv(env); err != nil {
-		return nil, err
-	}
-	return a.predictConf(a.ca.tab.FrameOf(env), cfg)
-}
-
-// PredictMissesFrameConfig is PredictMissesConfig on a caller-owned frame.
-func (a *Analysis) PredictMissesFrameConfig(f *expr.Frame, cfg CacheConfig) (*MissReport, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	cfg = cfg.norm()
-	if cfg.FullyAssociative() {
-		return a.PredictMissesFrame(f, cfg.CapacityElems)
-	}
-	if err := a.ca.validateFrame(f); err != nil {
-		return nil, err
-	}
-	return a.predictConf(f, cfg)
-}
-
-// PredictTotalConfig is PredictMissesConfig reduced to the total.
-func (a *Analysis) PredictTotalConfig(env expr.Env, cfg CacheConfig) (int64, error) {
-	rep, err := a.PredictMissesConfig(env, cfg)
-	if err != nil {
-		return 0, err
-	}
-	return rep.Total, nil
-}
-
-// predictConf runs the set-associative classification; cfg is validated,
-// normalized and not fully associative, and the frame is validated.
-func (a *Analysis) predictConf(f *expr.Frame, cfg CacheConfig) (*MissReport, error) {
-	ce := a.ca.newConflictEval(f, cfg)
-	rep := &MissReport{CacheElems: cfg.CapacityElems, BySite: map[string]int64{}}
-	for i, c := range a.Components {
-		v, err := a.ca.comps[i].evalComponentValuesFrame(f)
-		if err != nil {
-			return nil, err
-		}
-		cm, err := ce.classify(i, c, v, cfg.CapacityElems)
-		if err != nil {
-			return nil, err
-		}
-		rep.Detail = append(rep.Detail, cm)
-		rep.Total += cm.Misses
-		rep.BySite[c.Site.Key()] += cm.Misses
-		rep.Accesses += cm.Count
-	}
-	return rep, nil
 }

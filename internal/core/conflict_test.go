@@ -64,8 +64,8 @@ func TestCacheConfigSets(t *testing.T) {
 }
 
 // A fully-associative CacheConfig — whether by the zero-Ways default or by a
-// geometry that degenerates to one set — must reproduce the cacheElems paths
-// byte for byte.
+// geometry that degenerates to one set — must reproduce the capacity-only
+// shorthand byte for byte.
 func TestPredictMissesConfigFullyAssociativeIdentity(t *testing.T) {
 	a := cachedMatmul(t)
 	f := a.NewFrame()
@@ -74,7 +74,7 @@ func TestPredictMissesConfigFullyAssociativeIdentity(t *testing.T) {
 		f.Reset()
 		f.Bind(env)
 		for _, cache := range []int64{64, 512, 4096} {
-			want, err := a.PredictMisses(env, cache)
+			want, err := a.PredictMissesFrame(f, cache)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -84,16 +84,11 @@ func TestPredictMissesConfigFullyAssociativeIdentity(t *testing.T) {
 				{CapacityElems: cache, Ways: cache},                   // one set
 				{CapacityElems: cache, Ways: cache / 8, LineElems: 8}, // one set, lines
 			} {
-				got, err := a.PredictMissesConfig(env, cfg)
+				got, err := a.PredictMissesFrameConfig(f, cfg)
 				if err != nil {
 					t.Fatalf("config %+v: %v", cfg, err)
 				}
 				diffReports(t, got, want)
-				gotF, err := a.PredictMissesFrameConfig(f, cfg)
-				if err != nil {
-					t.Fatalf("frame config %+v: %v", cfg, err)
-				}
-				diffReports(t, gotF, want)
 			}
 		}
 	}
@@ -115,7 +110,7 @@ func TestPredictMissesConfigEvalCacheParity(t *testing.T) {
 			{CapacityElems: 4096, Ways: 2, LineElems: 8},
 			{CapacityElems: 4096}, // fully associative through the cache too
 		} {
-			want, err := a.PredictMissesConfig(env, cfg)
+			want, err := a.PredictMissesFrameConfig(f, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -140,17 +135,17 @@ func TestPredictMissesConfigEvalCacheParity(t *testing.T) {
 // the fully-associative one even under a set-associative geometry.
 func TestPredictMissesConfigSmallFootprintMatchesFA(t *testing.T) {
 	a := cachedMatmul(t)
-	env := expr.Env{"N": 16, "TI": 4, "TJ": 4, "TK": 4} // footprint 3·256 = 768
+	f := a.SymTab().FrameOf(expr.Env{"N": 16, "TI": 4, "TJ": 4, "TK": 4}) // footprint 3·256 = 768
 	for _, cfg := range []CacheConfig{
 		{CapacityElems: 2048, Ways: 2}, // S·L = 1024 ≥ 768
 		{CapacityElems: 4096, Ways: 4}, // S·L = 1024 ≥ 768
 		{CapacityElems: 8192, Ways: 1}, // S·L = 8192 ≥ 768
 	} {
-		want, err := a.PredictMisses(env, cfg.CapacityElems)
+		want, err := a.PredictMissesFrame(f, cfg.CapacityElems)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := a.PredictMissesConfig(env, cfg)
+		got, err := a.PredictMissesFrameConfig(f, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,34 +160,23 @@ func TestPredictMissesConfigSmallFootprintMatchesFA(t *testing.T) {
 func TestPredictMissesConfigResonance(t *testing.T) {
 	a := cachedMatmul(t)
 	env := expr.Env{"N": 64, "TI": 8, "TJ": 8, "TK": 8}
-	fa, err := a.PredictTotal(env, 1024)
+	fa := predictTotal(t, a, env, 1024)
+	dm, err := a.PredictMissesFrameConfig(a.SymTab().FrameOf(env), CacheConfig{CapacityElems: 1024, Ways: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dm, err := a.PredictTotalConfig(env, CacheConfig{CapacityElems: 1024, Ways: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dm <= fa {
-		t.Errorf("direct-mapped prediction %d not above fully-associative %d at resonant stride", dm, fa)
+	if dm.Total <= fa {
+		t.Errorf("direct-mapped prediction %d not above fully-associative %d at resonant stride", dm.Total, fa)
 	}
 }
 
 func TestPredictMissesConfigInvalidGeometry(t *testing.T) {
 	a := cachedMatmul(t)
-	env := expr.Env{"N": 32, "TI": 4, "TJ": 4, "TK": 4}
-	f := a.NewFrame()
-	f.Bind(env)
+	f := a.SymTab().FrameOf(expr.Env{"N": 32, "TI": 4, "TJ": 4, "TK": 4})
 	ec := NewEvalCache(a)
 	bad := CacheConfig{CapacityElems: 64, Ways: 3}
-	if _, err := a.PredictMissesConfig(env, bad); err == nil {
-		t.Error("PredictMissesConfig accepted invalid geometry")
-	}
 	if _, err := a.PredictMissesFrameConfig(f, bad); err == nil {
 		t.Error("PredictMissesFrameConfig accepted invalid geometry")
-	}
-	if _, err := a.PredictTotalConfig(env, bad); err == nil {
-		t.Error("PredictTotalConfig accepted invalid geometry")
 	}
 	if _, err := ec.PredictMissesFrameConfig(f, bad); err == nil {
 		t.Error("EvalCache.PredictMissesFrameConfig accepted invalid geometry")

@@ -9,10 +9,11 @@ import (
 	"repro/internal/obs"
 )
 
-// EvalCache memoizes the per-component evaluations of an Analysis so that
-// repeated PredictMisses calls — the inner loop of the §6 tile search, which
-// evaluates thousands of nearby environments — compute each distinct
-// (component, relevant bindings) pair exactly once.
+// EvalCache is an optional memo beneath the prediction query: its
+// PredictMissesFrameConfig answers exactly what Analysis.PredictMissesFrameConfig
+// answers, and PredictTotalFrameConfig returns only the total. Both compute
+// each distinct (component, relevant bindings) pair once, which is what the
+// §6 tile search needs: it scores thousands of nearby tile vectors.
 //
 // The key insight is that a component's evaluation depends only on the
 // symbols its Count, SD and FreeRange expressions actually mention, not on
@@ -20,9 +21,9 @@ import (
 // is re-evaluated only when TI changes, no matter how many other tile sizes
 // the search is varying. Shared subexpressions across candidates therefore
 // collapse into cache hits. The cache stores the capacity-independent
-// componentValues; the comparison against a concrete capacity is a few
-// integer operations done per call, so capacity sweeps over one environment
-// are almost entirely cache hits.
+// componentValues; the classification against a concrete geometry is done
+// per call, so capacity sweeps over one frame are almost entirely cache
+// hits.
 //
 // EvalCache is safe for concurrent use. Duplicate concurrent evaluations of
 // the same key are coalesced through a per-entry sync.Once, which keeps the
@@ -38,8 +39,8 @@ type EvalCache struct {
 	// always; coalesced counts the subset of hits that had to wait for a
 	// concurrent computation of the same key and is therefore zero in
 	// sequential use; entries tracks the number of distinct keys stored.
-	// frameEvals counts the misses computed through compiled programs on a
-	// Frame (the frame path) rather than by tree-walking an Env.
+	// frameEvals counts every computed entry, so it equals misses; it keeps
+	// its "evalcache.frame_evals" name because perfbench reads it.
 	mLookups, mHits, mMisses, mCoalesced *obs.Counter
 	mFrameEvals                          *obs.Counter
 	mEntries                             *obs.Gauge
@@ -61,10 +62,8 @@ func (s CacheStats) HitRate() float64 {
 }
 
 type compCache struct {
-	c       *Component
 	cc      *compiledComponent
-	vars    []string // sorted symbols mentioned by the component's expressions
-	slots   []int    // slots of vars in the analysis SymTab, same order
+	slots   []int    // sorted SymTab slots of the symbols the component mentions
 	entries sync.Map // packed binary key (string) -> *compEntry
 }
 
@@ -107,16 +106,12 @@ func NewEvalCacheWithMetrics(a *Analysis, m *obs.Metrics) *EvalCache {
 		if c.FreeRange != nil {
 			c.FreeRange.Vars(vars)
 		}
-		names := make([]string, 0, len(vars))
+		slots := make([]int, 0, len(vars))
 		for n := range vars {
-			names = append(names, n)
+			slots = append(slots, tab.Slot(n))
 		}
-		sort.Strings(names)
-		slots := make([]int, len(names))
-		for j, n := range names {
-			slots[j] = tab.Slot(n)
-		}
-		ec.comps[i] = compCache{c: c, cc: &a.ca.comps[i], vars: names, slots: slots}
+		sort.Ints(slots)
+		ec.comps[i] = compCache{cc: &a.ca.comps[i], slots: slots}
 	}
 	return ec
 }
@@ -127,35 +122,6 @@ func (ec *EvalCache) Analysis() *Analysis { return ec.a }
 // Stats returns a snapshot of the cache counters.
 func (ec *EvalCache) Stats() CacheStats {
 	return CacheStats{Lookups: ec.lookups.Load(), Computed: ec.computed.Load()}
-}
-
-// PredictMisses is Analysis.PredictMisses through the cache: identical
-// results, memoized component evaluations.
-func (ec *EvalCache) PredictMisses(env expr.Env, cacheElems int64) (*MissReport, error) {
-	if err := ec.a.Nest.ValidateEnv(env); err != nil {
-		return nil, err
-	}
-	rep := &MissReport{CacheElems: cacheElems, BySite: map[string]int64{}}
-	for i := range ec.comps {
-		cm, err := ec.comps[i].eval(ec, env, cacheElems)
-		if err != nil {
-			return nil, err
-		}
-		rep.Detail = append(rep.Detail, cm)
-		rep.Total += cm.Misses
-		rep.BySite[cm.Component.Site.Key()] += cm.Misses
-		rep.Accesses += cm.Count
-	}
-	return rep, nil
-}
-
-// PredictTotal is a convenience wrapper returning only the total.
-func (ec *EvalCache) PredictTotal(env expr.Env, cacheElems int64) (int64, error) {
-	rep, err := ec.PredictMisses(env, cacheElems)
-	if err != nil {
-		return 0, err
-	}
-	return rep.Total, nil
 }
 
 // packKey appends one bound byte and 8 little-endian value bytes: the
@@ -171,19 +137,7 @@ func packKey(buf []byte, bound bool, v int64) []byte {
 		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
 }
 
-// envKey and frameKey produce identical bytes for identical bindings (both
-// walk the component's relevant symbols in sorted order), so env-path and
-// frame-path lookups share cache entries.
-func (cc *compCache) envKey(env expr.Env) string {
-	var arr [9 * 8]byte
-	buf := arr[:0]
-	for _, name := range cc.vars {
-		v, ok := env[name]
-		buf = packKey(buf, ok, v)
-	}
-	return string(buf)
-}
-
+// frameKey packs the component's relevant bindings, in slot order.
 func (cc *compCache) frameKey(f *expr.Frame) string {
 	var arr [9 * 8]byte
 	buf := arr[:0]
@@ -235,20 +189,9 @@ func (ec *EvalCache) lookup(cc *compCache, key string, compute func() (component
 	return e
 }
 
-func (cc *compCache) eval(ec *EvalCache, env expr.Env, cacheElems int64) (ComponentMisses, error) {
-	e := ec.lookup(cc, cc.envKey(env), func() (componentValues, error) {
-		return evalComponentValues(cc.c, env)
-	})
-	if e.err != nil {
-		return ComponentMisses{Component: cc.c, Count: e.v.Count}, e.err
-	}
-	return classifyComponent(cc.c, e.v, cacheElems), nil
-}
-
-// valuesFrame returns the memoized capacity-independent componentValues for
-// the frame's bindings — the shared substrate of the cacheElems and
-// CacheConfig classification paths.
-func (cc *compCache) valuesFrame(ec *EvalCache, f *expr.Frame) (componentValues, error) {
+// values returns the memoized capacity-independent componentValues for the
+// frame's bindings.
+func (cc *compCache) values(ec *EvalCache, f *expr.Frame) (componentValues, error) {
 	e := ec.lookup(cc, cc.frameKey(f), func() (componentValues, error) {
 		ec.mFrameEvals.Inc()
 		return cc.cc.evalComponentValuesFrame(f)
@@ -256,110 +199,20 @@ func (cc *compCache) valuesFrame(ec *EvalCache, f *expr.Frame) (componentValues,
 	return e.v, e.err
 }
 
-func (cc *compCache) evalFrame(ec *EvalCache, f *expr.Frame, cacheElems int64) (ComponentMisses, error) {
-	v, err := cc.valuesFrame(ec, f)
-	if err != nil {
-		return ComponentMisses{Component: cc.c, Count: v.Count}, err
-	}
-	return classifyComponent(cc.c, v, cacheElems), nil
-}
-
-// PredictMissesFrame is PredictMisses through the frame path: memoized
-// compiled-program evaluation over packed slot values, no Env map, no tree
-// walks. The frame must stem from the analysis SymTab (Analysis.NewFrame).
-func (ec *EvalCache) PredictMissesFrame(f *expr.Frame, cacheElems int64) (*MissReport, error) {
-	if err := ec.a.ca.validateFrame(f); err != nil {
-		return nil, err
-	}
-	rep := &MissReport{CacheElems: cacheElems, BySite: map[string]int64{}}
-	for i := range ec.comps {
-		cm, err := ec.comps[i].evalFrame(ec, f, cacheElems)
-		if err != nil {
-			return nil, err
-		}
-		rep.Detail = append(rep.Detail, cm)
-		rep.Total += cm.Misses
-		rep.BySite[cm.Component.Site.Key()] += cm.Misses
-		rep.Accesses += cm.Count
-	}
-	return rep, nil
-}
-
-// PredictTotalFrame is PredictMissesFrame reduced to the total, without
-// materializing a report — the tile search scores every candidate through
-// this, so the per-call allocation (report, detail slice, site map) matters.
-func (ec *EvalCache) PredictTotalFrame(f *expr.Frame, cacheElems int64) (int64, error) {
-	if err := ec.a.ca.validateFrame(f); err != nil {
-		return 0, err
-	}
-	var total int64
-	for i := range ec.comps {
-		cm, err := ec.comps[i].evalFrame(ec, f, cacheElems)
-		if err != nil {
-			return 0, err
-		}
-		total += cm.Misses
-	}
-	return total, nil
-}
-
 // PredictMissesFrameConfig is Analysis.PredictMissesFrameConfig through the
-// cache: the capacity-independent component values are memoized exactly as
-// in the cacheElems paths (sharing their entries), while the conflict
-// penalty — a function of the cache geometry — is recomputed per call.
+// cache: identical reports, memoized component values. The classification
+// against cfg, conflict penalty included, is recomputed per call.
 func (ec *EvalCache) PredictMissesFrameConfig(f *expr.Frame, cfg CacheConfig) (*MissReport, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	cfg = cfg.norm()
-	if cfg.FullyAssociative() {
-		return ec.PredictMissesFrame(f, cfg.CapacityElems)
-	}
-	if err := ec.a.ca.validateFrame(f); err != nil {
-		return nil, err
-	}
-	ce := ec.a.ca.newConflictEval(f, cfg)
-	rep := &MissReport{CacheElems: cfg.CapacityElems, BySite: map[string]int64{}}
-	for i := range ec.comps {
-		v, err := ec.comps[i].valuesFrame(ec, f)
-		if err != nil {
-			return nil, err
-		}
-		cm, err := ce.classify(i, ec.comps[i].c, v, cfg.CapacityElems)
-		if err != nil {
-			return nil, err
-		}
-		rep.Detail = append(rep.Detail, cm)
-		rep.Total += cm.Misses
-		rep.BySite[cm.Component.Site.Key()] += cm.Misses
-		rep.Accesses += cm.Count
-	}
-	return rep, nil
+	return ec.a.report(f, cfg.norm(), ec)
 }
 
 // PredictTotalFrameConfig is PredictMissesFrameConfig reduced to the total,
-// allocation-light for the tile search's per-candidate scoring. cfg must be
-// valid (the search validates once up front).
+// without materializing a report: the tile search scores every candidate
+// through it, so the per-call allocation matters. cfg must be valid (the
+// search validates once up front).
 func (ec *EvalCache) PredictTotalFrameConfig(f *expr.Frame, cfg CacheConfig) (int64, error) {
-	cfg = cfg.norm()
-	if cfg.FullyAssociative() {
-		return ec.PredictTotalFrame(f, cfg.CapacityElems)
-	}
-	if err := ec.a.ca.validateFrame(f); err != nil {
-		return 0, err
-	}
-	ce := ec.a.ca.newConflictEval(f, cfg)
-	var total int64
-	for i := range ec.comps {
-		v, err := ec.comps[i].valuesFrame(ec, f)
-		if err != nil {
-			return 0, err
-		}
-		cm, err := ce.classify(i, ec.comps[i].c, v, cfg.CapacityElems)
-		if err != nil {
-			return 0, err
-		}
-		total += cm.Misses
-	}
-	return total, nil
+	return ec.a.predict(f, cfg.norm(), ec, nil)
 }

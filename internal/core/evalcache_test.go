@@ -21,45 +21,9 @@ func cachedMatmul(t *testing.T) *Analysis {
 	return a
 }
 
-// TestEvalCacheMatchesDirect: the cache must be a pure memoization —
-// identical reports to Analysis.PredictMisses at every environment and
-// capacity.
-func TestEvalCacheMatchesDirect(t *testing.T) {
-	a := cachedMatmul(t)
-	ec := NewEvalCache(a)
-	for _, n := range []int64{32, 64} {
-		for _, tile := range []int64{4, 8, 16} {
-			env := expr.Env{"N": n, "TI": tile, "TJ": tile, "TK": tile}
-			for _, cache := range []int64{64, 512, 4096} {
-				want, err := a.PredictMisses(env, cache)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := ec.PredictMisses(env, cache)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got.Total != want.Total || got.Accesses != want.Accesses {
-					t.Fatalf("env %v cache %d: cached total %d/%d vs direct %d/%d",
-						env, cache, got.Total, got.Accesses, want.Total, want.Accesses)
-				}
-				for i := range want.Detail {
-					if got.Detail[i].Misses != want.Detail[i].Misses ||
-						got.Detail[i].Count != want.Detail[i].Count ||
-						got.Detail[i].SDMin != want.Detail[i].SDMin ||
-						got.Detail[i].SDMax != want.Detail[i].SDMax {
-						t.Fatalf("component %d diverges: %+v vs %+v",
-							i, got.Detail[i], want.Detail[i])
-					}
-				}
-				for k, v := range want.BySite {
-					if got.BySite[k] != v {
-						t.Fatalf("site %s: cached %d vs direct %d", k, got.BySite[k], v)
-					}
-				}
-			}
-		}
-	}
+// ecTotal is the memoized fully-associative total at env.
+func ecTotal(ec *EvalCache, env expr.Env, cacheElems int64) (int64, error) {
+	return ec.PredictTotalFrameConfig(ec.Analysis().SymTab().FrameOf(env), CacheConfig{CapacityElems: cacheElems})
 }
 
 // TestEvalCacheHitsOnIrrelevantChanges: a component that mentions only a
@@ -70,7 +34,7 @@ func TestEvalCacheHitsOnIrrelevantChanges(t *testing.T) {
 	a := cachedMatmul(t)
 	ec := NewEvalCache(a)
 	env := expr.Env{"N": 64, "TI": 8, "TJ": 8, "TK": 8}
-	if _, err := ec.PredictTotal(env, 512); err != nil {
+	if _, err := ecTotal(ec, env, 512); err != nil {
 		t.Fatal(err)
 	}
 	afterFirst := ec.Stats()
@@ -79,7 +43,7 @@ func TestEvalCacheHitsOnIrrelevantChanges(t *testing.T) {
 			afterFirst.Computed, len(a.Components))
 	}
 	// Identical environment: all hits.
-	if _, err := ec.PredictTotal(env, 512); err != nil {
+	if _, err := ecTotal(ec, env, 512); err != nil {
 		t.Fatal(err)
 	}
 	if s := ec.Stats(); s.Computed != afterFirst.Computed {
@@ -88,7 +52,7 @@ func TestEvalCacheHitsOnIrrelevantChanges(t *testing.T) {
 	// Different capacities, same environment: entries store the capacity-
 	// independent component values, so a capacity sweep computes nothing new.
 	for _, capacity := range []int64{8, 64, 4096} {
-		if _, err := ec.PredictTotal(env, capacity); err != nil {
+		if _, err := ecTotal(ec, env, capacity); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -98,15 +62,16 @@ func TestEvalCacheHitsOnIrrelevantChanges(t *testing.T) {
 	// Vary one tile: only components mentioning TI may recompute.
 	env2 := env.Clone()
 	env2["TI"] = 16
-	if _, err := ec.PredictTotal(env2, 512); err != nil {
+	if _, err := ecTotal(ec, env2, 512); err != nil {
 		t.Fatal(err)
 	}
 	s := ec.Stats()
 	recomputed := s.Computed - afterFirst.Computed
+	ti, _ := a.SymTab().Lookup("TI")
 	var mentionTI int64
 	for i := range ec.comps {
-		for _, v := range ec.comps[i].vars {
-			if v == "TI" {
+		for _, slot := range ec.comps[i].slots {
+			if slot == ti {
 				mentionTI++
 				break
 			}
@@ -137,11 +102,7 @@ func TestEvalCacheConcurrent(t *testing.T) {
 	}
 	want := make([]int64, len(envs))
 	for i, env := range envs {
-		var err error
-		want[i], err = a.PredictTotal(env, 512)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want[i] = predictTotal(t, a, env, 512)
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -150,7 +111,7 @@ func TestEvalCacheConcurrent(t *testing.T) {
 			defer wg.Done()
 			for rep := 0; rep < 20; rep++ {
 				for i, env := range envs {
-					got, err := ec.PredictTotal(env, 512)
+					got, err := ecTotal(ec, env, 512)
 					if err != nil {
 						t.Error(err)
 						return
@@ -169,7 +130,7 @@ func TestEvalCacheConcurrent(t *testing.T) {
 	// interleaving: 4 envs differing in one tile each.
 	direct := NewEvalCache(a)
 	for _, env := range envs {
-		if _, err := direct.PredictTotal(env, 512); err != nil {
+		if _, err := ecTotal(direct, env, 512); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -184,16 +145,13 @@ func TestEvalCacheConcurrent(t *testing.T) {
 func TestEvalCacheErrorPropagation(t *testing.T) {
 	a := cachedMatmul(t)
 	ec := NewEvalCache(a)
-	if _, err := ec.PredictMisses(expr.Env{"N": 64}, 512); err == nil {
+	if _, err := ecTotal(ec, expr.Env{"N": 64}, 512); err == nil {
 		t.Fatal("missing tile bindings accepted")
 	}
 	// A good environment after the failure still works.
 	env := expr.Env{"N": 64, "TI": 8, "TJ": 8, "TK": 8}
-	want, err := a.PredictTotal(env, 512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := ec.PredictTotal(env, 512)
+	want := predictTotal(t, a, env, 512)
+	got, err := ecTotal(ec, env, 512)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,7 @@ import (
 )
 
 // TestFramePool: pooled frames come back reset, and a prediction through a
-// pooled frame matches the Env path exactly.
+// pooled frame matches one through a fresh frame exactly.
 func TestFramePool(t *testing.T) {
 	nest, err := kernels.TiledMatmul()
 	if err != nil {
@@ -21,19 +21,16 @@ func TestFramePool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := a.PredictTotal(env, 512)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := predictTotal(t, a, env, 512)
 
 	f := a.GetFrame()
 	f.Bind(env)
-	got, err := a.PredictTotalFrame(f, 512)
+	got, err := a.PredictMissesFrame(f, 512)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != want {
-		t.Errorf("pooled-frame prediction %d, want %d", got, want)
+	if got.Total != want {
+		t.Errorf("pooled-frame prediction %d, want %d", got.Total, want)
 	}
 	a.PutFrame(f)
 
@@ -45,7 +42,7 @@ func TestFramePool(t *testing.T) {
 			t.Errorf("recycled frame still binds %s=%d", name, v)
 		}
 	}
-	if _, err := a.PredictTotalFrame(f2, 512); err == nil {
+	if _, err := a.PredictMissesFrame(f2, 512); err == nil {
 		t.Error("empty pooled frame validated, want missing-symbol error")
 	}
 

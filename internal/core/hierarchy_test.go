@@ -8,6 +8,10 @@ import (
 	"repro/internal/trace"
 )
 
+// TestPredictHierarchyAgainstSimulator: two single-level predictions, one at
+// each capacity, classify every access of a two-level hierarchy — L1 hits
+// are the L1 report's hits, L2 hits the misses L2 recovers, and memory
+// accesses the L2 misses — and must match cachesim.Hierarchy.
 func TestPredictHierarchyAgainstSimulator(t *testing.T) {
 	nest := matmulNest(t)
 	a, err := Analyze(nest)
@@ -18,10 +22,17 @@ func TestPredictHierarchyAgainstSimulator(t *testing.T) {
 	env := expr.Env{"N": N}
 	const capL1, capL2 = 43, 461 // the matmul SD regime boundaries
 
-	pred, err := a.PredictHierarchy(env, capL1, capL2)
+	f := a.SymTab().FrameOf(env)
+	l1, err := a.PredictMissesFrame(f, capL1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	l2, err := a.PredictMissesFrame(f, capL2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l1Hits, l2Hits, mem := l1.Accesses-l1.Total, l1.Total-l2.Total, l2.Total
+
 	p, err := trace.Compile(nest, env)
 	if err != nil {
 		t.Fatal(err)
@@ -32,8 +43,8 @@ func TestPredictHierarchyAgainstSimulator(t *testing.T) {
 	}
 	p.Run(func(_ int, addr int64) { h.Access(addr) })
 
-	if pred.Accesses != h.Accesses() {
-		t.Fatalf("accesses %d vs %d", pred.Accesses, h.Accesses())
+	if l1.Accesses != h.Accesses() {
+		t.Fatalf("accesses %d vs %d", l1.Accesses, h.Accesses())
 	}
 	tol := int64(3 * N * N)
 	check := func(name string, got, want int64) {
@@ -45,35 +56,12 @@ func TestPredictHierarchyAgainstSimulator(t *testing.T) {
 			t.Errorf("%s: predicted %d vs simulated %d", name, got, want)
 		}
 	}
-	check("L1 hits", pred.L1Hits, h.L1Hits)
-	check("L2 hits", pred.L2Hits, h.L2Hits)
-	check("memory", pred.MemAccesses, h.MemAccesses)
+	check("L1 hits", l1Hits, h.L1Hits)
+	check("L2 hits", l2Hits, h.L2Hits)
+	check("memory", mem, h.MemAccesses)
 
 	// Conservation.
-	if pred.L1Hits+pred.L2Hits+pred.MemAccesses != pred.Accesses {
-		t.Error("hierarchy report does not conserve accesses")
-	}
-	// AMAT sanity: between costL1 and costMem.
-	amat := pred.AMAT(1, 10, 200)
-	if amat < 1 || amat > 200 {
-		t.Errorf("AMAT %v out of range", amat)
-	}
-}
-
-func TestPredictHierarchyErrors(t *testing.T) {
-	nest := matmulNest(t)
-	a, err := Analyze(nest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := a.PredictHierarchy(expr.Env{"N": 4}, 8, 4); err == nil {
-		t.Error("L2 < L1 accepted")
-	}
-	if _, err := a.PredictHierarchy(expr.Env{"N": 4}, 0, 4); err == nil {
-		t.Error("zero L1 accepted")
-	}
-	empty := &HierarchyReport{}
-	if empty.AMAT(1, 2, 3) != 0 {
-		t.Error("empty AMAT should be 0")
+	if l1Hits+l2Hits+mem != l1.Accesses {
+		t.Error("the two levels do not conserve accesses")
 	}
 }

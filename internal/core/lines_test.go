@@ -70,10 +70,7 @@ func TestPredictLineMissesDegeneratesToElementModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	elemTotal, err := a.PredictTotal(env, capacity)
-	if err != nil {
-		t.Fatal(err)
-	}
+	elemTotal := predictTotal(t, a, env, capacity)
 	if lineRep.Total != elemTotal {
 		t.Fatalf("line model at L=1 gives %d, element model %d", lineRep.Total, elemTotal)
 	}

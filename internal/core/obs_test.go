@@ -98,7 +98,7 @@ func TestEvalCacheMetricsInvariant(t *testing.T) {
 	}
 	for _, env := range envs {
 		for _, cache := range []int64{256, 512, 1024} {
-			if _, err := ec.PredictMisses(env, cache); err != nil {
+			if _, err := ecTotal(ec, env, cache); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -118,6 +118,9 @@ func TestEvalCacheMetricsInvariant(t *testing.T) {
 	}
 	if c["evalcache.misses"] != st.Computed {
 		t.Errorf("misses counter %d != Stats().Computed %d", c["evalcache.misses"], st.Computed)
+	}
+	if c["evalcache.frame_evals"] != c["evalcache.misses"] {
+		t.Errorf("frame_evals counter %d != misses %d", c["evalcache.frame_evals"], c["evalcache.misses"])
 	}
 	if c["evalcache.coalesced"] != 0 {
 		t.Errorf("sequential use recorded %d coalesced waits", c["evalcache.coalesced"])
@@ -147,7 +150,7 @@ func TestEvalCacheMetricsConcurrent(t *testing.T) {
 				for rep := 0; rep < 8; rep++ {
 					for _, tk := range []int64{4, 8, 16, 32} {
 						env := expr.Env{"N": 64, "TI": 8, "TJ": 8, "TK": tk}
-						if _, err := ec.PredictMisses(env, 512); err != nil {
+						if _, err := ecTotal(ec, env, 512); err != nil {
 							t.Error(err)
 							return
 						}

@@ -90,10 +90,7 @@ func TestQuickImperfectNestsPredictVsSim(t *testing.T) {
 		res := sim.Results()
 
 		// Compulsory misses must be exact.
-		predInf, err := a.PredictTotal(env, 1<<40)
-		if err != nil {
-			t.Fatal(err)
-		}
+		predInf := predictTotal(t, a, env, 1<<40)
 		if predInf != res.Distinct {
 			t.Errorf("nest %d: compulsory %d vs distinct %d\nenv=%v\n%s\n%s",
 				id, predInf, res.Distinct, env, nest, a.Table())
@@ -103,10 +100,7 @@ func TestQuickImperfectNestsPredictVsSim(t *testing.T) {
 		total := res.Accesses
 		slack := total/3 + 30
 		for i, cap := range watches {
-			pred, err := a.PredictTotal(env, cap)
-			if err != nil {
-				t.Fatal(err)
-			}
+			pred := predictTotal(t, a, env, cap)
 			diff := pred - res.Misses[i]
 			if diff < 0 {
 				diff = -diff

@@ -129,10 +129,7 @@ func TestQuickRandomNestsPredictVsSim(t *testing.T) {
 		slack := int64(len(nest.Sites())) * (total/maxTrip + maxTrip + 4)
 
 		for i, cap := range watches {
-			pred, err := a.PredictTotal(env, cap)
-			if err != nil {
-				t.Fatal(err)
-			}
+			pred := predictTotal(t, a, env, cap)
 			diff := pred - res.Misses[i]
 			if diff < 0 {
 				diff = -diff
@@ -143,7 +140,7 @@ func TestQuickRandomNestsPredictVsSim(t *testing.T) {
 			}
 		}
 		// First-touch totals are exact by construction.
-		predInf, _ := a.PredictTotal(env, 1<<40)
+		predInf := predictTotal(t, a, env, 1<<40)
 		if predInf != res.Distinct {
 			// Every element touched is a compulsory miss; the model's
 			// first-touch counts must sum to the distinct address count.

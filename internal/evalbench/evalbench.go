@@ -5,14 +5,10 @@
 // exactly what the go-test benchmarks measure — the same discipline
 // internal/simbench applies to the simulation pipelines.
 //
-// Two things are measured, one per layer of the compiled symbolic stack:
-//
-//   - raw expression evaluation: every component expression of the tiled
-//     matmul analysis (counts, stack-distance bases and slopes, free
-//     ranges), evaluated by tree walking an Env versus running the
-//     compiled op-slice programs against a slot frame;
-//   - the §6 tile search end to end, scored through the legacy Env path
-//     (tilesearch.Options.TreeEval) versus the per-worker frame path.
+// It measures raw expression evaluation: every component expression of the
+// tiled matmul analysis (counts, stack-distance bases and slopes, free
+// ranges), evaluated by tree walking an Env versus running the compiled
+// op-slice programs against a slot frame.
 package evalbench
 
 import (
@@ -21,7 +17,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/expr"
-	"repro/internal/tilesearch"
 )
 
 // Workload is the expression-evaluation corpus: the component expressions
@@ -102,25 +97,4 @@ func (w *Workload) EvalCompiled() (int64, error) {
 		sum += v
 	}
 	return sum, nil
-}
-
-// SearchOptions is the tile-search configuration both end-to-end paths
-// run: the same matmul n=64 search the tilesearch tests and goldens pin.
-func SearchOptions(n int64, treeEval bool) tilesearch.Options {
-	return tilesearch.Options{
-		Dims: []tilesearch.Dim{
-			{Symbol: "TI", Max: n}, {Symbol: "TJ", Max: n}, {Symbol: "TK", Max: n},
-		},
-		CacheElems: experiments.KB(16),
-		BaseEnv:    expr.Env{"N": n},
-		DivisorOf:  n,
-		TreeEval:   treeEval,
-	}
-}
-
-// RunSearch runs the end-to-end search through the chosen scoring path.
-// Each call builds a fresh evaluator and caches, so repeated calls measure
-// the full per-search cost.
-func (w *Workload) RunSearch(n int64, treeEval bool) (*tilesearch.Result, error) {
-	return tilesearch.Search(w.A, SearchOptions(n, treeEval))
 }

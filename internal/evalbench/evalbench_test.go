@@ -32,23 +32,6 @@ func TestTreeCompiledChecksumsMatch(t *testing.T) {
 	}
 }
 
-// TestSearchPathsAgree: the end-to-end searches the artifact compares must
-// find the same best candidate.
-func TestSearchPathsAgree(t *testing.T) {
-	w := workload(t)
-	tree, err := w.RunSearch(64, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	frame, err := w.RunSearch(64, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tree.Best.Misses != frame.Best.Misses {
-		t.Errorf("tree path best %v, frame path best %v", tree.Best, frame.Best)
-	}
-}
-
 func BenchmarkExprTree(b *testing.B) {
 	w := workload(b)
 	b.ReportAllocs()
@@ -66,28 +49,6 @@ func BenchmarkExprCompiled(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := w.EvalCompiled(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSearchTree(b *testing.B) {
-	w := workload(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := w.RunSearch(64, true); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSearchFrame(b *testing.B) {
-	w := workload(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := w.RunSearch(64, false); err != nil {
 			b.Fatal(err)
 		}
 	}

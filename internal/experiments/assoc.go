@@ -21,7 +21,7 @@ type AssocPoint struct {
 	Accesses  int64
 	// Predicted is the analytic model's miss count for this organization:
 	// the paper's fully-associative model on the ways-0 row, the
-	// conflict-aware model (core.PredictMissesConfig) on every other.
+	// conflict-aware model (PredictMissesFrameConfig) on every other.
 	Predicted int64
 }
 
@@ -64,14 +64,15 @@ func RunAssocSensitivity(kind string, n int64, tiles []int64, cacheKB int64, way
 	if err != nil {
 		return nil, err
 	}
-	faRep, err := a.PredictMisses(env, capacity)
+	f := a.SymTab().FrameOf(env)
+	faRep, err := a.PredictMissesFrame(f, capacity)
 	if err != nil {
 		return nil, err
 	}
 	out := []AssocPoint{{Ways: 0, LineElems: 1, Misses: m, Accesses: res.Accesses, Predicted: faRep.Total}}
 	for i, w := range ways {
 		cfg := core.CacheConfig{CapacityElems: capacity, Ways: int64(w), LineElems: lineElems}
-		crep, err := a.PredictMissesConfig(env, cfg)
+		crep, err := a.PredictMissesFrameConfig(f, cfg)
 		if err != nil {
 			return nil, err
 		}

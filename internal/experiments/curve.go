@@ -48,14 +48,15 @@ func RunMissCurve(a *core.Analysis, env expr.Env, points int) ([]CurvePoint, err
 		}
 		c = next
 	}
-	pred, err := a.MissCurve(env, caps)
-	if err != nil {
-		return nil, err
-	}
+	f := a.SymTab().FrameOf(env)
 	simCurve := sf.MissCurve(caps)
 	out := make([]CurvePoint, len(caps))
 	for i := range caps {
-		out[i] = CurvePoint{CacheElems: caps[i], Predicted: pred[i], Simulated: simCurve[i]}
+		rep, err := a.PredictMissesFrame(f, caps[i])
+		if err != nil {
+			return nil, err
+		}
+		out[i] = CurvePoint{CacheElems: caps[i], Predicted: rep.Total, Simulated: simCurve[i]}
 	}
 	return out, nil
 }

@@ -219,11 +219,11 @@ func RunTable3(simulate bool) ([]MissRow, error) {
 
 func missRow(a *core.Analysis, env expr.Env, cacheElems int64, simulate bool) (MissRow, error) {
 	row := MissRow{Simulated: -1}
-	pred, err := a.PredictTotal(env, cacheElems)
+	rep, err := a.PredictMissesFrame(a.SymTab().FrameOf(env), cacheElems)
 	if err != nil {
 		return row, err
 	}
-	row.Predicted = pred
+	row.Predicted = rep.Total
 	if simulate {
 		p, err := trace.Compile(a.Nest, env)
 		if err != nil {

@@ -47,10 +47,11 @@ func RunLoopOrder(n int64, cacheElems int64, simulate bool) ([]LoopOrderPoint, e
 			Order:     fmt.Sprintf("%s-%s-%s", ord[0], ord[1], ord[2]),
 			Simulated: -1,
 		}
-		pt.Predicted, err = a.PredictTotalFrame(a.SymTab().FrameOf(env), cacheElems)
+		rep, err := a.PredictMissesFrame(a.SymTab().FrameOf(env), cacheElems)
 		if err != nil {
 			return nil, err
 		}
+		pt.Predicted = rep.Total
 		if simulate {
 			cmps, err := validate.Run(a, env, []int64{cacheElems})
 			if err != nil {

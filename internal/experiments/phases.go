@@ -36,11 +36,11 @@ func RunPhaseCurve(n int64, cacheElems int64) ([]PhasePoint, error) {
 		for _, s := range slots {
 			f.Set(s, t)
 		}
-		m, err := a.PredictTotalFrame(f, cacheElems)
+		rep, err := a.PredictMissesFrame(f, cacheElems)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, PhasePoint{Tile: t, Misses: m})
+		out = append(out, PhasePoint{Tile: t, Misses: rep.Total})
 	}
 	return out, nil
 }

@@ -63,10 +63,11 @@ func TestPhaseCurveMatchesSimulation(t *testing.T) {
 	var pts []pt
 	for _, tile := range []int64{2, 4, 8, 16, 24, 48} {
 		env := expr.Env{"N": n, "TI": tile, "TJ": tile, "TK": tile}
-		pred, err := a.PredictTotal(env, cache)
+		predRep, err := a.PredictMissesFrame(a.SymTab().FrameOf(env), cache)
 		if err != nil {
 			t.Fatal(err)
 		}
+		pred := predRep.Total
 		p, err := trace.Compile(nest, env)
 		if err != nil {
 			t.Fatal(err)

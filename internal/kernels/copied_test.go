@@ -70,15 +70,20 @@ func TestCopiedModelVsSimulation(t *testing.T) {
 	sim := cachesim.NewStackSim(p.Size, len(p.Sites), watches)
 	p.Run(sim.Access)
 	res := sim.Results()
-	predInf, _ := a.PredictTotal(env, 1<<40)
+	predInfRep, err := a.PredictMissesFrame(a.SymTab().FrameOf(env), 1<<40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	predInf := predInfRep.Total
 	if predInf != res.Distinct {
 		t.Errorf("compulsory %d vs distinct %d", predInf, res.Distinct)
 	}
 	for i, c := range watches {
-		pred, err := a.PredictTotal(env, c)
+		predRep, err := a.PredictMissesFrame(a.SymTab().FrameOf(env), c)
 		if err != nil {
 			t.Fatal(err)
 		}
+		pred := predRep.Total
 		d := pred - res.Misses[i]
 		if d < 0 {
 			d = -d

@@ -100,10 +100,11 @@ func TestTwoIndexModelVsSimulation(t *testing.T) {
 	p.Run(sim.Access)
 	res := sim.Results()
 	for i, c := range watches {
-		pred, err := a.PredictTotal(env, c)
+		predRep, err := a.PredictMissesFrame(a.SymTab().FrameOf(env), c)
 		if err != nil {
 			t.Fatal(err)
 		}
+		pred := predRep.Total
 		simM := res.Misses[i]
 		diff := pred - simM
 		if diff < 0 {
@@ -118,7 +119,11 @@ func TestTwoIndexModelVsSimulation(t *testing.T) {
 		}
 	}
 	// Compulsory misses: 4 N×N arrays + the TI×TN buffer.
-	predInf, _ := a.PredictTotal(env, 1<<40)
+	predInfRep, err := a.PredictMissesFrame(a.SymTab().FrameOf(env), 1<<40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	predInf := predInfRep.Total
 	wantInf := int64(4*N*N + 8*4)
 	if predInf != wantInf {
 		t.Errorf("compulsory %d want %d", predInf, wantInf)

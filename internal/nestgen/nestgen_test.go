@@ -59,10 +59,11 @@ func TestGeneratedNestsModelAccuracy(t *testing.T) {
 			p.Run(sim.Access)
 			res := sim.Results()
 
-			predInf, err := a.PredictTotal(env, 1<<40)
+			predInfRep, err := a.PredictMissesFrame(a.SymTab().FrameOf(env), 1<<40)
 			if err != nil {
 				t.Fatal(err)
 			}
+			predInf := predInfRep.Total
 			if predInf != res.Distinct {
 				t.Errorf("imperfect=%v id=%d: compulsory %d vs %d\n%s\n%s",
 					imperfect, i, predInf, res.Distinct, nest, a.Table())
@@ -70,10 +71,11 @@ func TestGeneratedNestsModelAccuracy(t *testing.T) {
 			}
 			slack := res.Accesses/3 + 30
 			for wi, c := range watches {
-				pred, err := a.PredictTotal(env, c)
+				predRep, err := a.PredictMissesFrame(a.SymTab().FrameOf(env), c)
 				if err != nil {
 					t.Fatal(err)
 				}
+				pred := predRep.Total
 				d := pred - res.Misses[wi]
 				if d < 0 {
 					d = -d

@@ -34,10 +34,11 @@ func TestGeneratedTiledNests(t *testing.T) {
 		p.Run(sim.Access)
 		res := sim.Results()
 
-		predInf, err := a.PredictTotal(env, 1<<40)
+		predInfRep, err := a.PredictMissesFrame(a.SymTab().FrameOf(env), 1<<40)
 		if err != nil {
 			t.Fatal(err)
 		}
+		predInf := predInfRep.Total
 		if predInf != res.Distinct {
 			t.Errorf("id=%d: compulsory %d vs distinct %d\nenv=%v\n%s\n%s",
 				i, predInf, res.Distinct, env, nest, a.Table())
@@ -51,10 +52,11 @@ func TestGeneratedTiledNests(t *testing.T) {
 		// while tolerating boundary flips.
 		slack := res.Accesses/2 + 40
 		for wi, c := range watches {
-			pred, err := a.PredictTotal(env, c)
+			predRep, err := a.PredictMissesFrame(a.SymTab().FrameOf(env), c)
 			if err != nil {
 				t.Fatal(err)
 			}
+			pred := predRep.Total
 			d := pred - res.Misses[wi]
 			if d < 0 {
 				d = -d

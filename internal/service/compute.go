@@ -362,10 +362,9 @@ func planPredict(body []byte) (string, computeFn, error) {
 	}, nil
 }
 
-// computePredict is the /v1/predict computation: the frame-based fast path
-// of the compiled model, on a pooled frame. A requested set-associative
-// geometry routes through the conflict-aware model and is echoed in the
-// response.
+// computePredict is the /v1/predict computation: the model's prediction
+// query on a pooled frame. A requested set-associative geometry is
+// classified by the conflict-aware model and echoed in the response.
 func (s *Service) computePredict(ctx context.Context, spec *loopir.Spec, cfg core.CacheConfig, detail bool) ([]byte, error) {
 	a, err := s.getAnalysis(ctx, spec.Nest)
 	if err != nil {
@@ -374,12 +373,7 @@ func (s *Service) computePredict(ctx context.Context, spec *loopir.Spec, cfg cor
 	f := a.GetFrame()
 	defer a.PutFrame(f)
 	f.Bind(spec.ExprEnv())
-	var rep *core.MissReport
-	if cfg.Ways > 0 {
-		rep, err = a.PredictMissesFrameConfig(f, cfg)
-	} else {
-		rep, err = a.PredictMissesFrame(f, cfg.CapacityElems)
-	}
+	rep, err := a.PredictMissesFrameConfig(f, cfg)
 	if err != nil {
 		return nil, err
 	}

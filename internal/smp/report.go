@@ -51,12 +51,12 @@ func PredictUneven(a *core.Analysis, env expr.Env, cfg Config, tile int64) (*Pre
 	flopsProg := expr.Compile(Flops(a.Nest), a.SymTab())
 	eval := func(chunkTiles int64) (misses, flops int64, err error) {
 		f.SetName(cfg.SplitSymbol, chunkTiles*tile)
-		misses, err = a.PredictTotalFrame(f, cfg.CacheElems)
+		rep, err := a.PredictMissesFrame(f, cfg.CacheElems)
 		if err != nil {
 			return 0, 0, err
 		}
 		flops, err = flopsProg.Eval(f)
-		return misses, flops, err
+		return rep.Total, flops, err
 	}
 
 	mSmall, fSmall, err := eval(small)

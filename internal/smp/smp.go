@@ -138,7 +138,7 @@ func Predict(a *core.Analysis, env expr.Env, cfg Config) (*Prediction, error) {
 // predictFrame runs one prediction against an already-bound frame (the split
 // bound already scaled by 1/P).
 func predictFrame(a *core.Analysis, f *expr.Frame, flopsProg *expr.Program, cfg Config) (*Prediction, error) {
-	misses, err := a.PredictTotalFrame(f, cfg.CacheElems)
+	rep, err := a.PredictMissesFrame(f, cfg.CacheElems)
 	if err != nil {
 		return nil, err
 	}
@@ -146,7 +146,7 @@ func predictFrame(a *core.Analysis, f *expr.Frame, flopsProg *expr.Program, cfg 
 	if err != nil {
 		return nil, err
 	}
-	return mkPrediction(cfg, misses, flops), nil
+	return mkPrediction(cfg, rep.Total, flops), nil
 }
 
 // Simulate computes the same prediction with exact per-processor misses from

@@ -49,10 +49,11 @@ func TestFourIndexPipeline(t *testing.T) {
 	res := sim.Results()
 	total, _ := p.Length()
 	for i, cap := range watches {
-		pred, err := a.PredictTotal(env, cap)
+		predRep, err := a.PredictMissesFrame(a.SymTab().FrameOf(env), cap)
 		if err != nil {
 			t.Fatal(err)
 		}
+		pred := predRep.Total
 		diff := pred - res.Misses[i]
 		if diff < 0 {
 			diff = -diff
@@ -65,7 +66,11 @@ func TestFourIndexPipeline(t *testing.T) {
 		}
 	}
 	// Compulsory misses must be exact.
-	predInf, _ := a.PredictTotal(env, 1<<40)
+	predInfRep, err := a.PredictMissesFrame(a.SymTab().FrameOf(env), 1<<40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	predInf := predInfRep.Total
 	if predInf != res.Distinct {
 		t.Errorf("compulsory %d vs distinct %d", predInf, res.Distinct)
 	}

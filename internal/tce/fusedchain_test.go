@@ -227,10 +227,11 @@ func TestFusedFourIndexAnalyzable(t *testing.T) {
 	res := sim.Results()
 	total, _ := p.Length()
 	for i, cap := range watches {
-		pred, err := a.PredictTotal(env, cap)
+		predRep, err := a.PredictMissesFrame(a.SymTab().FrameOf(env), cap)
 		if err != nil {
 			t.Fatal(err)
 		}
+		pred := predRep.Total
 		diff := pred - res.Misses[i]
 		if diff < 0 {
 			diff = -diff
@@ -239,7 +240,11 @@ func TestFusedFourIndexAnalyzable(t *testing.T) {
 			t.Errorf("cap %d: predicted %d vs simulated %d (trace %d)", cap, pred, res.Misses[i], total)
 		}
 	}
-	predInf, _ := a.PredictTotal(env, 1<<40)
+	predInfRep, err := a.PredictMissesFrame(a.SymTab().FrameOf(env), 1<<40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	predInf := predInfRep.Total
 	if predInf != res.Distinct {
 		t.Errorf("compulsory %d vs distinct %d", predInf, res.Distinct)
 	}

@@ -86,14 +86,16 @@ func TestLoopFusionOnGeneratedCode(t *testing.T) {
 		t.Fatal(err)
 	}
 	const cache = 64
-	mu, err := au.PredictTotal(env, cache)
+	muRep, err := au.PredictMissesFrame(au.SymTab().FrameOf(env), cache)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mf, err := af.PredictTotal(env, cache)
+	mu := muRep.Total
+	mfRep, err := af.PredictMissesFrame(af.SymTab().FrameOf(env), cache)
 	if err != nil {
 		t.Fatal(err)
 	}
+	mf := mfRep.Total
 	if mf > mu {
 		t.Errorf("fusion increased predicted misses: %d -> %d", mu, mf)
 	}

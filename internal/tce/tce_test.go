@@ -122,10 +122,11 @@ func TestGenLoopNestTwoIndex(t *testing.T) {
 	p.Run(sim.Access)
 	res := sim.Results()
 	for i, cap := range watches {
-		pred, err := a.PredictTotal(env, cap)
+		predRep, err := a.PredictMissesFrame(a.SymTab().FrameOf(env), cap)
 		if err != nil {
 			t.Fatal(err)
 		}
+		pred := predRep.Total
 		diff := pred - res.Misses[i]
 		if diff < 0 {
 			diff = -diff
@@ -191,10 +192,11 @@ func TestFusedTwoIndexNest(t *testing.T) {
 	p.Run(sim.Access)
 	res := sim.Results()
 	for i, cap := range watches {
-		pred, err := a.PredictTotal(env, cap)
+		predRep, err := a.PredictMissesFrame(a.SymTab().FrameOf(env), cap)
 		if err != nil {
 			t.Fatal(err)
 		}
+		pred := predRep.Total
 		diff := pred - res.Misses[i]
 		if diff < 0 {
 			diff = -diff

@@ -66,7 +66,7 @@ func TestSearchInvalidGeometry(t *testing.T) {
 // TestSearchSetAssocDiffersAndIsDeterministic: a direct-mapped geometry must
 // change candidate scores on the resonant matmul (stride-N column lattices
 // land on few sets), and the set-associative search must stay byte-identical
-// across parallelism levels and across the compiled/tree-walking paths.
+// across parallelism levels.
 func TestSearchSetAssocDiffersAndIsDeterministic(t *testing.T) {
 	a := testutil.AnalyzedMatmul(t)
 	const n, cache = 64, 512
@@ -101,15 +101,6 @@ func TestSearchSetAssocDiffersAndIsDeterministic(t *testing.T) {
 		if !reflect.DeepEqual(got, dm) {
 			t.Fatalf("parallelism %d: set-associative search differs from sequential", parallelism)
 		}
-	}
-	tree := opt
-	tree.TreeEval = true
-	treeRes, err := Search(a, tree)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(treeRes.Best, dm.Best) {
-		t.Fatalf("tree-eval best %v differs from compiled best %v", treeRes.Best, dm.Best)
 	}
 }
 
@@ -162,7 +153,7 @@ func TestKneeAnalysisConfig(t *testing.T) {
 			env[kk] = vv
 		}
 		env[k.Dim] = k.LastFit
-		rep, err := a.PredictMissesConfig(env, cfg)
+		rep, err := a.PredictMissesFrameConfig(a.SymTab().FrameOf(env), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,8 +177,8 @@ func TestKneeAnalysisConfig(t *testing.T) {
 }
 
 // TestSearchSetAssocUnknownBounds: the unknown-bounds reduction must compose
-// with the conflict-aware path without error and stay deterministic across
-// the frame and tree scoring routes.
+// with the conflict-aware path without error and give byte-identical results
+// sequentially and with a worker pool.
 func TestSearchSetAssocUnknownBounds(t *testing.T) {
 	a := testutil.AnalyzedMatmul(t)
 	const n, cache = 64, 512
@@ -199,17 +190,17 @@ func TestSearchSetAssocUnknownBounds(t *testing.T) {
 		UnknownBounds: map[string]bool{"N": true},
 		DivisorOf:     n,
 	}
-	got, err := Search(a, opt)
-	if err != nil {
-		t.Fatal(err)
+	var results [2]string
+	for i, j := range []int{1, 8} {
+		p := opt
+		p.Parallelism = j
+		res, err := Search(a, p)
+		if err != nil {
+			t.Fatalf("j=%d: %v", j, err)
+		}
+		results[i] = marshal(t, res)
 	}
-	tree := opt
-	tree.TreeEval = true
-	treeRes, err := Search(a, tree)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(treeRes.Best, got.Best) {
-		t.Fatalf("tree-eval unknown-bounds best %v differs from compiled %v", treeRes.Best, got.Best)
+	if results[0] != results[1] {
+		t.Fatalf("unknown-bounds set-associative search differs across parallelism\nj=1: %s\nj=8: %s", results[0], results[1])
 	}
 }

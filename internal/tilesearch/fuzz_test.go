@@ -43,7 +43,7 @@ func FuzzAnalyzeNoPanic(f *testing.F) {
 		}
 
 		env := expr.Env{"N": n, "TI": ti, "TJ": tj, "TK": tk}
-		if rep, err := a.PredictMisses(env, cache); err == nil {
+		if rep, err := a.PredictMissesFrame(a.SymTab().FrameOf(env), cache); err == nil {
 			if rep.Total < 0 {
 				t.Fatalf("negative total misses %d for env %v cache %d", rep.Total, env, cache)
 			}

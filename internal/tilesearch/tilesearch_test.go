@@ -35,10 +35,11 @@ func TestSearchBeatsExhaustiveGrid(t *testing.T) {
 		for _, tj := range []int64{4, 8, 16, 32, 64} {
 			for _, tk := range []int64{4, 8, 16, 32, 64} {
 				env := expr.Env{"N": n, "TI": ti, "TJ": tj, "TK": tk}
-				m, err := a.PredictTotal(env, cache)
+				rep, err := a.PredictMissesFrame(a.SymTab().FrameOf(env), cache)
 				if err != nil {
 					t.Fatal(err)
 				}
+				m := rep.Total
 				if m < best {
 					best = m
 					bestTiles = [3]int64{ti, tj, tk}
@@ -72,10 +73,11 @@ func TestSearchImprovesOnEquiTiles(t *testing.T) {
 	for _, eq := range []int64{16, 32, 64, 128} {
 		env := expr.Env{"NI": n, "NJ": n, "NM": n, "NN": n,
 			"TI": eq, "TJ": eq, "TM": eq, "TN": eq}
-		m, err := a.PredictTotal(env, cache)
+		rep, err := a.PredictMissesFrame(a.SymTab().FrameOf(env), cache)
 		if err != nil {
 			t.Fatal(err)
 		}
+		m := rep.Total
 		if res.Best.Misses > m {
 			t.Errorf("search best %v worse than equi-tile %d (%d misses)", res.Best, eq, m)
 		}
@@ -121,10 +123,11 @@ func TestUnknownBoundsStability(t *testing.T) {
 		for k, v := range unk.Best.Tiles {
 			env[k] = v
 		}
-		m, err := a.PredictTotal(env, cache)
+		rep, err := a.PredictMissesFrame(a.SymTab().FrameOf(env), cache)
 		if err != nil {
 			t.Fatal(err)
 		}
+		m := rep.Total
 		if known.Best.Misses > 0 && float64(m) > 1.10*float64(known.Best.Misses) {
 			t.Errorf("N=%d: unknown-bounds tiles %v give %d misses, known-bounds best %v",
 				n, unk.Best.Tiles, m, known.Best)

@@ -148,10 +148,11 @@ func TestDifferentialDeterministic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			total, err := a.PredictTotal(env, 64)
+			totalRep, err := a.PredictMissesFrame(a.SymTab().FrameOf(env), 64)
 			if err != nil {
 				t.Fatal(err)
 			}
+			total := totalRep.Total
 			totals = append(totals, total)
 		}
 		return totals

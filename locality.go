@@ -74,7 +74,7 @@ func Analyze(nest *Nest) (*Analysis, error) { return core.Analyze(nest) }
 // PredictMisses evaluates the model at concrete loop bounds and tile sizes
 // against a fully-associative LRU cache of cacheElems elements.
 func PredictMisses(a *Analysis, env Env, cacheElems int64) (*MissReport, error) {
-	return a.PredictMisses(env, cacheElems)
+	return a.PredictMissesFrame(a.SymTab().FrameOf(env), cacheElems)
 }
 
 // SimulateMisses generates the exact reference trace of the nest under env
