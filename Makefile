@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test check fmt vet race fuzz-smoke bench bench-sim bench-eval bench-assoc bench-serve bench-serve-smoke bench-optimize bench-cluster bench-cluster-smoke serve-check cover golden
+.PHONY: all build test check fmt vet race fuzz-smoke bench bench-smoke bench-ab serve-check cover golden
 
 all: build
 
@@ -46,72 +46,25 @@ check: fmt vet race fuzz-smoke
 bench:
 	$(GO) test -bench . -benchtime 1x ./...
 
-# Simulation-pipeline benchmarks (frozen scalar baseline vs batched/sharded,
-# plus per-engine rows) and the committed BENCH_sim.json artifact. The
-# go-test benchmarks and the artifact generator share the internal/simbench
-# workload definitions, so the two outputs measure the same thing. The final
-# smoke run fails if the analytic engine is not ≥100× faster than the exact
-# simulator on the n=512 matmul.
-bench-sim:
-	$(GO) test -run '^$$' -bench . -benchmem ./internal/simbench
-	$(GO) run ./cmd/simbench -o BENCH_sim.json
-	$(GO) run ./cmd/simbench -smoke
+# Byte-verification smoke of the repository benchmark: every workload in
+# BENCHMARK.json runs for 2 s, and the target fails unless each run's last
+# line (its result) reports "correct":true, i.e. every answer matched
+# Service.Compute byte for byte.
+bench-smoke:
+	@ws=$$(jq -r '.workloads[].name' BENCHMARK.json) && [ -n "$$ws" ] || exit 1; \
+	for w in $$ws; do \
+		out=$$(sh perfbench/run.sh --workload $$w --seed 1 --seconds 2 --trace 0) || exit 1; \
+		line=$$(printf '%s\n' "$$out" | tail -n 1); \
+		echo "$$w: $$line"; \
+		case "$$line" in *'"correct":true'*) ;; *) echo "bench-smoke: $$w is not correct"; exit 1;; esac; \
+	done
 
-# Expression-evaluation benchmarks (tree walking an Env vs compiled programs
-# on a slot frame, over the tiled-matmul component expressions) and the
-# committed BENCH_eval.json artifact, sharing the internal/evalbench
-# workload definitions the same way bench-sim shares internal/simbench.
-bench-eval:
-	$(GO) test -run '^$$' -bench . -benchmem ./internal/evalbench
-	$(GO) run ./cmd/evalbench -o BENCH_eval.json
-
-# Set-associative accuracy benchmarks: the conflict-aware model against the
-# AssocCache ground truth across an associativity sweep, plus ns/prediction
-# for both models, written to the committed BENCH_assoc.json artifact. The
-# go-test benchmarks and the artifact generator share internal/simbench, so
-# CI's 1-iteration simbench smoke exercises these paths too.
-bench-assoc:
-	$(GO) test -run '^$$' -bench '^BenchmarkAssoc' -benchmem ./internal/simbench
-	$(GO) run ./cmd/simbench -assoc -o BENCH_assoc.json
-
-# Serving-layer load test: 32 closed-loop clients against an in-process
-# server, every response verified byte-for-byte against the direct library
-# call, throughput and latency percentiles written to BENCH_serve.json.
-# Scenarios: predict-hot, mixed, the batch 1/8/64 sweep (items/sec and
-# speedup vs predict-hot), NDJSON streaming, and the 64-client storm
-# (single-request p99 with batch traffic in the mix).
-bench-serve:
-	$(GO) run ./cmd/loadgen -clients 32 -duration 2s -o BENCH_serve.json
-
-# Short regression tripwire for the batch amortization claim: asserts
-# batch-64 items/sec ≥ 3× the predict-hot request rate. CI-friendly.
-bench-serve-smoke:
-	$(GO) run ./cmd/loadgen -scenario batch -batch-size 64 -smoke \
-		-clients 16 -duration 500ms -o ""
-
-# Joint transformation-search benchmarks (the plan search vs the tile-only
-# baseline on the committed workloads) and the BENCH_opt.json artifact,
-# sharing internal/optbench the same way bench-sim shares internal/simbench.
-# The smoke run fails if any workload's joint winner stops strictly beating
-# its tile-only baseline.
-bench-optimize:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/optbench
-	$(GO) run ./cmd/optbench -o BENCH_opt.json
-	$(GO) run ./cmd/optbench -smoke
-
-# Cluster-tier benchmark: a key sweep bigger than one replica's caches,
-# routed through analysisrouter, single replica vs 4 — the aggregate
-# cache-capacity win consistent-hash sharding buys even on one core. Every
-# response is byte-verified against the direct library computation and the
-# artifact is committed as BENCH_cluster.json.
-bench-cluster:
-	$(GO) run ./cmd/clusterbench -o BENCH_cluster.json
-	$(GO) run ./cmd/clusterbench -smoke -o ""
-
-# Short regression tripwire for the scale-out claim: asserts 4-replica
-# throughput ≥ 2.5× single-replica. CI-friendly.
-bench-cluster-smoke:
-	$(GO) run ./cmd/clusterbench -smoke -duration 1s -o ""
+# Paired A/B of the repository benchmark, the work tree against BASE: 10
+# alternating pairs per workload (about 25 minutes on a 2-CPU host). The
+# last line is the JSON summary; append it to BENCH_history.jsonl.
+bench-ab:
+	@test -n "$(BASE)" || { echo "usage: make bench-ab BASE=<ref>"; exit 1; }
+	sh scripts/bench_ab.sh "$(BASE)"
 
 # End-to-end analysisd lifecycle check: start, readiness, one request per
 # endpoint, SIGTERM, clean drain — then the same for the cluster tier

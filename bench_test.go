@@ -379,6 +379,65 @@ func BenchmarkPredictMisses(b *testing.B) {
 	}
 }
 
+// matmulExprs returns every component expression of the tiled-matmul
+// analysis (counts, stack-distance bases and slopes, free ranges) with
+// their compiled programs, and both bindings of N=64 with 8×8×8 tiles: an
+// Env for the tree walk and a slot frame for the programs.
+func matmulExprs(b *testing.B) ([]*expr.Expr, []*expr.Program, expr.Env, *expr.Frame) {
+	a, err := experiments.MatmulAnalysis()
+	if err != nil {
+		b.Fatal(err)
+	}
+	var exprs []*expr.Expr
+	for _, c := range a.Components {
+		exprs = append(exprs, c.Count, c.SD.Base)
+		if c.SD.Slope != nil {
+			exprs = append(exprs, c.SD.Slope)
+		}
+		if c.FreeRange != nil {
+			exprs = append(exprs, c.FreeRange)
+		}
+	}
+	tab := a.SymTab()
+	progs := make([]*expr.Program, len(exprs))
+	for i, e := range exprs {
+		progs[i] = expr.Compile(e, tab)
+	}
+	env := expr.Env{"N": 64, "TI": 8, "TJ": 8, "TK": 8}
+	return exprs, progs, env, tab.FrameOf(env)
+}
+
+// BenchmarkExprTree evaluates the tiled matmul's component expressions by
+// walking each tree over an Env: the cost the compiled programs remove.
+func BenchmarkExprTree(b *testing.B) {
+	exprs, _, env, _ := matmulExprs(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, e := range exprs {
+			if _, err := e.Eval(env); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// BenchmarkExprCompiled evaluates the same expressions as BenchmarkExprTree
+// through their compiled programs on a bound frame, the form every
+// prediction runs.
+func BenchmarkExprCompiled(b *testing.B) {
+	_, progs, _, f := matmulExprs(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, p := range progs {
+			if _, err := p.Eval(f); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // BenchmarkNativeTwoIndexTiled measures the real floating-point kernel.
 func BenchmarkNativeTwoIndexTiled(b *testing.B) {
 	const n = 128

@@ -52,32 +52,6 @@ func Simulate(a *core.Analysis, env expr.Env, watches []int64) (cachesim.Results
 // core.Analysis.GetFrame); the serving layer uses it to keep the per-
 // request steady state allocation-free up to the result slices.
 func SimulateFrame(a *core.Analysis, f *expr.Frame, watches []int64) (cachesim.Results, Info, error) {
-	return simulateFrame(a, f, watches, a.PredictMissesFrame)
-}
-
-// SimulateAssoc is Simulate for an explicit set-associative geometry: each
-// watched capacity c is classified under core.CacheConfig{c, ways,
-// lineElems} through the conflict-aware prediction path. ways == 0 is the
-// fully-associative default, byte-identical to Simulate.
-func SimulateAssoc(a *core.Analysis, env expr.Env, watches []int64, ways, lineElems int64) (cachesim.Results, Info, error) {
-	f := a.SymTab().FrameOf(env)
-	return SimulateFrameAssoc(a, f, watches, ways, lineElems)
-}
-
-// SimulateFrameAssoc is SimulateAssoc on a caller-owned frame.
-func SimulateFrameAssoc(a *core.Analysis, f *expr.Frame, watches []int64, ways, lineElems int64) (cachesim.Results, Info, error) {
-	for _, c := range watches {
-		cfg := core.CacheConfig{CapacityElems: c, Ways: ways, LineElems: lineElems}
-		if err := cfg.Validate(); err != nil {
-			return cachesim.Results{}, Info{}, err
-		}
-	}
-	return simulateFrame(a, f, watches, func(f *expr.Frame, cap int64) (*core.MissReport, error) {
-		return a.PredictMissesFrameConfig(f, core.CacheConfig{CapacityElems: cap, Ways: ways, LineElems: lineElems})
-	})
-}
-
-func simulateFrame(a *core.Analysis, f *expr.Frame, watches []int64, predict func(*expr.Frame, int64) (*core.MissReport, error)) (cachesim.Results, Info, error) {
 	sites := a.Nest.Sites()
 	siteIdx := make(map[string]int, len(sites))
 	for i, s := range sites {
@@ -98,7 +72,7 @@ func simulateFrame(a *core.Analysis, f *expr.Frame, watches []int64, predict fun
 		}
 	}
 	for wi, cap := range watches {
-		rep, err := predict(f, cap)
+		rep, err := a.PredictMissesFrame(f, cap)
 		if err != nil {
 			return cachesim.Results{}, info, err
 		}

@@ -4,10 +4,15 @@ import (
 	"testing"
 
 	"repro/internal/cachesim"
+	"repro/internal/core"
 	"repro/internal/expr"
+	"repro/internal/obs"
 	"repro/internal/testutil"
 	"repro/internal/trace"
 )
+
+// raceEnabled is set by race_test.go when the race detector is on.
+var raceEnabled bool
 
 // matmulEnv binds the tiled matmul's symbols for a small concrete run.
 func matmulEnv(n, tile int64) expr.Env {
@@ -174,5 +179,63 @@ func TestAnalyticFrameReuse(t *testing.T) {
 		if got.Accesses != want.Accesses || got.Misses[0] != want.Misses[0] || got.Distinct != want.Distinct {
 			t.Fatalf("round %d: frame result %+v differs from env result %+v", round, got, want)
 		}
+	}
+}
+
+// exactRun plays the nest's trace at env through the exact simulator and
+// returns its results and its logical stack operations.
+func exactRun(t *testing.T, a *core.Analysis, env expr.Env, watches []int64) (cachesim.Results, int64) {
+	t.Helper()
+	p, err := trace.Compile(a.Nest, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim := cachesim.NewStackSim(p.Size, len(p.Sites), watches)
+	p.RunBlocks(0, sim.AccessBlock)
+	m := obs.New()
+	sim.FlushMetrics(m)
+	return sim.Results(), m.Counters()["cachesim.stack_ops"]
+}
+
+// TestAnalyticWorkIndependentOfTrace is the engines' cost asymmetry as
+// counts. On the tiled matmul at n=128 (6.3e6 accesses) the analytic engine
+// reports the exact simulator's access and compulsory totals. The exact
+// engine's stack operations grow with n, but the analytic engine evaluates
+// closed forms: its Info and its allocations are the same at n=64 and at
+// n=2048, a trace of 2.6e10 accesses that no walk finishes within a test.
+func TestAnalyticWorkIndependentOfTrace(t *testing.T) {
+	a := testutil.AnalyzedMatmul(t)
+	watches := []int64{2048, 8192}
+	ex, ops128 := exactRun(t, a, matmulEnv(128, 16), watches)
+	_, ops64 := exactRun(t, a, matmulEnv(64, 16), watches)
+	ar, _, err := Simulate(a, matmulEnv(128, 16), watches)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ar.Accesses != ex.Accesses || ar.Distinct != ex.Distinct {
+		t.Errorf("n=128: analytic accesses/distinct %d/%d, exact %d/%d", ar.Accesses, ar.Distinct, ex.Accesses, ex.Distinct)
+	}
+	if ops128 <= ops64 {
+		t.Errorf("exact stack ops %d at n=128, %d at n=64: want growth with the trace", ops128, ops64)
+	}
+
+	work := func(n int64) (Info, float64) {
+		env := matmulEnv(n, 16)
+		_, info, err := Simulate(a, env, watches)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return info, testing.AllocsPerRun(10, func() { Simulate(a, env, watches) })
+	}
+	info64, allocs64 := work(64)
+	info2048, allocs2048 := work(2048)
+	if info64 != info2048 {
+		t.Errorf("analytic Info depends on n: n=64 %+v, n=2048 %+v", info64, info2048)
+	}
+	// Under the race detector sync.Pool drops entries at random (fmt's
+	// printer pool is on this path), so allocation counts vary from run to
+	// run and are compared only without it.
+	if !raceEnabled && allocs64 != allocs2048 {
+		t.Errorf("analytic allocations depend on n: %.0f at n=64, %.0f at n=2048", allocs64, allocs2048)
 	}
 }

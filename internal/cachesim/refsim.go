@@ -9,12 +9,10 @@ import (
 
 // ReferenceSim is the original per-access stack simulator: a Fenwick
 // (binary indexed) tree over timeline slots, walked once per query and once
-// per update. It is kept verbatim for two jobs. First, it is the
-// differential ground truth for StackSim's hierarchical-bitset engine — a
-// structurally independent implementation of the same specification, so a
-// bug would have to be made twice to go unnoticed. Second, it is the
-// pre-batching baseline that the committed benchmarks (and BENCH_sim.json)
-// measure the batched pipeline against.
+// per update. It is kept verbatim as the differential ground truth for
+// StackSim's hierarchical-bitset engine — a structurally independent
+// implementation of the same specification, so a bug would have to be made
+// twice to go unnoticed.
 //
 // It deliberately has no AccessBlock: it is the scalar pipeline, frozen.
 // All counters (accesses, distinct, logical stack ops, compactions) and

@@ -9,9 +9,9 @@ import (
 )
 
 // Local is an in-process cluster: K analysisd replicas plus a router, all
-// on loopback listeners. It is the harness behind the byte-identity tests
-// and cmd/clusterbench — the same Service and Router code production runs,
-// minus process boundaries.
+// on loopback listeners. It is the harness behind the cluster tests and
+// perfbench's serve-hot workload — the same Service and Router code
+// production runs, minus process boundaries.
 type Local struct {
 	replicaServers []*service.Server
 	routerServer   *Server

@@ -368,7 +368,9 @@ type attempt struct {
 // hedgedDo races the candidate replicas: the first is asked immediately;
 // every Hedge interval without an answer (or immediately on a transport
 // error or retryable status) the next candidate is asked too. The first
-// non-retryable answer wins; losers are canceled. If every candidate is
+// non-retryable answer wins; losers are canceled. Attempts the hedge timer
+// starts carry service.HedgeHeader, so the replica that answers a hedge
+// does not also cache the key its owner is computing. If every candidate is
 // exhausted the freshest retryable answer is relayed (all draining → 503,
 // all overloaded → 429), and only an all-transport-errors outcome surfaces
 // as an error. The returned func releases the winning attempt (close body
@@ -376,7 +378,7 @@ type attempt struct {
 func (rt *Router) hedgedDo(ctx context.Context, path, rawQuery string, body []byte, cands []string) (*http.Response, context.CancelFunc, error) {
 	results := make(chan attempt, len(cands))
 	launched, pending := 0, 0
-	launch := func() {
+	launch := func(hedge bool) {
 		rep := cands[launched]
 		launched++
 		pending++
@@ -393,6 +395,9 @@ func (rt *Router) hedgedDo(ctx context.Context, path, rawQuery string, body []by
 				return
 			}
 			req.Header.Set("Content-Type", "application/json")
+			if hedge {
+				req.Header.Set(service.HedgeHeader, "1")
+			}
 			resp, err := rt.client.Do(req)
 			if err != nil {
 				cancel()
@@ -402,7 +407,7 @@ func (rt *Router) hedgedDo(ctx context.Context, path, rawQuery string, body []by
 			results <- attempt{replica: rep, resp: resp, cancel: cancel}
 		}()
 	}
-	launch()
+	launch(false)
 	timer := time.NewTimer(rt.cfg.Hedge)
 	defer timer.Stop()
 
@@ -428,7 +433,7 @@ func (rt *Router) hedgedDo(ctx context.Context, path, rawQuery string, body []by
 		case <-timer.C:
 			if launched < len(cands) {
 				rt.hedges.Inc()
-				launch()
+				launch(true)
 				timer.Reset(rt.cfg.Hedge)
 			}
 		case a := <-results:
@@ -449,7 +454,7 @@ func (rt *Router) hedgedDo(ctx context.Context, path, rawQuery string, body []by
 			}
 			if launched < len(cands) {
 				rt.retries.Inc()
-				launch()
+				launch(false)
 				timer.Reset(rt.cfg.Hedge)
 			} else if pending == 0 {
 				if fallback.resp != nil {

@@ -228,7 +228,7 @@ func (s *Service) serveBatch(w http.ResponseWriter, r *http.Request, body []byte
 	}
 	sc := getBatchScratch()
 	defer putBatchScratch(sc)
-	if err := s.batchRun(plan, sc); err != nil {
+	if err := s.batchRun(plan, sc, hedged(r)); err != nil {
 		return err
 	}
 	s.batchItems.Add(int64(len(plan.items)))
@@ -278,8 +278,9 @@ func putBatchScratch(sc *batchScratch) {
 // every needed task is enqueued or none is and the whole batch is rejected
 // with ErrOverload (429) — a partially enqueued batch would bill the
 // client for work it cannot get answers from. Cache-complete and coalesced
-// items need no pool slot, so a warm batch schedules nothing.
-func (s *Service) batchRun(plan *batchPlan, sc *batchScratch) error {
+// items need no pool slot, so a warm batch schedules nothing. A hedged
+// batch leads only transient entries (see HedgeHeader).
+func (s *Service) batchRun(plan *batchPlan, sc *batchScratch, hedged bool) error {
 	sc.entries = sc.entries[:0]
 	sc.leaders = sc.leaders[:0]
 	sc.tasks = sc.tasks[:0]
@@ -292,6 +293,7 @@ func (s *Service) batchRun(plan *batchPlan, sc *batchScratch) error {
 		e, leader := s.resp.acquire(it.key)
 		sc.entries = append(sc.entries, e)
 		if leader {
+			e.transient = hedged
 			sc.leaders = append(sc.leaders, e)
 			sc.tasks = append(sc.tasks, s.leaderTask(e, it.compute))
 		}

@@ -311,7 +311,7 @@ func TestBatchWarmAllocs(t *testing.T) {
 			panic(plan.err)
 		}
 		sc := getBatchScratch()
-		if err := svc.batchRun(plan, sc); err != nil {
+		if err := svc.batchRun(plan, sc, false); err != nil {
 			panic(err)
 		}
 		ok, errs := renderBatchEnvelope(plan, sc, func(i int, _ *itemPlan) ([]byte, error) {

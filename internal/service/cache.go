@@ -24,7 +24,8 @@ import (
 //
 // Failed computations are evicted on completion, so an error is returned to
 // the leader and every coalesced waiter but never served from cache; the
-// next request for that key retries (and counts a fresh miss).
+// next request for that key retries (and counts a fresh miss). Transient
+// entries are evicted on completion the same way, whatever their result.
 type flightCache[V any] struct {
 	mu      sync.Mutex
 	cap     int
@@ -43,6 +44,9 @@ type flightEntry[V any] struct {
 	done chan struct{}
 	val  V
 	err  error
+	// transient is set by the leader before it schedules the computation;
+	// complete then drops the entry once its waiters are woken.
+	transient bool
 }
 
 // newFlightCache creates a cache holding at most capacity completed
@@ -110,12 +114,13 @@ func (c *flightCache[V]) evict() {
 }
 
 // complete publishes the leader's result and wakes every waiter. Errors
-// are not cached: the entry is removed so the key can be retried.
+// and transient entries are not cached: the entry is removed, so the next
+// request for the key computes it again.
 func (c *flightCache[V]) complete(e *flightEntry[V], val V, err error) {
 	c.mu.Lock()
 	e.val, e.err = val, err
 	close(e.done)
-	if err != nil {
+	if err != nil || e.transient {
 		if el, ok := c.entries[e.key]; ok && el.Value.(*flightEntry[V]) == e {
 			c.lru.Remove(el)
 			delete(c.entries, e.key)

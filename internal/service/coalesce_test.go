@@ -3,6 +3,8 @@ package service
 import (
 	"bytes"
 	"net/http"
+	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -125,6 +127,50 @@ func TestErrorsNotCached(t *testing.T) {
 	}
 	if n := svc.resp.len(); n != 0 {
 		t.Errorf("response cache holds %d entries after failures, want 0", n)
+	}
+}
+
+// TestHedgedNotCached: a request marked with HedgeHeader gets the bytes an
+// unmarked one gets, on a single route and for batch items, but an entry it
+// leads is dropped once computed. A marked request still reads an entry
+// that is already cached.
+func TestHedgedNotCached(t *testing.T) {
+	svc, _ := newTestService(t)
+	h := svc.Handler()
+	hedgedPost := func(path, body string) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(body))
+		req.Header.Set(HedgeHeader, "1")
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, req)
+		return w
+	}
+	entries := func() int64 { return svc.Health().FlightCacheEntries }
+	for _, rq := range []struct {
+		path, body string
+		keys       int64
+	}{
+		{"/v1/predict", `{"kernel":"matmul","n":16,"tiles":[4,4,4],"cacheKB":4}`, 1},
+		{"/v1/batch", `{"candidates":{"kernel":"matmul","n":16,"tiles":[4,4,4],"cacheKB":4,"dims":["TI"],"sets":[[2],[8]]}}`, 2},
+	} {
+		before := entries()
+		marked := hedgedPost(rq.path, rq.body)
+		if got := entries(); got != before {
+			t.Errorf("%s: a hedged leader left %d cache entries, want %d", rq.path, got, before)
+		}
+		plain := post(t, h, rq.path, rq.body)
+		if marked.Code != http.StatusOK || !bytes.Equal(marked.Body.Bytes(), plain.Body.Bytes()) {
+			t.Errorf("%s: hedged answer %d %q, plain %d %q", rq.path,
+				marked.Code, marked.Body.Bytes(), plain.Code, plain.Body.Bytes())
+		}
+		if got := entries(); got != before+rq.keys {
+			t.Errorf("%s: plain request left %d cache entries, want %d", rq.path, got, before+rq.keys)
+		}
+		if again := hedgedPost(rq.path, rq.body); !bytes.Equal(again.Body.Bytes(), plain.Body.Bytes()) {
+			t.Errorf("%s: hedged hit %q, plain %q", rq.path, again.Body.Bytes(), plain.Body.Bytes())
+		}
+		if got := entries(); got != before+rq.keys {
+			t.Errorf("%s: a hedged hit changed the cache to %d entries, want %d", rq.path, got, before+rq.keys)
+		}
 	}
 }
 

@@ -179,6 +179,9 @@ func (s *Service) serveEndpoint(path string, ep endpoint) route {
 			return s.serveSearchStream(w, r, compute)
 		}
 		e, leader := s.resp.acquire(key)
+		if leader {
+			e.transient = hedged(r)
+		}
 		if leader && !s.pool.trySubmit(s.leaderTask(e, compute)) {
 			// Complete the entry so coalesced waiters see the same
 			// overload instead of hanging; the error also removes the
@@ -208,6 +211,14 @@ func (s *Service) serveEndpoint(path string, ep endpoint) route {
 		return nil
 	}
 }
+
+// HedgeHeader marks a request that a router sent as a hedge: a second ask
+// for a key whose owner has not answered yet. A replica answers a hedged
+// request as usual but does not keep a response-cache entry that the hedge
+// led, so each key stays cached on its owner alone.
+const HedgeHeader = "X-Hedged"
+
+func hedged(r *http.Request) bool { return r.Header.Get(HedgeHeader) != "" }
 
 // leaderTask is the pool task a response-cache leader submits: compute
 // under the service timeout, then publish the result to every waiter.
