@@ -246,32 +246,6 @@ func BenchmarkSearchParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkPredictMissesCached is BenchmarkPredictMisses through an
-// EvalCache — the tile search's evaluation path. After the first iteration
-// every component evaluation is a cache hit, so the delta against
-// BenchmarkPredictMisses is the expression-evaluation cost the cache
-// removes from the search's inner loop.
-func BenchmarkPredictMissesCached(b *testing.B) {
-	a, err := experiments.TwoIndexAnalysis()
-	if err != nil {
-		b.Fatal(err)
-	}
-	env, err := kernels.TwoIndexEnv(1024, 64, 16, 16, 64)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ec := core.NewEvalCache(a)
-	f := a.SymTab().FrameOf(env)
-	cfg := core.CacheConfig{CapacityElems: 8192}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ec.PredictTotalFrameConfig(f, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(100*ec.Stats().HitRate(), "cache-hit-%")
-}
-
 // BenchmarkFig10SMP regenerates Figure 10: parallel time of the two-index
 // transform at loop range 1024 across P ∈ {1,2,4,8} for equi-sized tiles
 // and the model-predicted tile.

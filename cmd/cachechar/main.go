@@ -16,13 +16,12 @@
 //	cachechar -kernel matmul -n 128 -tiles 16,16,16 -simulate -report run.json
 //
 // -cache-kb accepts a comma-separated list of capacities; predictions for a
-// list are evaluated concurrently (-j workers) through a shared component
-// evaluation cache, so the sweep costs little more than a single point. The
-// -file format is documented in internal/loopir/parse.go; bind its symbols
-// with repeated -D name=value flags. -report writes a RunReport JSON
-// artifact (analyze stage timings, eval-cache and simulator counters — see
-// README.md, Observability); -debug-addr serves /metrics, /debug/vars and
-// /debug/pprof for the duration of the run.
+// list are evaluated concurrently (-j workers), one frame query per
+// capacity. The -file format is documented in internal/loopir/parse.go;
+// bind its symbols with repeated -D name=value flags. -report writes a
+// RunReport JSON artifact (analyze stage timings, evalcache.* and simulator
+// counters — see README.md, Observability); -debug-addr serves /metrics,
+// /debug/vars and /debug/pprof for the duration of the run.
 package main
 
 import (
@@ -41,6 +40,7 @@ import (
 	"repro/internal/expr"
 	"repro/internal/loopir"
 	"repro/internal/obs"
+	"repro/internal/tilesearch"
 	"repro/internal/validate"
 )
 
@@ -329,15 +329,15 @@ func run(w io.Writer, o options) error {
 	return finish()
 }
 
-// capacitySweep predicts misses at every capacity concurrently through one
-// shared component-evaluation cache: capacities share all environment-
-// dependent work, so the sweep recomputes only the capacity comparisons.
+// capacitySweep predicts misses at every capacity concurrently, one frame
+// query per capacity. Every query evaluates every component at the same
+// bindings, so the sweep's component evaluations repeat len(Components)
+// distinct ones len(caps) times; it reports them as a tile search does.
 func capacitySweep(w io.Writer, a *core.Analysis, nest *loopir.Nest, env expr.Env,
 	kbs, caps []int64, jobs int, simulate bool, m *obs.Metrics) error {
 	if jobs < 1 {
 		jobs = 1
 	}
-	ec := core.NewEvalCacheWithMetrics(a, m)
 	reps := make([]*core.MissReport, len(caps))
 	errs := make([]error, len(caps))
 	var next int
@@ -357,7 +357,7 @@ func capacitySweep(w io.Writer, a *core.Analysis, nest *loopir.Nest, env expr.En
 				if i >= len(caps) {
 					return
 				}
-				reps[i], errs[i] = ec.PredictMissesFrameConfig(f, core.CacheConfig{CapacityElems: caps[i]})
+				reps[i], errs[i] = a.PredictMissesFrameConfig(f, core.CacheConfig{CapacityElems: caps[i]})
 			}
 		}()
 	}
@@ -394,7 +394,9 @@ func capacitySweep(w io.Writer, a *core.Analysis, nest *loopir.Nest, env expr.En
 		}
 		fmt.Fprintln(w, row)
 	}
-	s := ec.Stats()
+	comps := int64(len(a.Components))
+	s := tilesearch.CacheStats{Lookups: int64(len(caps)) * comps, Computed: comps}
+	s.Record(m)
 	fmt.Fprintf(w, "component evaluations: %d of %d (cache hit rate %.1f%%)\n",
 		s.Computed, s.Lookups, 100*s.HitRate())
 	sortSites(w, reps[len(reps)-1])

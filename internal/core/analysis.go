@@ -16,8 +16,8 @@ import (
 // inventory of every reference site. It is env-independent; bind concrete
 // loop bounds and tile sizes into a frame over its SymTab (NewFrame,
 // GetFrame, or SymTab().FrameOf for an expr.Env) and ask
-// PredictMissesFrameConfig for a cache geometry. An EvalCache memoizes the
-// same query across many frames.
+// PredictMissesFrameConfig for a cache geometry, or PredictTotalFrameConfig
+// for the total alone.
 type Analysis struct {
 	Nest       *loopir.Nest
 	Components []*Component

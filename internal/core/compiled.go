@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/expr"
 )
@@ -17,9 +18,9 @@ import (
 // Slot assignment is deterministic: nest symbols first (sorted, as
 // SymbolNames returns them), then any remaining symbols in the order the
 // trip, extent and component programs are compiled. Re-analyzing the same
-// nest therefore reproduces the same name→slot mapping, which keeps the
-// EvalCache's packed binary keys stable (TestAnalysisSymTabStableUnderReanalysis
-// pins the property).
+// nest therefore reproduces the same name→slot mapping, and with it each
+// component's slot list (TestAnalysisSymTabStableUnderReanalysis pins the
+// property).
 type compiledAnalysis struct {
 	tab      *expr.SymTab
 	symbols  []string // nest.SymbolNames(), sorted
@@ -54,6 +55,10 @@ type compiledComponent struct {
 	slope   *expr.Program // nil when inf or constSD
 	rng     *expr.Program // nil when inf or constSD
 	site    string        // Site.Key(), for the non-positive-range error
+	// slots are the sorted SymTab slots of the symbols the component's
+	// Count, SD base, slope and FreeRange mention: the bindings its values
+	// are a function of.
+	slots []int
 }
 
 // compileAnalysis builds the compiled layer. Called once from
@@ -97,6 +102,26 @@ func compileAnalysis(a *Analysis) *compiledAnalysis {
 		ca.comps[i] = cc
 	}
 	ca.conf = buildConflictLayer(a, ca)
+	// Slot lists are built once per analysis, so every search over a cached
+	// analysis shares them.
+	vars := map[string]bool{}
+	for i, c := range a.Components {
+		clear(vars)
+		c.Count.Vars(vars)
+		c.SD.Base.Vars(vars)
+		if c.SD.Slope != nil {
+			c.SD.Slope.Vars(vars)
+		}
+		if c.FreeRange != nil {
+			c.FreeRange.Vars(vars)
+		}
+		slots := make([]int, 0, len(vars))
+		for n := range vars {
+			slots = append(slots, ca.tab.Slot(n))
+		}
+		sort.Ints(slots)
+		ca.comps[i].slots = slots
+	}
 	return ca
 }
 
@@ -122,6 +147,12 @@ func (ca *compiledAnalysis) programCount() int64 {
 // SymTab returns the analysis-wide symbol table every compiled program and
 // Frame of this analysis indexes.
 func (a *Analysis) SymTab() *expr.SymTab { return a.ca.tab }
+
+// ComponentSlots returns the sorted SymTab slots of the symbols component
+// i's Count, SD and FreeRange mention: two frames that agree on these slots
+// give the component the same values. The slice is shared; do not modify
+// it.
+func (a *Analysis) ComponentSlots(i int) []int { return a.ca.comps[i].slots }
 
 // NewFrame returns an empty frame over the analysis symbol table. Frames are
 // single-goroutine; give each worker its own and reuse it across candidates.
@@ -241,32 +272,41 @@ func (a *Analysis) PredictMissesFrameConfig(f *expr.Frame, cfg CacheConfig) (*Mi
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return a.report(f, cfg.norm(), nil)
+	return a.report(f, cfg.norm())
+}
+
+// PredictTotalFrameConfig is PredictMissesFrameConfig reduced to the total,
+// with the same contract and errors, without materializing a report: the
+// tile search scores every candidate through it.
+func (a *Analysis) PredictTotalFrameConfig(f *expr.Frame, cfg CacheConfig) (int64, error) {
+	if err := cfg.Validate(); err != nil {
+		return 0, err
+	}
+	return a.predict(f, cfg.norm(), nil)
 }
 
 // PredictMissesFrame is the fully-associative shorthand for
 // PredictMissesFrameConfig at cacheElems elements. It does not validate the
 // capacity.
 func (a *Analysis) PredictMissesFrame(f *expr.Frame, cacheElems int64) (*MissReport, error) {
-	return a.report(f, CacheConfig{CapacityElems: cacheElems}.norm(), nil)
+	return a.report(f, CacheConfig{CapacityElems: cacheElems}.norm())
 }
 
 // report runs predict into a fresh report.
-func (a *Analysis) report(f *expr.Frame, cfg CacheConfig, ec *EvalCache) (*MissReport, error) {
+func (a *Analysis) report(f *expr.Frame, cfg CacheConfig) (*MissReport, error) {
 	rep := &MissReport{CacheElems: cfg.CapacityElems, BySite: map[string]int64{}}
-	if _, err := a.predict(f, cfg, ec, rep); err != nil {
+	if _, err := a.predict(f, cfg, rep); err != nil {
 		return nil, err
 	}
 	return rep, nil
 }
 
 // predict is the one classification loop behind every prediction query. It
-// validates the frame, takes each component's values from the memo when ec
-// is non-nil and from the compiled programs otherwise, and classifies them
-// by capacity or, when cfg is set-associative, by the conflict model. It
-// fills rep when rep is non-nil and returns the total. cfg must be
-// normalized.
-func (a *Analysis) predict(f *expr.Frame, cfg CacheConfig, ec *EvalCache, rep *MissReport) (int64, error) {
+// validates the frame, evaluates each component's compiled programs, and
+// classifies the values by capacity or, when cfg is set-associative, by the
+// conflict model. It fills rep when rep is non-nil and returns the total.
+// cfg must be normalized.
+func (a *Analysis) predict(f *expr.Frame, cfg CacheConfig, rep *MissReport) (int64, error) {
 	if err := a.ca.validateFrame(f); err != nil {
 		return 0, err
 	}
@@ -276,13 +316,7 @@ func (a *Analysis) predict(f *expr.Frame, cfg CacheConfig, ec *EvalCache, rep *M
 	}
 	var total int64
 	for i, c := range a.Components {
-		var v componentValues
-		var err error
-		if ec != nil {
-			v, err = ec.comps[i].values(ec, f)
-		} else {
-			v, err = a.ca.comps[i].evalComponentValuesFrame(f)
-		}
+		v, err := a.ca.comps[i].evalComponentValuesFrame(f)
 		if err != nil {
 			return 0, err
 		}

@@ -1,11 +1,25 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/expr"
 	"repro/internal/kernels"
 )
+
+func matmulAnalysis(t *testing.T) *Analysis {
+	t.Helper()
+	nest, err := kernels.TiledMatmul()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := Analyze(nest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
 
 func diffReports(t *testing.T, got, want *MissReport) {
 	t.Helper()
@@ -31,7 +45,7 @@ func diffReports(t *testing.T, got, want *MissReport) {
 
 // Frame validation must reproduce loopir.ValidateEnv's errors verbatim.
 func TestValidateFrameErrorsMatchEnv(t *testing.T) {
-	a := cachedMatmul(t)
+	a := matmulAnalysis(t)
 	cases := []expr.Env{
 		{},                                   // everything missing
 		{"N": 64},                            // tiles missing
@@ -54,7 +68,7 @@ func TestValidateFrameErrorsMatchEnv(t *testing.T) {
 }
 
 // Re-analyzing the same nest must reproduce the same name→slot mapping:
-// the property that keeps packed cache keys and any serialized slot data
+// the property that keeps component slot lists and any serialized slot data
 // stable across runs.
 func TestAnalysisSymTabStableUnderReanalysis(t *testing.T) {
 	build := func() []string {
@@ -80,6 +94,62 @@ func TestAnalysisSymTabStableUnderReanalysis(t *testing.T) {
 		for i := range first {
 			if again[i] != first[i] {
 				t.Fatalf("slot %d changed across re-analysis: %q vs %q", i, again[i], first[i])
+			}
+		}
+	}
+}
+
+// TestComponentSlotsCoverBindings: a component's values are a function of
+// the bindings of its own slots. Changing any other symbol leaves them
+// unchanged, and changing a tile symbol changes some component that lists
+// it, so the lists are neither too short nor vacuous. The tile search
+// counts distinct evaluations by these lists.
+func TestComponentSlotsCoverBindings(t *testing.T) {
+	twoIndex, err := kernels.TiledTwoIndex(kernels.SymbolicTwoIndexBounds())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Analyze(twoIndex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fx := range []struct {
+		a   *Analysis
+		env expr.Env
+	}{
+		{matmulAnalysis(t), expr.Env{"N": 64, "TI": 8, "TJ": 4, "TK": 16}},
+		{b, expr.Env{"NI": 64, "NJ": 32, "NM": 64, "NN": 32, "TI": 8, "TJ": 4, "TM": 16, "TN": 8}},
+	} {
+		values := func(env expr.Env) []componentValues {
+			f := fx.a.SymTab().FrameOf(env)
+			out := make([]componentValues, len(fx.a.Components))
+			for i := range fx.a.Components {
+				v, err := fx.a.ca.comps[i].evalComponentValuesFrame(f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out[i] = v
+			}
+			return out
+		}
+		base := values(fx.env)
+		for sym := range fx.env {
+			slot, _ := fx.a.SymTab().Lookup(sym)
+			env := fx.env.Clone()
+			env[sym] *= 2
+			changed := 0
+			for i, v := range values(env) {
+				_, listed := slices.BinarySearch(fx.a.ComponentSlots(i), slot)
+				switch {
+				case v != base[i] && !listed:
+					t.Errorf("%s: doubling %s changes component %d, whose slots %v omit slot %d",
+						fx.a.Nest.Name, sym, i, fx.a.ComponentSlots(i), slot)
+				case v != base[i]:
+					changed++
+				}
+			}
+			if changed == 0 && sym[0] == 'T' {
+				t.Errorf("%s: doubling tile %s changes no component", fx.a.Nest.Name, sym)
 			}
 		}
 	}

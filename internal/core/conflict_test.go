@@ -67,7 +67,7 @@ func TestCacheConfigSets(t *testing.T) {
 // geometry that degenerates to one set — must reproduce the capacity-only
 // shorthand byte for byte.
 func TestPredictMissesConfigFullyAssociativeIdentity(t *testing.T) {
-	a := cachedMatmul(t)
+	a := matmulAnalysis(t)
 	f := a.NewFrame()
 	for _, n := range []int64{32, 64, 100} {
 		env := expr.Env{"N": n, "TI": 8, "TJ": 8, "TK": 8}
@@ -94,32 +94,25 @@ func TestPredictMissesConfigFullyAssociativeIdentity(t *testing.T) {
 	}
 }
 
-// The EvalCache config path must be a pure memoization of the Analysis
-// config path, and the total-only variant must agree with the full report.
-func TestPredictMissesConfigEvalCacheParity(t *testing.T) {
-	a := cachedMatmul(t)
-	ec := NewEvalCache(a)
+// PredictTotalFrameConfig must agree with the full report's total on every
+// geometry, set-associative ones included.
+func TestPredictTotalFrameConfigParity(t *testing.T) {
+	a := matmulAnalysis(t)
 	f := a.NewFrame()
 	for _, n := range []int64{32, 64} {
-		env := expr.Env{"N": n, "TI": 8, "TJ": 8, "TK": 8}
 		f.Reset()
-		f.Bind(env)
+		f.Bind(expr.Env{"N": n, "TI": 8, "TJ": 8, "TK": 8})
 		for _, cfg := range []CacheConfig{
 			{CapacityElems: 512, Ways: 1},
 			{CapacityElems: 512, Ways: 4},
 			{CapacityElems: 4096, Ways: 2, LineElems: 8},
-			{CapacityElems: 4096}, // fully associative through the cache too
+			{CapacityElems: 4096},
 		} {
 			want, err := a.PredictMissesFrameConfig(f, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := ec.PredictMissesFrameConfig(f, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			diffReports(t, got, want)
-			total, err := ec.PredictTotalFrameConfig(f, cfg)
+			total, err := a.PredictTotalFrameConfig(f, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -134,7 +127,7 @@ func TestPredictMissesConfigEvalCacheParity(t *testing.T) {
 // addresses can collide, so the conflict-aware prediction must degenerate to
 // the fully-associative one even under a set-associative geometry.
 func TestPredictMissesConfigSmallFootprintMatchesFA(t *testing.T) {
-	a := cachedMatmul(t)
+	a := matmulAnalysis(t)
 	f := a.SymTab().FrameOf(expr.Env{"N": 16, "TI": 4, "TJ": 4, "TK": 4}) // footprint 3·256 = 768
 	for _, cfg := range []CacheConfig{
 		{CapacityElems: 2048, Ways: 2}, // S·L = 1024 ≥ 768
@@ -158,7 +151,7 @@ func TestPredictMissesConfigSmallFootprintMatchesFA(t *testing.T) {
 // geometry must predict strictly more misses than the fully-associative
 // model at a capacity that comfortably holds the fully-associative span.
 func TestPredictMissesConfigResonance(t *testing.T) {
-	a := cachedMatmul(t)
+	a := matmulAnalysis(t)
 	env := expr.Env{"N": 64, "TI": 8, "TJ": 8, "TK": 8}
 	fa := predictTotal(t, a, env, 1024)
 	dm, err := a.PredictMissesFrameConfig(a.SymTab().FrameOf(env), CacheConfig{CapacityElems: 1024, Ways: 1})
@@ -171,14 +164,13 @@ func TestPredictMissesConfigResonance(t *testing.T) {
 }
 
 func TestPredictMissesConfigInvalidGeometry(t *testing.T) {
-	a := cachedMatmul(t)
+	a := matmulAnalysis(t)
 	f := a.SymTab().FrameOf(expr.Env{"N": 32, "TI": 4, "TJ": 4, "TK": 4})
-	ec := NewEvalCache(a)
 	bad := CacheConfig{CapacityElems: 64, Ways: 3}
 	if _, err := a.PredictMissesFrameConfig(f, bad); err == nil {
 		t.Error("PredictMissesFrameConfig accepted invalid geometry")
 	}
-	if _, err := ec.PredictMissesFrameConfig(f, bad); err == nil {
-		t.Error("EvalCache.PredictMissesFrameConfig accepted invalid geometry")
+	if _, err := a.PredictTotalFrameConfig(f, bad); err == nil {
+		t.Error("PredictTotalFrameConfig accepted invalid geometry")
 	}
 }

@@ -121,8 +121,7 @@ func sameError(a, b error) bool {
 }
 
 // TestPredictMatchesTreeOracle: Analysis.PredictMissesFrameConfig and
-// EvalCache's report and total queries must reproduce the tree-walking
-// oracle at several fully-associative capacities — the same reports, and
+// PredictTotalFrameConfig must reproduce the tree-walking oracle at several fully-associative capacities — the same reports, and
 // for rejected inputs the same error text — on the tile grids the search
 // sweeps, the imperfect nest, a seeded random corpus and the error cases.
 func TestPredictMatchesTreeOracle(t *testing.T) {
@@ -149,7 +148,7 @@ func TestPredictMatchesTreeOracle(t *testing.T) {
 		})
 	}
 	bounds256 := expr.Env{"NI": 256, "NJ": 256, "NM": 256, "NN": 256}
-	matmul := cachedMatmul(t)
+	matmul := matmulAnalysis(t)
 	fixtures := []fixture{
 		{"matmul-n64", matmul, powerOfTwoEnvs(expr.Env{"N": 64}, 64, "TI", "TJ", "TK"), false},
 		{"matmul-n4096", matmul, powerOfTwoEnvs(expr.Env{"N": 4096}, 64, "TI", "TJ", "TK"), false},
@@ -182,7 +181,7 @@ func TestPredictMatchesTreeOracle(t *testing.T) {
 		}
 	}
 	zeroRange.ca = compileAnalysis(zeroRange)
-	negCount := cachedMatmul(t)
+	negCount := matmulAnalysis(t)
 	negCount.Components[0].Count = expr.Sub(expr.One(), expr.Var("N"))
 	negCount.ca = compileAnalysis(negCount)
 	fixtures = append(fixtures,
@@ -192,7 +191,6 @@ func TestPredictMatchesTreeOracle(t *testing.T) {
 	caps := []int64{16, 512, 8192}
 	for _, fx := range fixtures {
 		t.Run(fx.name, func(t *testing.T) {
-			ec := NewEvalCache(fx.a)
 			f := fx.a.NewFrame()
 			for _, env := range fx.envs {
 				f.Reset()
@@ -204,9 +202,8 @@ func TestPredictMatchesTreeOracle(t *testing.T) {
 				for k, c := range caps {
 					cfg := CacheConfig{CapacityElems: c}
 					got, err := fx.a.PredictMissesFrameConfig(f, cfg)
-					gotEC, errEC := ec.PredictMissesFrameConfig(f, cfg)
-					total, errTotal := ec.PredictTotalFrameConfig(f, cfg)
-					for _, e := range []error{err, errEC, errTotal} {
+					total, errTotal := fx.a.PredictTotalFrameConfig(f, cfg)
+					for _, e := range []error{err, errTotal} {
 						if !sameError(e, wantErr) {
 							t.Fatalf("env %v cache %d: error %v, oracle %v", env, c, e, wantErr)
 						}
@@ -215,7 +212,6 @@ func TestPredictMatchesTreeOracle(t *testing.T) {
 						continue
 					}
 					diffReports(t, got, want[k])
-					diffReports(t, gotEC, want[k])
 					if total != want[k].Total {
 						t.Fatalf("env %v cache %d: total %d, oracle %d", env, c, total, want[k].Total)
 					}

@@ -173,7 +173,9 @@ func (e *Expr) Vars(vars map[string]bool) {
 			if key == "" {
 				continue
 			}
-			for _, name := range strings.Split(key, "*") {
+			for rest := key; rest != ""; {
+				var name string
+				name, rest, _ = strings.Cut(rest, "*")
 				vars[name] = true
 			}
 		}

@@ -19,8 +19,7 @@ import (
 // keys, misses equals the number of distinct keys — singleflight guarantees
 // one leader per key no matter how the requests interleave — and hits is
 // exactly lookups - misses. Only coalesced (the subset of hits that joined
-// a still-in-flight entry) depends on timing, the same stance
-// core.EvalCache takes for its coalesced counter.
+// a still-in-flight entry) depends on timing.
 //
 // Failed computations are evicted on completion, so an error is returned to
 // the leader and every coalesced waiter but never served from cache; the

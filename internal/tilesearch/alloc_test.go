@@ -10,8 +10,9 @@ import (
 // The fix this file guards: candidate scoring used to build a fresh Env map
 // (BaseEnv copy + tile merge) per candidate and tree-walk every expression.
 // The frame path binds tile slots into a reused per-worker register file and
-// runs compiled programs, so a warm evaluation allocates only the two cache
-// key strings (candidate key + per-component keys).
+// runs compiled programs, so scoring allocates nothing on the
+// fully-associative path, and a warm candidate lookup allocates only its
+// key string.
 
 func warmEvaluator(tb testing.TB) (*evaluator, map[string]int64) {
 	tb.Helper()
@@ -44,31 +45,30 @@ func TestWarmCandidateEvalAllocs(t *testing.T) {
 	}
 }
 
-// TestWarmFrameScoringAllocs bounds the cost of scoring a *new* evaluation
-// of known component bindings through the frame path (the inner loop of the
-// search once the eval cache is warm): at most one key string per component
-// plus the candidate bookkeeping.
+// TestWarmFrameScoringAllocs bounds the cost of scoring a candidate below
+// the candidate cache (the inner loop of the search): on the
+// fully-associative path the slot stores and compiled programs allocate
+// nothing. A 2-way or 8-way geometry still allocates, about 33 objects per
+// matmul candidate in the conflict evaluator, so it is not bounded here.
 func TestWarmFrameScoringAllocs(t *testing.T) {
 	ev, tiles := warmEvaluator(t)
 	f := ev.seqFrame
 	for i, d := range ev.opt.Dims {
 		f.Set(ev.dimSlots[i], tiles[d.Symbol])
 	}
-	comps := len(ev.a.Components)
 	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := ev.ec.PredictTotalFrameConfig(f, ev.cfg); err != nil {
+		if _, err := ev.a.PredictTotalFrameConfig(f, ev.cfg); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if max := float64(comps + 2); allocs > max {
-		t.Errorf("warm frame scoring allocates %.1f objects/op over %d components, want <= %.0f",
-			allocs, comps, max)
+	if allocs > 0 {
+		t.Errorf("warm frame scoring allocates %.1f objects/op, want 0", allocs)
 	}
 }
 
 // BenchmarkCandidateScoreFrame measures per-candidate scoring below the
-// candidate cache: a fixed, fully warm candidate set, so each op is the slot
-// stores plus the memoized component lookups.
+// candidate cache: each op is the slot stores plus one compiled evaluation
+// of every component.
 func BenchmarkCandidateScoreFrame(b *testing.B) {
 	ev, _ := warmEvaluator(b)
 	tileSet := []map[string]int64{

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 
 	"repro/internal/core"
@@ -11,26 +12,20 @@ import (
 	"repro/internal/obs"
 )
 
-// The evaluation engine behind Search and Exhaustive. Candidates are
-// evaluated through two cache layers:
+// The evaluation engine behind Search and Exhaustive. A candidate-level
+// cache keyed by the tile assignment scores each distinct tile vector once
+// per search, straight through the analysis' compiled programs.
 //
-//  1. a candidate-level cache keyed by the tile assignment, so each distinct
-//     tile vector is scored once per search, and
-//  2. core.EvalCache, which memoizes per-component stack-distance
-//     evaluations on the symbols each component actually mentions, so
-//     candidates sharing tile values in some dimensions share most of the
-//     component work.
-//
-// Batches of candidates are evaluated by a fixed worker pool. Each cache
-// entry is computed under a sync.Once, so duplicate concurrent evaluations
-// coalesce and the Evaluated/CacheStats counters are deterministic for a
-// given search regardless of the parallelism level. Batch results are
-// returned in input order and reduced sequentially, which makes the search
-// outcome — including tie-breaking between equal-miss candidates —
-// byte-identical across parallelism levels.
+// Batches of candidates are evaluated by a fixed worker pool. Each
+// candidate entry is computed under a sync.Once, so duplicate concurrent
+// evaluations coalesce and the set of scored candidates, and with it
+// Evaluated and CacheStats, is deterministic for a given search regardless
+// of the parallelism level. Batch results are returned in input order and
+// reduced sequentially, which makes the search outcome — including
+// tie-breaking between equal-miss candidates — byte-identical across
+// parallelism levels.
 type evaluator struct {
 	a       *core.Analysis
-	ec      *core.EvalCache
 	opt     Options
 	ctx     context.Context
 	workers int
@@ -41,6 +36,9 @@ type evaluator struct {
 	// opt.Dims: binding a candidate into a frame is len(Dims) stores, no
 	// map, no allocation.
 	dimSlots []int
+	// groups partition the components by the dims they mention, for the
+	// CacheStats count.
+	groups []dimGroup
 	// seqFrame is the reusable frame of the calling goroutine (frontier
 	// probes and sequential batches). Worker goroutines build their own in
 	// evalBatch — frames are single-goroutine scratch.
@@ -53,6 +51,12 @@ type evaluator struct {
 
 	mu    sync.Mutex
 	cands map[string]*candEntry
+}
+
+// dimGroup is a set of components that mention the same search dims.
+type dimGroup struct {
+	dims  []int // indices into opt.Dims, ascending
+	comps int64 // components in the group
 }
 
 type candEntry struct {
@@ -75,7 +79,6 @@ func newEvaluator(a *core.Analysis, opt Options) *evaluator {
 	}
 	ev := &evaluator{
 		a:       a,
-		ec:      core.NewEvalCacheWithMetrics(a, opt.Obs),
 		opt:     opt,
 		ctx:     ctx,
 		workers: workers,
@@ -87,6 +90,7 @@ func newEvaluator(a *core.Analysis, opt Options) *evaluator {
 	for i, d := range opt.Dims {
 		ev.dimSlots[i] = tab.Slot(d.Symbol)
 	}
+	ev.groups = dimGroups(a, ev.dimSlots)
 	ev.seqFrame = ev.newFrame()
 	if opt.UnknownBounds != nil {
 		comps := a.Components
@@ -102,6 +106,30 @@ func newEvaluator(a *core.Analysis, opt Options) *evaluator {
 		}
 	}
 	return ev
+}
+
+// dimGroups groups the components by the search dims their slots include,
+// in order of first appearance.
+func dimGroups(a *core.Analysis, dimSlots []int) []dimGroup {
+	var groups []dimGroup
+next:
+	for i := range a.Components {
+		slots := a.ComponentSlots(i)
+		var dims []int
+		for d, slot := range dimSlots {
+			if _, ok := slices.BinarySearch(slots, slot); ok {
+				dims = append(dims, d)
+			}
+		}
+		for g := range groups {
+			if slices.Equal(groups[g].dims, dims) {
+				groups[g].comps++
+				continue next
+			}
+		}
+		groups = append(groups, dimGroup{dims: dims, comps: 1})
+	}
+	return groups
 }
 
 // newFrame builds a worker-lifetime frame with the base environment already
@@ -132,6 +160,98 @@ func (ev *evaluator) evaluated() int {
 	return len(ev.cands)
 }
 
+// CacheStats counts the component evaluations behind a search. Lookups is
+// the number of component evaluations the search ran; Computed is the
+// number of distinct (component, bindings) pairs among them. Both are
+// functions of the set of scored candidates, so they are deterministic at
+// every parallelism level.
+type CacheStats struct {
+	Lookups  int64
+	Computed int64
+}
+
+// HitRate is the fraction of component evaluations that repeat an earlier
+// one's bindings: 1 - Computed/Lookups.
+func (s CacheStats) HitRate() float64 {
+	if s.Lookups == 0 {
+		return 0
+	}
+	return 1 - float64(s.Computed)/float64(s.Lookups)
+}
+
+// Record adds the counts to the "evalcache.*" instruments: lookups, hits
+// (lookups - computed), misses and frame_evals (computed), and the entries
+// gauge (computed). coalesced is registered at zero: no evaluation ever
+// waits on another's. A nil registry records nothing.
+func (s CacheStats) Record(m *obs.Metrics) {
+	m.Counter("evalcache.lookups").Add(s.Lookups)
+	m.Counter("evalcache.hits").Add(s.Lookups - s.Computed)
+	m.Counter("evalcache.misses").Add(s.Computed)
+	m.Counter("evalcache.frame_evals").Add(s.Computed)
+	m.Counter("evalcache.coalesced")
+	m.Gauge("evalcache.entries").Add(s.Computed)
+}
+
+// cacheStats counts the scored set. Every candidate evaluates every
+// component once. A component's values depend only on the bindings of its
+// own slots, and every slot but the tile slots holds BaseEnv for the whole
+// search, so its distinct bindings are the distinct projections of the
+// scored tile vectors onto the dims it mentions. The projections are read
+// off the candidate keys, which hold 8 bytes per dim in Dims order.
+func (ev *evaluator) cacheStats() CacheStats {
+	ev.mu.Lock()
+	defer ev.mu.Unlock()
+	n := int64(len(ev.cands))
+	s := CacheStats{Lookups: n * int64(len(ev.a.Components))}
+	var keys []string
+	var seen map[string]struct{}
+	var buf []byte
+	for _, g := range ev.groups {
+		switch len(g.dims) {
+		case 0:
+			s.Computed += g.comps
+			continue
+		case len(ev.opt.Dims):
+			s.Computed += g.comps * n
+			continue
+		}
+		if keys == nil {
+			keys = make([]string, 0, n)
+			for key := range ev.cands {
+				keys = append(keys, key)
+			}
+			seen = make(map[string]struct{}, n)
+		}
+		clear(seen)
+		for _, key := range keys {
+			buf = buf[:0]
+			for _, d := range g.dims {
+				buf = append(buf, key[8*d:8*d+8]...)
+			}
+			if _, ok := seen[string(buf)]; !ok { // only an insert allocates the key
+				seen[string(buf)] = struct{}{}
+			}
+		}
+		s.Computed += g.comps * int64(len(seen))
+	}
+	return s
+}
+
+// testHookScored, when non-nil, sees the evaluator of every successful
+// search before its result is built: tests read the scored set from it.
+var testHookScored func(*evaluator)
+
+// result closes a successful search: it counts the scored set and records
+// the counts on Options.Obs.
+func (ev *evaluator) result(best Candidate, frontier []Candidate) *Result {
+	if testHookScored != nil {
+		testHookScored(ev)
+	}
+	s := ev.cacheStats()
+	s.Record(ev.opt.Obs)
+	return &Result{Best: best, Frontier: frontier, Evaluated: ev.evaluated(), Cache: s}
+}
+
 // eval scores one tile assignment, memoized on the assignment key. The
 // frame is the calling goroutine's scratch — workers pass their own,
 // sequential callers pass ev.seqFrame.
@@ -152,7 +272,7 @@ func (ev *evaluator) compute(tiles map[string]int64, f *expr.Frame) (Candidate, 
 	if ev.opt.UnknownBounds != nil {
 		misses, err = ev.boundFreeMisses(f)
 	} else {
-		misses, err = ev.ec.PredictTotalFrameConfig(f, ev.cfg)
+		misses, err = ev.a.PredictTotalFrameConfig(f, ev.cfg)
 	}
 	if err != nil {
 		return Candidate{}, err
@@ -241,7 +361,7 @@ func (ev *evaluator) evalBatch(assigns []map[string]int64) ([]Candidate, error) 
 // candidates identically. Detail is in a.Components order, so the
 // precomputed flag slices index it directly.
 func (ev *evaluator) boundFreeMisses(f *expr.Frame) (int64, error) {
-	rep, err := ev.ec.PredictMissesFrameConfig(f, ev.cfg)
+	rep, err := ev.a.PredictMissesFrameConfig(f, ev.cfg)
 	if err != nil {
 		return 0, err
 	}

@@ -55,9 +55,5 @@ func Exhaustive(a *core.Analysis, opt Options) (*Result, error) {
 	}
 	best := bestOf(cands)
 	opt.Obs.Gauge("search.evaluated").Set(int64(ev.evaluated()))
-	return &Result{
-		Best:      best,
-		Evaluated: ev.evaluated(),
-		Cache:     ev.ec.Stats(),
-	}, nil
+	return ev.result(best, nil), nil
 }

@@ -11,7 +11,8 @@ import (
 
 // deterministicCounters are the search metrics that must not depend on the
 // parallelism level: candidate counts per phase, pruning decisions and the
-// eval-cache accounting. Only the worker.* utilization family may vary.
+// component-evaluation counts. Only the worker.* utilization family may
+// vary.
 var deterministicCounters = []string{
 	"search.candidates.coarse",
 	"search.candidates.frontier",
@@ -25,8 +26,8 @@ var deterministicCounters = []string{
 
 // TestSearchMetricsParallelismInvariant: running the same search at -j 1 and
 // -j 8 must produce identical totals for every deterministic counter and
-// gauge. Coalesced waits are the one cache counter that may differ (they
-// count races), but hits+misses must still partition lookups on both sides.
+// gauge, hits+misses must partition lookups on both sides, and no
+// evaluation ever waits on another's, so coalesced stays 0 at -j 8 too.
 func TestSearchMetricsParallelismInvariant(t *testing.T) {
 	a := testutil.AnalyzedMatmul(t)
 	run := func(j int) *obs.Metrics {
@@ -73,9 +74,10 @@ func TestSearchMetricsParallelismInvariant(t *testing.T) {
 			t.Errorf("evalcache hits %d + misses %d != lookups %d", h, mi, l)
 		}
 	}
-	// The sequential run never races, so nothing coalesces.
-	if c := m1.Counter("evalcache.coalesced").Load(); c != 0 {
-		t.Errorf("sequential run coalesced %d cache waits", c)
+	for j, m := range map[int]*obs.Metrics{1: m1, 8: m8} {
+		if c := m.Counter("evalcache.coalesced").Load(); c != 0 {
+			t.Errorf("j=%d: coalesced %d evaluation waits", j, c)
+		}
 	}
 	// Worker instruments appear only on the parallel path. Names() prefixes
 	// each entry with its kind ("counter:", "timer:"), so match on contains.

@@ -5,7 +5,7 @@
 // SearchPlans enumerates the legal structural variants of a nest as
 // loopir.Plans, compiles a core.Analysis per variant, and runs the
 // knee-pruned tile search (tilesearch.go) inside each variant with its own
-// evaluator — per-variant EvalCache and frame pools — on the existing
+// evaluator — per-variant candidate cache and frames — on the existing
 // deterministic worker pool. Variants are scored sequentially and each
 // inner search is byte-deterministic at any parallelism, so the joint
 // result is byte-identical at any -j.
@@ -162,8 +162,8 @@ func ctxErr(opt PlanOptions) error {
 // searchVariant compiles one variant's analysis and scores it: the §6
 // search over its tile dimensions, or — for a variant with no tunable
 // tiles — a single model evaluation (the structure is the candidate).
-// Each variant gets a fresh evaluator, so its EvalCache and frames are
-// compiled against its own analysis.
+// Each variant gets a fresh evaluator, so its candidate cache and frames
+// belong to its own analysis.
 func searchVariant(v PlanVariant, opt PlanOptions) (*Result, error) {
 	a, err := core.Analyze(v.Nest)
 	if err != nil {
@@ -196,7 +196,7 @@ func scoreUntiled(a *core.Analysis, opt Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Best: c, Frontier: []Candidate{c}, Evaluated: 1, Cache: ev.ec.Stats()}, nil
+	return ev.result(c, []Candidate{c}), nil
 }
 
 // EnumerateVariants builds the structural half of the joint space: every

@@ -20,9 +20,10 @@ type CandidateJSON struct {
 type ResultJSON struct {
 	Best     CandidateJSON   `json:"best"`
 	Frontier []CandidateJSON `json:"frontier"`
-	// Evaluated counts distinct tile assignments scored; CacheLookups and
-	// CacheComputed are the component-evaluation cache counters behind them
-	// (hit rate = 1 - computed/lookups).
+	// Evaluated counts distinct tile assignments scored. CacheLookups counts
+	// the component evaluations they ran, CacheComputed the distinct
+	// (component, bindings) pairs among them (CacheStats; hit rate = 1 -
+	// computed/lookups).
 	Evaluated     int   `json:"evaluated"`
 	CacheLookups  int64 `json:"cacheLookups"`
 	CacheComputed int64 `json:"cacheComputed"`

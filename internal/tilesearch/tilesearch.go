@@ -16,9 +16,10 @@
 // search scores candidates using only the stack-distance expressions that do
 // not mention the bound symbols, evaluated with a large surrogate bound.
 //
-// Candidate evaluation is memoized at two levels (see engine.go) and can be
-// spread over a worker pool with Options.Parallelism; results are
-// deterministic and identical across parallelism levels.
+// Each distinct tile vector is scored once per search, straight through the
+// analysis' compiled programs (see engine.go), and scoring can be spread
+// over a worker pool with Options.Parallelism; results are deterministic
+// and identical across parallelism levels.
 package tilesearch
 
 import (
@@ -75,10 +76,10 @@ type Options struct {
 	Context context.Context
 	// Obs, when non-nil, receives the search's instruments: candidate
 	// counts per phase ("search.candidates.*"), the frontier size, pruning
-	// totals, the component-evaluation cache counters ("evalcache.*", see
-	// core.NewEvalCacheWithMetrics) and the per-worker pool utilization
-	// ("worker.*", the only instruments that legitimately vary with
-	// Parallelism). Nil disables instrumentation at no measurable cost.
+	// totals, the component-evaluation counts of a successful search
+	// ("evalcache.*", see CacheStats.Record) and the per-worker pool
+	// utilization ("worker.*", the only instruments that legitimately vary
+	// with Parallelism). Nil disables instrumentation at no measurable cost.
 	Obs *obs.Metrics
 	// Trace, when non-nil, records one span per search phase (coarse,
 	// frontier, each refinement round) annotated with candidate counts.
@@ -122,9 +123,9 @@ type Result struct {
 	Best      Candidate
 	Frontier  []Candidate // frontier candidates from the coarse phase
 	Evaluated int         // distinct tile assignments scored
-	// Cache reports the component-evaluation cache behaviour; for a given
+	// Cache counts the component evaluations behind Evaluated; for a given
 	// search it is deterministic across parallelism levels.
-	Cache core.CacheStats
+	Cache CacheStats
 }
 
 // Search runs the §6 algorithm against an analyzed nest. It is the
@@ -243,12 +244,7 @@ func (ev *evaluator) run() (*Result, error) {
 	}
 
 	m.Gauge("search.evaluated").Set(int64(ev.evaluated()))
-	return &Result{
-		Best:      best,
-		Frontier:  frontier,
-		Evaluated: ev.evaluated(),
-		Cache:     ev.ec.Stats(),
-	}, nil
+	return ev.result(best, frontier), nil
 }
 
 // enumerate builds the cartesian product of the per-dimension grids in
