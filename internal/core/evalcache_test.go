@@ -1,99 +1,39 @@
 package core
 
 import (
+	"encoding/binary"
 	"sync"
 	"testing"
 
 	"repro/internal/expr"
-	"repro/internal/kernels"
 )
 
-func cachedMatmul(t *testing.T) *Analysis {
-	t.Helper()
-	nest, err := kernels.TiledMatmul()
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := Analyze(nest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return a
-}
-
-// ecTotal is the memoized fully-associative total at env.
-func ecTotal(ec *EvalCache, env expr.Env, cacheElems int64) (int64, error) {
-	return ec.PredictTotalFrameConfig(ec.Analysis().SymTab().FrameOf(env), CacheConfig{CapacityElems: cacheElems})
-}
-
-// TestEvalCacheHitsOnIrrelevantChanges: a component that mentions only a
-// subset of the symbols must not be recomputed when an irrelevant symbol
-// changes, so sweeping one tile dimension leaves most of the inventory
-// cached.
-func TestEvalCacheHitsOnIrrelevantChanges(t *testing.T) {
-	a := cachedMatmul(t)
-	ec := NewEvalCache(a)
-	env := expr.Env{"N": 64, "TI": 8, "TJ": 8, "TK": 8}
-	if _, err := ecTotal(ec, env, 512); err != nil {
-		t.Fatal(err)
-	}
-	afterFirst := ec.Stats()
-	if afterFirst.Computed != int64(len(a.Components)) {
-		t.Fatalf("first evaluation computed %d of %d components",
-			afterFirst.Computed, len(a.Components))
-	}
-	// Identical environment: all hits.
-	if _, err := ecTotal(ec, env, 512); err != nil {
-		t.Fatal(err)
-	}
-	if s := ec.Stats(); s.Computed != afterFirst.Computed {
-		t.Fatalf("repeated evaluation recomputed: %d -> %d", afterFirst.Computed, s.Computed)
-	}
-	// Different capacities, same environment: entries store the capacity-
-	// independent component values, so a capacity sweep computes nothing new.
-	for _, capacity := range []int64{8, 64, 4096} {
-		if _, err := ecTotal(ec, env, capacity); err != nil {
-			t.Fatal(err)
+// slotKey packs component i's slot bindings in f: the key under which a
+// component memo would store its values, and the projection the tile
+// search counts distinct evaluations by.
+func slotKey(a *Analysis, f *expr.Frame, i int) string {
+	var buf []byte
+	for _, slot := range a.ComponentSlots(i) {
+		v, ok := f.Get(slot)
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
+		if ok {
+			buf = append(buf, 1)
+		} else {
+			buf = append(buf, 0)
 		}
 	}
-	if s := ec.Stats(); s.Computed != afterFirst.Computed {
-		t.Fatalf("capacity sweep recomputed: %d -> %d", afterFirst.Computed, s.Computed)
-	}
-	// Vary one tile: only components mentioning TI may recompute.
-	env2 := env.Clone()
-	env2["TI"] = 16
-	if _, err := ecTotal(ec, env2, 512); err != nil {
-		t.Fatal(err)
-	}
-	s := ec.Stats()
-	recomputed := s.Computed - afterFirst.Computed
-	ti, _ := a.SymTab().Lookup("TI")
-	var mentionTI int64
-	for i := range ec.comps {
-		for _, slot := range ec.comps[i].slots {
-			if slot == ti {
-				mentionTI++
-				break
-			}
-		}
-	}
-	if recomputed > mentionTI {
-		t.Errorf("varying TI recomputed %d components, only %d mention TI", recomputed, mentionTI)
-	}
-	if recomputed == 0 {
-		t.Error("varying TI recomputed nothing — key ignores the environment?")
-	}
-	if s.HitRate() <= 0 {
-		t.Errorf("hit rate %.3f after repeated evaluations", s.HitRate())
-	}
+	return string(buf)
 }
 
-// TestEvalCacheConcurrent hammers one cache from many goroutines (run under
-// -race) and checks the deterministic Computed count: duplicate concurrent
-// evaluations of the same key must coalesce.
+// TestEvalCacheConcurrent hammers one analysis from many goroutines (run
+// under -race) the way the search's workers score candidates: each reuses
+// its own frame across environments, and every total must equal the
+// sequential one. The workers also store each component's values under its
+// slot bindings in one shared table: a binding never maps to two values,
+// and the number of distinct keys is the count derived from the tile
+// symbols each component's expressions mention, whatever the interleaving.
 func TestEvalCacheConcurrent(t *testing.T) {
-	a := cachedMatmul(t)
-	ec := NewEvalCache(a)
+	a := matmulAnalysis(t)
 	envs := []expr.Env{
 		{"N": 64, "TI": 8, "TJ": 8, "TK": 8},
 		{"N": 64, "TI": 16, "TJ": 8, "TK": 8},
@@ -104,14 +44,22 @@ func TestEvalCacheConcurrent(t *testing.T) {
 	for i, env := range envs {
 		want[i] = predictTotal(t, a, env, 512)
 	}
+	type entry struct {
+		comp     int
+		bindings string
+	}
+	var table sync.Map // entry -> componentValues
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			f := a.NewFrame()
 			for rep := 0; rep < 20; rep++ {
 				for i, env := range envs {
-					got, err := ecTotal(ec, env, 512)
+					f.Reset()
+					f.Bind(env)
+					got, err := a.PredictTotalFrameConfig(f, CacheConfig{CapacityElems: 512})
 					if err != nil {
 						t.Error(err)
 						return
@@ -120,42 +68,82 @@ func TestEvalCacheConcurrent(t *testing.T) {
 						t.Errorf("env %v: concurrent total %d, want %d", env, got, want[i])
 						return
 					}
+					for c := range a.Components {
+						v, err := a.ca.comps[c].evalComponentValuesFrame(f)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						if prev, loaded := table.LoadOrStore(entry{c, slotKey(a, f, c)}, v); loaded && prev.(componentValues) != v {
+							t.Errorf("env %v: component %d takes %+v and %+v under one slot binding",
+								env, c, prev, v)
+							return
+						}
+					}
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	s := ec.Stats()
-	// Computed must equal the number of distinct keys, independent of the
-	// interleaving: 4 envs differing in one tile each.
-	direct := NewEvalCache(a)
-	for _, env := range envs {
-		if _, err := ecTotal(direct, env, 512); err != nil {
-			t.Fatal(err)
+	var keys int64
+	table.Range(func(any, any) bool { keys++; return true })
+	// Every env but the first changes one tile of the first, so a component
+	// has one binding per tile it mentions plus the shared one.
+	var derived int64
+	for _, c := range a.Components {
+		vars := map[string]bool{}
+		c.Count.Vars(vars)
+		c.SD.Base.Vars(vars)
+		if c.SD.Slope != nil {
+			c.SD.Slope.Vars(vars)
+		}
+		if c.FreeRange != nil {
+			c.FreeRange.Vars(vars)
+		}
+		derived++
+		for _, tile := range []string{"TI", "TJ", "TK"} {
+			if vars[tile] {
+				derived++
+			}
 		}
 	}
-	if s.Computed != direct.Stats().Computed {
-		t.Errorf("concurrent Computed %d != sequential Computed %d",
-			s.Computed, direct.Stats().Computed)
+	if keys != derived {
+		t.Errorf("concurrent workers stored %d distinct (component, bindings) keys, derived %d", keys, derived)
 	}
 }
 
 // TestEvalCacheErrorPropagation: environments rejected by the nest (missing
-// bindings) must error through the cache, not panic or return stale values.
+// bindings) must error through the direct total query with
+// PredictMissesFrameConfig's error, not panic or return the value of the
+// previous binding, and the frame still scores correctly afterwards — the
+// search reuses one frame per worker across candidates.
 func TestEvalCacheErrorPropagation(t *testing.T) {
-	a := cachedMatmul(t)
-	ec := NewEvalCache(a)
-	if _, err := ecTotal(ec, expr.Env{"N": 64}, 512); err == nil {
-		t.Fatal("missing tile bindings accepted")
-	}
-	// A good environment after the failure still works.
+	a := matmulAnalysis(t)
+	cfg := CacheConfig{CapacityElems: 512}
 	env := expr.Env{"N": 64, "TI": 8, "TJ": 8, "TK": 8}
 	want := predictTotal(t, a, env, 512)
-	got, err := ecTotal(ec, env, 512)
-	if err != nil {
-		t.Fatal(err)
+	f := a.NewFrame()
+	score := func() {
+		t.Helper()
+		f.Reset()
+		f.Bind(env)
+		got, err := a.PredictTotalFrameConfig(f, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("total %d, want %d", got, want)
+		}
 	}
-	if got != want {
-		t.Fatalf("after error: %d vs %d", got, want)
+	score()
+	f.Reset()
+	f.Bind(expr.Env{"N": 64})
+	total, err := a.PredictTotalFrameConfig(f, cfg)
+	if err == nil {
+		t.Fatalf("missing tile bindings accepted: total %d", total)
 	}
+	if _, repErr := a.PredictMissesFrameConfig(f, cfg); !sameError(err, repErr) {
+		t.Errorf("total query error %q, report query error %v", err, repErr)
+	}
+	score()
 }
