@@ -1,10 +1,11 @@
 # Developer convenience targets. `make check` is the pre-submit gate:
-# formatting, static analysis, the full test suite under the race detector,
-# and a short fuzzing smoke of the analyzer/search entry points.
+# formatting, static analysis, the dead-code scan, the full test suite under
+# the race detector, and a short fuzzing smoke of the analyzer/search entry
+# points.
 
 GO ?= go
 
-.PHONY: all build test check fmt vet race fuzz-smoke bench bench-smoke bench-ab serve-check cover golden
+.PHONY: all build test check fmt vet deadcode race fuzz-smoke bench bench-smoke bench-ab serve-check cover golden
 
 all: build
 
@@ -21,6 +22,12 @@ fmt:
 
 vet:
 	$(GO) vet ./...
+
+# Lists every function, method and type in a non-test file that no
+# production code reaches (main packages, the root package's API, perfbench)
+# and fails if it lists anything; scripts/deadcode holds the short hold list.
+deadcode:
+	$(GO) run ./scripts/deadcode
 
 race:
 	$(GO) test -race ./...
@@ -41,7 +48,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPlanLegality$$' -fuzztime 10s ./internal/loopir
 	$(GO) test -run '^$$' -fuzz '^FuzzHandler$$' -fuzztime 10s ./internal/service
 
-check: fmt vet race fuzz-smoke
+check: fmt vet deadcode race fuzz-smoke
 
 bench:
 	$(GO) test -bench . -benchtime 1x ./...

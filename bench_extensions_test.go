@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/cachesim"
 	"repro/internal/core"
-	"repro/internal/experiments"
 	"repro/internal/expr"
 	"repro/internal/kernels"
 	"repro/internal/tce"
@@ -92,46 +91,6 @@ func BenchmarkFusedFourIndexAnalysis(b *testing.B) {
 		}
 		if _, err := core.Analyze(nest); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkLoopOrderRanking regenerates the loop-order extension experiment
-// (predictions only).
-func BenchmarkLoopOrderRanking(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		pts, err := experiments.RunLoopOrder(128, 1024, false)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(pts) != 6 {
-			b.Fatal("missing orders")
-		}
-	}
-}
-
-// BenchmarkSuccessFunction measures the exact success-function collection
-// overhead relative to plain simulation.
-func BenchmarkSuccessFunction(b *testing.B) {
-	nest, err := kernels.TiledMatmul()
-	if err != nil {
-		b.Fatal(err)
-	}
-	env, err := kernels.MatmulEnv(32, 8, 8, 8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	p, err := trace.Compile(nest, env)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sim := cachesim.NewStackSim(p.Size, len(p.Sites), nil)
-		sf := sim.CollectExact()
-		p.Run(sim.Access)
-		if sf.MissesFor(1024) <= 0 {
-			b.Fatal("no misses")
 		}
 	}
 }

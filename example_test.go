@@ -76,7 +76,10 @@ func ExampleAnalyze() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, c := range analysis.ComponentsFor("S1#0") {
+	for _, c := range analysis.Components {
+		if c.Site.Key() != "S1#0" {
+			continue
+		}
 		sd := c.SD.Base.String()
 		if c.SD.Base.IsInf() {
 			sd = "inf"

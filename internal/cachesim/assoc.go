@@ -38,47 +38,9 @@ func NewAssocCache(capacityElems int64, ways int, lineElems int64) (*AssocCache,
 	return c, nil
 }
 
-// NewFullyAssoc builds a fully-associative cache of the given capacity with
-// one-element lines — the configuration the paper's model targets.
-func NewFullyAssoc(capacityElems int64) (*AssocCache, error) {
-	return NewAssocCache(capacityElems, int(capacityElems), 1)
-}
-
-// NewDirectMapped builds a direct-mapped cache.
-func NewDirectMapped(capacityElems int64, lineElems int64) (*AssocCache, error) {
-	lines := capacityElems / lineElems
-	if lines == 0 {
-		return nil, fmt.Errorf("cachesim: capacity %d smaller than line %d", capacityElems, lineElems)
-	}
-	return NewAssocCache(capacityElems, 1, lineElems)
-}
-
-// Access simulates one element access; it returns true on hit.
-func (c *AssocCache) Access(addr int64) bool {
-	c.accesses++
-	line := addr / c.lineElems
-	set := line % c.numSets
-	s := c.sets[set]
-	for i, tag := range s {
-		if tag == line {
-			copy(s[1:i+1], s[0:i])
-			s[0] = line
-			return true
-		}
-	}
-	c.misses++
-	if len(s) < c.ways {
-		s = append(s, 0)
-	}
-	copy(s[1:], s[0:len(s)-1])
-	s[0] = line
-	c.sets[set] = s
-	return false
-}
-
 // AccessBlock simulates a batch of element accesses, hoisting the geometry
 // fields and the counter updates out of the per-access path. Results are
-// identical to calling Access per element.
+// identical to simulating the accesses one at a time.
 func (c *AssocCache) AccessBlock(addrs []int64) {
 	lineElems, numSets, ways := c.lineElems, c.numSets, c.ways
 	sets := c.sets
@@ -110,9 +72,6 @@ func (c *AssocCache) AccessBlock(addrs []int64) {
 	c.accesses += int64(len(addrs))
 	c.misses += misses
 }
-
-// Accesses returns the number of accesses simulated so far.
-func (c *AssocCache) Accesses() int64 { return c.accesses }
 
 // Misses returns the number of misses so far.
 func (c *AssocCache) Misses() int64 { return c.misses }

@@ -92,11 +92,11 @@ func TestAssocMissesMonotoneInWaysFixedSets(t *testing.T) {
 // above to hold the set count, not the capacity, fixed.
 func TestAssocWaysAnomalyAtFixedCapacity(t *testing.T) {
 	const capacity = 16
-	direct, err := NewDirectMapped(capacity, 1)
+	direct, err := NewAssocCache(capacity, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := NewFullyAssoc(capacity)
+	full, err := NewAssocCache(capacity, int(capacity), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,8 +106,8 @@ func TestAssocWaysAnomalyAtFixedCapacity(t *testing.T) {
 			full.Access(a)
 		}
 	}
-	if full.Misses() != full.Accesses() {
-		t.Fatalf("fully-associative LRU should thrash the cyclic sweep: %d misses of %d", full.Misses(), full.Accesses())
+	if full.Misses() != full.accesses {
+		t.Fatalf("fully-associative LRU should thrash the cyclic sweep: %d misses of %d", full.Misses(), full.accesses)
 	}
 	if direct.Misses() >= full.Misses()/2 {
 		t.Fatalf("direct-mapped misses %d not well below fully-associative %d", direct.Misses(), full.Misses())
@@ -150,9 +150,9 @@ func FuzzAssocBlockVsScalar(f *testing.F) {
 			batched.AccessBlock(addrs[lo:hi])
 			lo = hi
 		}
-		if scalar.Misses() != batched.Misses() || scalar.Accesses() != batched.Accesses() {
+		if scalar.Misses() != batched.Misses() || scalar.accesses != batched.accesses {
 			t.Fatalf("scalar %d/%d vs batched %d/%d (sets %d ways %d line %d)",
-				scalar.Misses(), scalar.Accesses(), batched.Misses(), batched.Accesses(), sets, ways, line)
+				scalar.Misses(), scalar.accesses, batched.Misses(), batched.accesses, sets, ways, line)
 		}
 	})
 }

@@ -9,7 +9,7 @@ func TestFullyAssocMatchesStackSim(t *testing.T) {
 	// A fully-associative LRU cache must miss exactly when sd > capacity.
 	r := rand.New(rand.NewSource(21))
 	const space, capacity = 64, 12
-	c, err := NewFullyAssoc(capacity)
+	c, err := NewAssocCache(capacity, int(capacity), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestFullyAssocMatchesStackSim(t *testing.T) {
 
 func TestDirectMappedConflicts(t *testing.T) {
 	// Capacity 4, line 1, direct-mapped: addresses 0 and 4 conflict.
-	c, err := NewDirectMapped(4, 1)
+	c, err := NewAssocCache(4, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestCacheGeometryErrors(t *testing.T) {
 	if _, err := NewAssocCache(8, 16, 1); err == nil {
 		t.Error("more ways than lines accepted")
 	}
-	if _, err := NewDirectMapped(2, 4); err == nil {
+	if _, err := NewAssocCache(2, 1, 4); err == nil {
 		t.Error("capacity smaller than line accepted")
 	}
 }
@@ -95,8 +95,8 @@ func TestSetAssocBetweenDirectAndFull(t *testing.T) {
 	// (Belady anomalies exist for non-LRU, and set hashing matters), but
 	// fully-associative LRU must not miss more than direct-mapped on a
 	// trace with heavy conflict structure: strided accesses.
-	full, _ := NewFullyAssoc(16)
-	direct, _ := NewDirectMapped(16, 1)
+	full, _ := NewAssocCache(16, int(16), 1)
+	direct, _ := NewAssocCache(16, 1, 1)
 	for i := 0; i < 1000; i++ {
 		addr := int64((i % 8) * 16) // 8 distinct addresses, all conflict direct-mapped
 		full.Access(addr)

@@ -41,9 +41,6 @@ func NewHierarchy(addrSpace, capL1, capL2 int64) (*Hierarchy, error) {
 	return h, nil
 }
 
-// Access classifies one reference.
-func (h *Hierarchy) Access(addr int64) { h.sim.Access(0, addr) }
-
 // AccessBlock classifies a batch of references through the underlying
 // batched stack simulator. All accesses share site 0; the zero-site buffer
 // is grown on demand and reused between blocks.

@@ -3,8 +3,6 @@ package cachesim
 import (
 	"math/bits"
 	"sort"
-
-	"repro/internal/obs"
 )
 
 // ReferenceSim is the original per-access stack simulator: a Fenwick
@@ -180,21 +178,4 @@ func (s *ReferenceSim) materialize(k []int64) []int64 {
 		out[s.sortIdx[j]] = suffix
 	}
 	return out
-}
-
-// FlushMetrics publishes counter deltas into the same "cachesim.*" counters
-// StackSim.FlushMetrics uses, so a scalar sweep and a batched sweep report
-// identical totals.
-func (s *ReferenceSim) FlushMetrics(m *obs.Metrics) {
-	if m == nil {
-		return
-	}
-	m.Counter("cachesim.accesses").Add(s.res.Accesses - s.flushed.accesses)
-	m.Counter("cachesim.distinct").Add(s.res.Distinct - s.flushed.distinct)
-	m.Counter("cachesim.stack_ops").Add(s.ops - s.flushed.ops)
-	m.Counter("cachesim.compactions").Add(s.compactions - s.flushed.compactions)
-	s.flushed.accesses = s.res.Accesses
-	s.flushed.distinct = s.res.Distinct
-	s.flushed.ops = s.ops
-	s.flushed.compactions = s.compactions
 }

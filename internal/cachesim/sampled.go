@@ -92,16 +92,6 @@ func sampleHash(x, seed uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// Access processes one reference (the scalar path; AccessBlock is the hot
-// one). Unsampled accesses only bump the totals.
-func (s *SampledSim) Access(site int, addr int64) {
-	s.total++
-	s.siteTotal[site]++
-	if sampleHash(uint64(addr), s.seed)>>(64-s.k) == 0 {
-		s.inner.Access(site, addr)
-	}
-}
-
 // AccessBlock filters one trace block down to the sampled addresses and
 // plays the survivors through the inner simulator's batched path. A shift
 // by 64 is defined as 0 in Go, so k == 0 keeps every access.

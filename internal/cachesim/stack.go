@@ -55,18 +55,6 @@ func (r Results) MissRatio(i int) float64 {
 	return float64(r.Misses[i]) / float64(r.Accesses)
 }
 
-// MissesAtLeast returns a lower bound on misses for capacity c derived from
-// the histogram alone (exact when c+1 is a power of two).
-func (r Results) MissesAtLeast(c int64) int64 {
-	total := r.Distinct
-	for b := 63; b >= 1; b-- {
-		if int64(1)<<uint(b-1) > c { // whole bucket has sd > c
-			total += r.Hist[b]
-		}
-	}
-	return total
-}
-
 // StackSim is the exact fully-associative LRU stack simulator.
 //
 // It tracks, for every address in a dense address space, the "slot" of its
@@ -77,10 +65,10 @@ func (r Results) MissesAtLeast(c int64) int64 {
 // spaces of tiled kernels the bitset is a few KB — L1-resident — and a
 // prefix count costs a handful of popcounts plus a walk over a ~100-entry
 // tree, where the classic Fenwick-tree-over-slots it replaces walked
-// O(log cap) cache lines of a tree hundreds of KB wide. ReferenceSim keeps
-// that original implementation as the differential ground truth. The
-// timeline is periodically compacted so that memory stays proportional to
-// the address-space size regardless of trace length.
+// O(log cap) cache lines of a tree hundreds of KB wide; the tests keep that
+// original implementation as the differential ground truth. The timeline is
+// periodically compacted so that memory stays proportional to the
+// address-space size regardless of trace length.
 type StackSim struct {
 	watches []int64
 	// Watched capacities in ascending order with the permutation back to the
@@ -277,7 +265,7 @@ func (s *StackSim) Access(site int, addr int64) {
 // block-tree updates cancel and the whole update is two bitset writes. Every
 // counter (including ops, which counts logical operations: one query plus
 // two updates per hit) and all Results are identical to issuing every
-// access through Access, and to ReferenceSim.
+// access through Access, and to the tests' reference simulator.
 func (s *StackSim) AccessBlock(sites []int32, addrs []int64) {
 	if len(addrs) == 0 {
 		return
@@ -512,30 +500,5 @@ func (r Results) SDHistogramString() string {
 		out += fmt.Sprintf("  sd %8d..%-8d : %d\n", lo, hi, r.Hist[b])
 	}
 	out += fmt.Sprintf("  sd        inf       : %d\n", r.Distinct)
-	return out
-}
-
-// CapacitiesCrossed returns the watched capacities, in ascending order,
-// whose miss counts differ from the largest watched capacity's — the
-// capacities at which growing the cache still changes the outcome. An empty
-// result means every watched capacity behaves like the largest (the miss
-// curve is flat across the watch set), a convenience for sanity checks in
-// reports.
-func (r Results) CapacitiesCrossed() []int64 {
-	if len(r.Watches) == 0 {
-		return nil
-	}
-	order := make([]int, len(r.Watches))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(i, j int) bool { return r.Watches[order[i]] < r.Watches[order[j]] })
-	largest := r.Misses[order[len(order)-1]]
-	var out []int64
-	for _, idx := range order {
-		if r.Misses[idx] != largest {
-			out = append(out, r.Watches[idx])
-		}
-	}
 	return out
 }

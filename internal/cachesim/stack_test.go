@@ -187,9 +187,9 @@ func TestMissesAtLeastBound(t *testing.T) {
 	}
 	res := sim.Results()
 	exact, _ := res.MissesFor(16)
-	lower := res.MissesAtLeast(16)
+	lower := missesAtLeast(res, 16)
 	if lower > exact {
-		t.Fatalf("MissesAtLeast(16)=%d exceeds exact %d", lower, exact)
+		t.Fatalf("missesAtLeast(16)=%d exceeds exact %d", lower, exact)
 	}
 }
 

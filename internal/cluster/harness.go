@@ -59,9 +59,6 @@ func StartLocal(n int, scfg service.Config, rcfg Config) (*Local, error) {
 // address.
 func (lc *Local) URL() string { return "http://" + lc.routerServer.Addr() }
 
-// Router returns the router instance (metrics, health).
-func (lc *Local) Router() *Router { return lc.routerServer.Router }
-
 // Replicas returns the replica base URLs in start order.
 func (lc *Local) Replicas() []string {
 	urls := make([]string, len(lc.replicaServers))
@@ -69,25 +66,6 @@ func (lc *Local) Replicas() []string {
 		urls[i] = "http://" + sv.Addr()
 	}
 	return urls
-}
-
-// ReplicaServer returns replica i's server (its Service field reaches the
-// underlying service).
-func (lc *Local) ReplicaServer(i int) *service.Server { return lc.replicaServers[i] }
-
-// DrainReplica gracefully drains replica i while the cluster keeps
-// serving: the replica finishes its in-flight work, starts answering 503,
-// the prober notices, and the replica's key range remaps to its ring
-// successors. Idempotent per replica.
-func (lc *Local) DrainReplica(ctx context.Context, i int) error {
-	lc.mu.Lock()
-	if lc.drained[i] {
-		lc.mu.Unlock()
-		return nil
-	}
-	lc.drained[i] = true
-	lc.mu.Unlock()
-	return lc.replicaServers[i].Drain(ctx)
 }
 
 // Close drains the router first (no new client work), then every

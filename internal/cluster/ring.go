@@ -29,12 +29,11 @@ import (
 // cheap enough to rebuild on membership changes.
 const DefaultVNodes = 512
 
-// Ring is an immutable consistent-hash ring over replica base URLs.
-// Construct with NewRing; derive membership changes with Add/Remove (the
-// ring is small — points are rebuilt, keys move minimally by construction).
+// Ring is an immutable consistent-hash ring over replica base URLs,
+// constructed with NewRing. A membership change builds a new ring; keys move
+// minimally by construction (TestRingMinimalMovement).
 type Ring struct {
 	replicas []string
-	vnodes   int
 	points   []ringPoint // sorted by hash, ties broken by replica index
 }
 
@@ -89,7 +88,7 @@ func NewRing(replicas []string, vnodes int) (*Ring, error) {
 			uniq = append(uniq, r)
 		}
 	}
-	r := &Ring{replicas: uniq, vnodes: vnodes}
+	r := &Ring{replicas: uniq}
 	r.points = make([]ringPoint, 0, len(uniq)*vnodes)
 	for i, rep := range uniq {
 		for v := 0; v < vnodes; v++ {
@@ -110,29 +109,6 @@ func NewRing(replicas []string, vnodes int) (*Ring, error) {
 
 // Replicas returns the ring's members, sorted.
 func (r *Ring) Replicas() []string { return append([]string(nil), r.replicas...) }
-
-// Add returns a new ring with one more replica. Only keys falling into the
-// new replica's arcs change owner — the consistent-hashing minimal-movement
-// property, pinned by TestRingMinimalMovement.
-func (r *Ring) Add(replica string) (*Ring, error) {
-	return NewRing(append(r.Replicas(), replica), r.vnodes)
-}
-
-// Remove returns a new ring without the given replica. Keys the removed
-// replica owned remap to their ring successors; every other key keeps its
-// owner.
-func (r *Ring) Remove(replica string) (*Ring, error) {
-	var rest []string
-	for _, rep := range r.replicas {
-		if rep != replica {
-			rest = append(rest, rep)
-		}
-	}
-	if len(rest) == len(r.replicas) {
-		return nil, fmt.Errorf("cluster: replica %q is not in the ring", replica)
-	}
-	return NewRing(rest, r.vnodes)
-}
 
 // Owner returns the replica owning key: the replica of the first virtual
 // node at or clockwise after the key's hash.

@@ -71,7 +71,7 @@ func TestRingMinimalMovement(t *testing.T) {
 			t.Fatal(err)
 		}
 		added := fmt.Sprintf("http://replica-%d:8080", n)
-		grown, err := ring.Add(added)
+		grown, err := NewRing(append(ring.Replicas(), added), DefaultVNodes)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,7 +97,7 @@ func TestRingMinimalMovement(t *testing.T) {
 
 		// Removing what we added must restore the original assignment
 		// exactly — membership changes are invertible.
-		back, err := grown.Remove(added)
+		back, err := NewRing(without(grown.Replicas(), added), DefaultVNodes)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,7 +109,7 @@ func TestRingMinimalMovement(t *testing.T) {
 
 		// Shrinking: only the removed replica's keys move.
 		victim := reps[0]
-		shrunk, err := ring.Remove(victim)
+		shrunk, err := NewRing(without(reps, victim), DefaultVNodes)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,8 +196,8 @@ func TestRingSuccessors(t *testing.T) {
 	}
 }
 
-// TestRingValidation covers the constructor's edges: empty set, duplicate
-// replicas, unknown removal.
+// TestRingValidation covers the constructor's edges: empty set and
+// duplicate replicas.
 func TestRingValidation(t *testing.T) {
 	if _, err := NewRing(nil, 0); err == nil {
 		t.Error("NewRing accepted an empty replica set")
@@ -209,10 +209,15 @@ func TestRingValidation(t *testing.T) {
 	if got := ring.Replicas(); len(got) != 2 {
 		t.Errorf("duplicates not collapsed: %v", got)
 	}
-	if _, err := ring.Remove("http://zzz"); err == nil {
-		t.Error("Remove accepted an unknown replica")
+}
+
+// without returns reps minus drop: the membership of a ring that lost it.
+func without(reps []string, drop string) []string {
+	var rest []string
+	for _, rep := range reps {
+		if rep != drop {
+			rest = append(rest, rep)
+		}
 	}
-	if _, err := ring.Remove("http://a"); err != nil {
-		t.Errorf("Remove failed: %v", err)
-	}
+	return rest
 }

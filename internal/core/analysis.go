@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/expr"
 	"repro/internal/loopir"
 	"repro/internal/obs"
 )
@@ -143,17 +142,6 @@ func checkClass(nest *loopir.Nest) error {
 		}
 	}
 	return nil
-}
-
-// ComponentsFor returns the components of one reference site.
-func (a *Analysis) ComponentsFor(siteKey string) []*Component {
-	var out []*Component
-	for _, c := range a.Components {
-		if c.Site.Key() == siteKey {
-			out = append(out, c)
-		}
-	}
-	return out
 }
 
 // ComponentMisses records the evaluation of one component at a concrete
@@ -306,18 +294,4 @@ func (a *Analysis) Table() string {
 		}
 	}
 	return b.String()
-}
-
-// SummaryBySite returns, for each site, the total symbolic instance count —
-// a consistency check against the trip-count product.
-func (a *Analysis) SummaryBySite() map[string]*expr.Expr {
-	out := map[string]*expr.Expr{}
-	for _, c := range a.Components {
-		k := c.Site.Key()
-		if out[k] == nil {
-			out[k] = expr.Zero()
-		}
-		out[k] = expr.Add(out[k], c.Count)
-	}
-	return out
 }

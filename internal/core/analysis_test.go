@@ -399,3 +399,28 @@ func indexStr(s, sub string) int {
 	}
 	return -1
 }
+
+// ComponentsFor returns the components of one reference site.
+func (a *Analysis) ComponentsFor(siteKey string) []*Component {
+	var out []*Component
+	for _, c := range a.Components {
+		if c.Site.Key() == siteKey {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+// SummaryBySite returns, for each site, the total symbolic instance count —
+// a consistency check against the trip-count product.
+func (a *Analysis) SummaryBySite() map[string]*expr.Expr {
+	out := map[string]*expr.Expr{}
+	for _, c := range a.Components {
+		k := c.Site.Key()
+		if out[k] == nil {
+			out[k] = expr.Zero()
+		}
+		out[k] = expr.Add(out[k], c.Count)
+	}
+	return out
+}

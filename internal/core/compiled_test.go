@@ -1,6 +1,7 @@
 package core
 
 import (
+	"maps"
 	"slices"
 	"testing"
 
@@ -80,7 +81,12 @@ func TestAnalysisSymTabStableUnderReanalysis(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return a.SymTab().Names()
+		tab := a.SymTab()
+		names := make([]string, tab.Len())
+		for i := range names {
+			names[i] = tab.Name(i)
+		}
+		return names
 	}
 	first := build()
 	if len(first) == 0 {
@@ -135,7 +141,7 @@ func TestComponentSlotsCoverBindings(t *testing.T) {
 		base := values(fx.env)
 		for sym := range fx.env {
 			slot, _ := fx.a.SymTab().Lookup(sym)
-			env := fx.env.Clone()
+			env := maps.Clone(fx.env)
 			env[sym] *= 2
 			changed := 0
 			for i, v := range values(env) {

@@ -38,7 +38,11 @@ func TestFramePool(t *testing.T) {
 	f2 := a.GetFrame()
 	defer a.PutFrame(f2)
 	for _, name := range nest.SymbolNames() {
-		if v, ok := f2.GetName(name); ok {
+		slot, ok := a.SymTab().Lookup(name)
+		if !ok {
+			continue
+		}
+		if v, ok := f2.Get(slot); ok {
 			t.Errorf("recycled frame still binds %s=%d", name, v)
 		}
 	}
@@ -62,12 +66,13 @@ func TestFramePoolSharesSymTab(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := a.GetFrame()
-	if f.Tab() != a.SymTab() {
-		t.Fatal("pooled frame is over a different symbol table")
-	}
 	f.SetName("N", 16)
-	if v, _ := f.GetName("N"); v != 16 {
-		t.Fatalf("SetName/GetName through pooled frame: got %d", v)
+	slot, ok := a.SymTab().Lookup("N")
+	if !ok {
+		t.Fatal("analysis symbol table has no slot for N")
+	}
+	if v, _ := f.Get(slot); v != 16 {
+		t.Fatalf("pooled frame is over a different symbol table: slot of N reads %d", v)
 	}
 	a.PutFrame(f)
 }

@@ -41,7 +41,7 @@ func TestPredictHierarchyAgainstSimulator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.Run(func(_ int, addr int64) { h.Access(addr) })
+	p.RunBlocks(0, func(_ []int32, addrs []int64) { h.AccessBlock(addrs) })
 
 	if l1.Accesses != h.Accesses() {
 		t.Fatalf("accesses %d vs %d", l1.Accesses, h.Accesses())

@@ -20,8 +20,12 @@ func simulateLineMisses(t *testing.T, a *Analysis, env expr.Env, capacity, line 
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.Run(func(_ int, addr int64) { c.Access(addr) })
-	return c.Misses(), c.Accesses()
+	p.RunBlocks(0, func(_ []int32, addrs []int64) { c.AccessBlock(addrs) })
+	n, err := p.Length()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c.Misses(), n
 }
 
 func TestPredictLineMissesMatmul(t *testing.T) {

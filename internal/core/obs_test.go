@@ -33,7 +33,7 @@ func TestAnalyzeStageTimings(t *testing.T) {
 	for _, name := range []string{"analyze.class", "analyze.partition", "analyze.span", "analyze.total"} {
 		ts, ok := timers[name]
 		if !ok {
-			t.Fatalf("timer %s not recorded (have %v)", name, m.Names())
+			t.Fatalf("timer %s not recorded (have %v)", name, timers)
 		}
 		if ts.Nanos < 0 {
 			t.Errorf("timer %s negative: %d ns", name, ts.Nanos)

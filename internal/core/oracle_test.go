@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"testing"
 
@@ -102,7 +103,7 @@ func powerOfTwoEnvs(base expr.Env, max int64, tiles ...string) []expr.Env {
 		var next []expr.Env
 		for _, env := range envs {
 			for v := int64(4); v <= max; v *= 2 {
-				e := env.Clone()
+				e := maps.Clone(env)
 				e[sym] = v
 				next = append(next, e)
 			}

@@ -117,7 +117,15 @@ func TestQuickRandomNestsPredictVsSim(t *testing.T) {
 		p.Run(sim.Access)
 		res := sim.Results()
 
-		total, _ := nest.TotalIterations().Eval(env)
+		var total int64 // statement executions, summed over statements
+		for _, s := range nest.Stmts() {
+			iters := int64(1)
+			for _, l := range nest.Enclosing(s) {
+				v, _ := l.Trip.Eval(env)
+				iters *= v
+			}
+			total += iters
+		}
 		// Boundary slack: one sub-dominant slice per loop level per site.
 		maxTrip := int64(1)
 		for _, l := range nest.Loops() {

@@ -282,7 +282,11 @@ type ArrayCost struct {
 	Size  LinForm
 }
 
-// mergeBoxesDetailed is mergeBoxes plus the per-array breakdown.
+// mergeBoxesDetailed deduplicates identical boxes and removes boxes
+// contained in another; remaining boxes are summed, and the sum is also
+// broken down per array. The bool result reports whether the union was
+// computed without the additive over-approximation (it is false only when
+// two overlapping, non-nested boxes of the same array are summed).
 func mergeBoxesDetailed(boxes []box) (LinForm, bool, []ArrayCost) {
 	total, exact, kept := mergeBoxesKept(boxes)
 	perArray := map[string]LinForm{}
@@ -300,15 +304,6 @@ func mergeBoxesDetailed(boxes []box) (LinForm, bool, []ArrayCost) {
 		costs[i] = ArrayCost{Array: name, Size: perArray[name]}
 	}
 	return total, exact, costs
-}
-
-// mergeBoxes deduplicates identical boxes and removes boxes contained in
-// another; remaining boxes are summed. The bool result reports whether the
-// union was computed without the additive over-approximation (it is false
-// only when two overlapping, non-nested boxes of the same array are summed).
-func mergeBoxes(boxes []box) (LinForm, bool) {
-	total, exact, _ := mergeBoxesKept(boxes)
-	return total, exact
 }
 
 func mergeBoxesKept(boxes []box) (LinForm, bool, []box) {
@@ -509,7 +504,7 @@ func (sc *spanCoster) crossSpanCost(
 		// every loop inside the respective branch runs fully. The suffix
 		// (high side) and prefix (low side) of the π dimension are jointly
 		// a complete sweep, so the full box is the exact union; duplicate
-		// and contained boxes are folded by mergeBoxes.
+		// and contained boxes are folded by mergeBoxesDetailed.
 		fullTgt, ok2 := sc.refBox(tgt, region{node: X, kind: regionFull}, nil)
 		exact = exact && ok2
 		fullSrc, ok3 := sc.refBox(src, region{node: P, kind: regionFull}, nil)
@@ -667,16 +662,4 @@ func (sc *spanCoster) wrapSpanCost(
 
 	total, ok4, costs := mergeBoxesDetailed(boxes)
 	return total, exact && ok4, costs
-}
-
-// describeRegion is used by diagnostics.
-func describeRegion(r region) string {
-	k := "full"
-	switch r.kind {
-	case regionPrefix:
-		k = "prefix"
-	case regionSuffix:
-		k = "suffix"
-	}
-	return fmt.Sprintf("%s region", k)
 }

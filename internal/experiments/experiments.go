@@ -376,53 +376,14 @@ func RunFigure(n int64) ([]FigurePoint, error) {
 	return out, nil
 }
 
-// RunFigureSimulated is the exact-simulation counterpart of RunFigure at a
-// reduced scale: per-processor misses come from the trace simulator instead
-// of the analytical model. It exists to verify that the figure's orderings
-// (which tile wins at each P) are properties of the program, not artifacts
-// of the model.
-func RunFigureSimulated(n int64, procs []int64) ([]FigurePoint, error) {
-	nest, err := kernels.TiledTwoIndex(kernels.SymbolicTwoIndexBounds())
-	if err != nil {
-		return nil, err
-	}
-	model := smp.DefaultCostModel()
-	cfg := smp.Config{SplitSymbol: "NN", CacheElems: KB(64), Model: model}
-	choices := []smp.TileChoice{
-		{Label: "equi-32", Tiles: map[string]int64{"TI": 32, "TJ": 32, "TM": 32, "TN": 32}},
-		{Label: "equi-64", Tiles: map[string]int64{"TI": 64, "TJ": 64, "TM": 64, "TN": 64}},
-		{Label: "predicted-64x16x16x64", Tiles: map[string]int64{"TI": 64, "TJ": 16, "TM": 16, "TN": 64}},
-	}
-	var out []FigurePoint
-	for _, ch := range choices {
-		env := expr.Env{"NI": n, "NJ": n, "NM": n, "NN": n}
-		for k, v := range ch.Tiles {
-			env[k] = v
-		}
-		for _, p := range procs {
-			c := cfg
-			c.Procs = p
-			pred, err := smp.Simulate(nest, env, c)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, FigurePoint{
-				Label:       ch.Label,
-				Procs:       p,
-				SecondsInf:  pred.SecondsInfinite(model),
-				SecondsBus:  pred.SecondsBus(model),
-				PerProcMiss: pred.PerProcMisses,
-			})
-		}
-	}
-	return out, nil
-}
-
-// RunFigureSimulatedParallel is RunFigureSimulated with every processor's
-// private cache simulated explicitly (smp.SimulateShards) on a worker pool
-// of the given parallelism. For the figure's even splits the points equal
-// RunFigureSimulated's exactly; m receives the per-shard cachesim counter
-// flushes. Points whose n-tile exceeds the per-processor split bound n/P
+// RunFigureSimulatedParallel is the exact-simulation counterpart of
+// RunFigure at a reduced scale: per-processor misses come from the trace
+// simulator instead of the analytical model, which verifies that the
+// figure's orderings (which tile wins at each P) are properties of the
+// program, not artifacts of the model. Every processor's private cache is
+// simulated explicitly (smp.SimulateShards) on a worker pool of the given
+// parallelism; m receives the per-shard cachesim counter flushes. Points
+// whose n-tile exceeds the per-processor split bound n/P
 // are skipped: the tiled kernel has no partial-tile clamping, so such a
 // combination would index past the arrays (at the paper's scales, n = 1024
 // and 2048, every figure point is valid).

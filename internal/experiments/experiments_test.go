@@ -139,7 +139,7 @@ func TestFigureOrderingSurvivesExactSimulation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulated figure is slow")
 	}
-	pts, err := RunFigureSimulated(128, []int64{1, 2})
+	pts, err := RunFigureSimulatedParallel(128, []int64{1, 2}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,26 +162,22 @@ func TestFigureOrderingSurvivesExactSimulation(t *testing.T) {
 	}
 }
 
-// TestRunFigureSimulatedParallelMatches pins the sharded-pool figure to the
-// sequential symmetry-shortcut one: at a scale where no point is skipped,
-// the two must produce identical points at any pool width, and the shard
-// counter flushes must aggregate identically.
+// TestRunFigureSimulatedParallelMatches pins the sharded-pool figure to be
+// identical at any pool width: at a scale where no point is skipped, the
+// points and the aggregated shard counter flushes must not vary with the
+// pool width. (smp's TestSimulateShardsMatchesSimulate pins the shards to
+// the symmetry-shortcut simulation itself.)
 func TestRunFigureSimulatedParallelMatches(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulated figure is slow")
 	}
 	procs := []int64{1, 2}
-	seq, err := RunFigureSimulated(128, procs)
+	want, err := RunFigureSimulatedParallel(128, procs, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// RunFigureSimulated carries the same first three choices; filter to them.
-	keep := map[string]bool{"equi-32": true, "equi-64": true, "predicted-64x16x16x64": true}
-	var want []FigurePoint
-	for _, p := range seq {
-		if keep[p.Label] {
-			want = append(want, p)
-		}
+	if len(want) != 3*len(procs) {
+		t.Fatalf("%d points, want %d", len(want), 3*len(procs))
 	}
 	var counters []map[string]int64
 	for _, j := range []int{1, 8} {

@@ -45,18 +45,6 @@ func RunPhaseCurve(n int64, cacheElems int64) ([]PhasePoint, error) {
 	return out, nil
 }
 
-// PhaseJumps returns the indices where the miss count increases from one
-// tile size to the next — the phase transitions.
-func PhaseJumps(pts []PhasePoint) []int {
-	var jumps []int
-	for i := 1; i < len(pts); i++ {
-		if pts[i].Misses > pts[i-1].Misses {
-			jumps = append(jumps, i)
-		}
-	}
-	return jumps
-}
-
 // FormatPhaseCurve renders the curve with transition markers.
 func FormatPhaseCurve(pts []PhasePoint) string {
 	var b strings.Builder

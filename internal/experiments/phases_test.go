@@ -10,6 +10,18 @@ import (
 	"repro/internal/trace"
 )
 
+// PhaseJumps returns the indices where the miss count increases from one
+// tile size to the next — the phase transitions.
+func PhaseJumps(pts []PhasePoint) []int {
+	var jumps []int
+	for i := 1; i < len(pts); i++ {
+		if pts[i].Misses > pts[i-1].Misses {
+			jumps = append(jumps, i)
+		}
+	}
+	return jumps
+}
+
 // TestPhaseCurveStructure verifies the §6 claims about the miss count as a
 // function of tile size: the curve has at least one upward jump (a stack
 // distance crossing the cache), and between jumps the misses are

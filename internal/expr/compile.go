@@ -44,8 +44,6 @@ const (
 	opMul                          // pop y, x; push x*y
 	opDiv                          // pop y, x; floor(x/y); zero check, Inf propagation
 	opCeilDiv                      // pop y, x; ceil(x/y); zero check, Inf propagation
-	opMin                          // pop y, x; push min(x, y)
-	opMax                          // pop y, x; push max(x, y)
 	opJmpIfMax                     // if top == MaxInt64: pc = a (top stays as result)
 	opJmpIfMaxSquash               // if top == MaxInt64: pop the accumulator under it, pc = a
 )
@@ -64,7 +62,6 @@ type Program struct {
 	code     []instr
 	divs     []string // rendering of each division node, for error messages
 	maxStack int
-	src      *Expr
 }
 
 // Compile flattens e into a program over tab's slots, assigning slots for
@@ -77,14 +74,8 @@ func Compile(e *Expr, tab *SymTab) *Program {
 	}
 	c := &compiler{tab: tab}
 	c.emit(e)
-	return &Program{tab: tab, code: c.code, divs: c.divs, maxStack: c.maxDepth, src: e}
+	return &Program{tab: tab, code: c.code, divs: c.divs, maxStack: c.maxDepth}
 }
-
-// Src returns the expression the program was compiled from.
-func (p *Program) Src() *Expr { return p.src }
-
-// Tab returns the symbol table the program's slots index.
-func (p *Program) Tab() *SymTab { return p.tab }
 
 type compiler struct {
 	tab      *SymTab
@@ -123,17 +114,6 @@ func (c *compiler) emit(e *Expr) {
 		c.divs = append(c.divs, e.str)
 		c.push(op, int32(len(c.divs)-1), 0)
 		c.note(-1)
-	case KindMin, KindMax:
-		op := opMin
-		if e.kind == KindMax {
-			op = opMax
-		}
-		c.emit(e.args[0])
-		for _, a := range e.args[1:] {
-			c.emit(a)
-			c.push(op, 0, 0)
-			c.note(-1)
-		}
 	case KindSum, KindProd:
 		// Fold left with the tree walk's per-operand Inf short-circuit:
 		// check each operand as it is produced, before accumulating it.
@@ -242,16 +222,6 @@ func (p *Program) Eval(f *Frame) (int64, error) {
 			} else {
 				stack[sp-1] = floorDiv64(a, b)
 			}
-		case opMin:
-			sp--
-			if stack[sp] < stack[sp-1] {
-				stack[sp-1] = stack[sp]
-			}
-		case opMax:
-			sp--
-			if stack[sp] > stack[sp-1] {
-				stack[sp-1] = stack[sp]
-			}
 		case opJmpIfMax:
 			if stack[sp-1] == math.MaxInt64 {
 				pc = int(in.a) - 1
@@ -265,11 +235,4 @@ func (p *Program) Eval(f *Frame) (int64, error) {
 		}
 	}
 	return stack[0], nil
-}
-
-// EvalEnv evaluates the program under an Env by way of a throwaway frame —
-// the compatibility adapter for callers not yet holding a Frame. Hot paths
-// should hold a Frame and call Eval.
-func (p *Program) EvalEnv(env Env) (int64, error) {
-	return p.Eval(p.tab.FrameOf(env))
 }

@@ -38,7 +38,7 @@ func genExpr(r *rand.Rand, depth int) *Expr {
 	}
 	a := genExpr(r, depth-1)
 	b := genExpr(r, depth-1)
-	switch r.Intn(7) {
+	switch r.Intn(5) {
 	case 0:
 		return Add(a, b)
 	case 1:
@@ -47,12 +47,8 @@ func genExpr(r *rand.Rand, depth int) *Expr {
 		return Mul(a, b)
 	case 3:
 		return Div(a, nonConstZero(b))
-	case 4:
-		return CeilDiv(a, nonConstZero(b))
-	case 5:
-		return Min(a, b, genExpr(r, depth-1))
 	default:
-		return Max(a, b, genExpr(r, depth-1))
+		return CeilDiv(a, nonConstZero(b))
 	}
 }
 

@@ -68,10 +68,10 @@ func TestCompileInfPropagation(t *testing.T) {
 	cases := []*Expr{
 		Inf(),
 		Add(Inf(), Var("N")),
-		Min(Inf(), Var("N")),
-		Max(Inf(), Var("N")),
+		Mul(Inf(), Var("N")),
 		Div(Inf(), Var("N")),
-		Min(Div(Var("N"), Var("T")), Inf()),
+		CeilDiv(Inf(), Var("N")),
+		Add(Div(Var("N"), Var("T")), Inf()),
 	}
 	env := Env{"N": 9, "T": 2}
 	for _, e := range cases {
@@ -160,22 +160,22 @@ func TestCompileFrameMismatchPanics(t *testing.T) {
 }
 
 func TestCompileEvalEnvAdapter(t *testing.T) {
-	e := Min(Mul(Var("N"), Var("N")), CeilDiv(Var("N"), Const(3)))
+	e := Add(Mul(Var("N"), Var("N")), CeilDiv(Var("N"), Const(3)))
 	tab := NewSymTab()
 	p := Compile(e, tab)
 	env := Env{"N": 10}
-	got, err := p.EvalEnv(env)
+	got, err := p.Eval(tab.FrameOf(env))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := e.MustEval(env); got != want {
-		t.Fatalf("EvalEnv = %d, want %d", got, want)
+		t.Fatalf("Eval(FrameOf(env)) = %d, want %d", got, want)
 	}
 }
 
 func TestCompiledEvalAllocFree(t *testing.T) {
 	n, ti, tj := Var("N"), Var("TI"), Var("TJ")
-	e := Min(Add(Mul(n, ti), Mul(ti, tj), Const(1)), CeilDiv(Mul(n, n), tj))
+	e := Add(Mul(n, ti), Mul(ti, tj), Const(1), CeilDiv(Mul(n, n), tj))
 	tab := NewSymTab()
 	p := Compile(e, tab)
 	f := tab.NewFrame()
@@ -197,10 +197,10 @@ func TestProgramAccessors(t *testing.T) {
 	e := Add(Var("N"), Const(1))
 	tab := NewSymTab()
 	p := Compile(e, tab)
-	if p.Src() != e {
-		t.Fatalf("Src mismatch")
+	if p.tab != tab {
+		t.Fatalf("program does not record its symbol table")
 	}
-	if p.Tab() != tab {
-		t.Fatalf("Tab mismatch")
+	if _, err := p.Eval(tab.FrameOf(Env{"N": 4})); err != nil {
+		t.Fatal(err)
 	}
 }

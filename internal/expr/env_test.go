@@ -1,6 +1,69 @@
 package expr
 
-import "testing"
+import (
+	"sort"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// Key renders the bindings of the given symbols as a canonical, hashable
+// string, e.g. "TI=32 TJ=8". Symbols are rendered in the order given (pass a
+// sorted slice for a canonical key); a symbol with no binding renders as
+// "name=?" so that partial environments never collide with complete ones.
+//
+// Key is the substrate of the model's evaluation caches: a component whose
+// expressions mention only a subset of the symbols can be memoized on the
+// key of that subset, so that re-evaluations under environments that differ
+// only in irrelevant symbols hit the cache.
+func (env Env) Key(names []string) string {
+	var b strings.Builder
+	for i, n := range names {
+		if i > 0 {
+			b.WriteByte(' ')
+		}
+		b.WriteString(n)
+		b.WriteByte('=')
+		if v, ok := env[n]; ok {
+			b.WriteString(strconv.FormatInt(v, 10))
+		} else {
+			b.WriteByte('?')
+		}
+	}
+	return b.String()
+}
+
+// FullKey is Key over every bound symbol, in sorted order.
+func (env Env) FullKey() string {
+	names := make([]string, 0, len(env))
+	for n := range env {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return env.Key(names)
+}
+
+// Clone returns an independent copy of the environment.
+func (env Env) Clone() Env {
+	out := make(Env, len(env))
+	for k, v := range env {
+		out[k] = v
+	}
+	return out
+}
+
+// Merged returns a copy of env with the bindings of over applied on top.
+// Neither input is modified.
+func (env Env) Merged(over Env) Env {
+	out := make(Env, len(env)+len(over))
+	for k, v := range env {
+		out[k] = v
+	}
+	for k, v := range over {
+		out[k] = v
+	}
+	return out
+}
 
 func TestEnvKey(t *testing.T) {
 	env := Env{"TI": 32, "TJ": 8, "N": 256}

@@ -3,13 +3,14 @@
 // loop trip counts, reference instance counts, and stack-distance formulas
 // are all values of type Expr, built from integer constants, named symbols
 // (loop bounds such as N, tile sizes such as TI), addition, multiplication,
-// exact and ceiling division, and min/max. A distinguished Inf value
+// and exact and ceiling division. A distinguished Inf value
 // represents the infinite stack distance of a first-touch reference.
 //
 // Expressions are immutable. The package canonicalizes polynomial parts into
 // a sum-of-monomials normal form so that structurally different but
 // algebraically equal polynomial expressions compare equal and print
-// identically. Non-polynomial operations (division, min, max) are kept as
+// identically. Non-polynomial operations (division, and sums or products
+// with a non-polynomial operand) are kept as
 // opaque nodes whose operands are themselves normalized.
 package expr
 
@@ -31,10 +32,6 @@ const (
 	KindDiv
 	// KindCeilDiv is ceiling integer division of two subexpressions.
 	KindCeilDiv
-	// KindMin is the minimum of two or more subexpressions.
-	KindMin
-	// KindMax is the maximum of two or more subexpressions.
-	KindMax
 	// KindInf is the positive infinity sentinel (first-touch stack
 	// distance). Arithmetic with Inf yields Inf.
 	KindInf
@@ -49,12 +46,12 @@ const (
 // Expr is an immutable symbolic integer expression.
 //
 // The zero value of *Expr is not meaningful; construct values with Const,
-// Var, Add, Mul, Sub, Div, CeilDiv, Min, Max and Inf.
+// Var, Add, Mul, Sub, Div, CeilDiv and Inf.
 type Expr struct {
 	kind Kind
 	// poly holds the canonical monomial form when kind == KindPoly.
 	poly poly
-	// args holds operands for Div, CeilDiv, Min, Max, Sum, Prod.
+	// args holds operands for Div, CeilDiv, Sum, Prod.
 	args []*Expr
 	// str caches the canonical rendering, used for equality and ordering.
 	str string
@@ -369,57 +366,6 @@ func exactPolyDiv(a, b *Expr) (*Expr, bool) {
 	return newPoly(out), true
 }
 
-// Min returns the minimum of the given expressions, folding constants and
-// identical operands.
-func Min(xs ...*Expr) *Expr { return minMax(KindMin, xs) }
-
-// Max returns the maximum of the given expressions, folding constants and
-// identical operands. Inf dominates Max and is absorbed by Min only when it
-// is the sole operand.
-func Max(xs ...*Expr) *Expr { return minMax(KindMax, xs) }
-
-func minMax(kind Kind, xs []*Expr) *Expr {
-	if len(xs) == 0 {
-		panic("expr: min/max of nothing")
-	}
-	seen := map[string]bool{}
-	var args []*Expr
-	var cst *int64
-	for _, x := range xs {
-		if x.kind == KindInf {
-			if kind == KindMax {
-				return infExpr
-			}
-			continue // Inf never wins a Min with other operands present.
-		}
-		if v, ok := x.ConstVal(); ok {
-			if cst == nil {
-				cst = &v
-			} else if kind == KindMin && v < *cst {
-				cst = &v
-			} else if kind == KindMax && v > *cst {
-				cst = &v
-			}
-			continue
-		}
-		if !seen[x.str] {
-			seen[x.str] = true
-			args = append(args, x)
-		}
-	}
-	if cst != nil {
-		args = append(args, Const(*cst))
-	}
-	if len(args) == 0 {
-		return infExpr // Min of only Infs.
-	}
-	if len(args) == 1 {
-		return args[0]
-	}
-	sortArgs(args)
-	return newOpaque(kind, args)
-}
-
 func newOpaque(kind Kind, args []*Expr) *Expr {
 	e := &Expr{kind: kind, args: args}
 	e.str = e.render()
@@ -467,21 +413,6 @@ func (e *Expr) Eval(env Env) (int64, error) {
 			return ceilDiv64(a, b), nil
 		}
 		return floorDiv64(a, b), nil
-	case KindMin, KindMax:
-		best, err := e.args[0].Eval(env)
-		if err != nil {
-			return 0, err
-		}
-		for _, a := range e.args[1:] {
-			v, err := a.Eval(env)
-			if err != nil {
-				return 0, err
-			}
-			if (e.kind == KindMin && v < best) || (e.kind == KindMax && v > best) {
-				best = v
-			}
-		}
-		return best, nil
 	case KindSum:
 		var total int64
 		for _, a := range e.args {
@@ -508,61 +439,6 @@ func (e *Expr) Eval(env Env) (int64, error) {
 			total *= v
 		}
 		return total, nil
-	}
-	panic("expr: unknown kind")
-}
-
-// MustEval evaluates e and panics on error. It is intended for callers that
-// have already validated the environment (e.g. benchmark tables).
-func (e *Expr) MustEval(env Env) int64 {
-	v, err := e.Eval(env)
-	if err != nil {
-		panic(err)
-	}
-	return v
-}
-
-// Subst returns e with every occurrence of the named symbols replaced by the
-// given expressions. Substitution re-normalizes the result.
-func (e *Expr) Subst(bind map[string]*Expr) *Expr {
-	switch e.kind {
-	case KindInf:
-		return e
-	case KindPoly:
-		total := Zero()
-		for key, coef := range e.poly {
-			term := Const(coef)
-			if key != "" {
-				for _, name := range strings.Split(key, "*") {
-					if r, ok := bind[name]; ok {
-						term = Mul(term, r)
-					} else {
-						term = Mul(term, Var(name))
-					}
-				}
-			}
-			total = Add(total, term)
-		}
-		return total
-	case KindDiv:
-		return Div(e.args[0].Subst(bind), e.args[1].Subst(bind))
-	case KindCeilDiv:
-		return CeilDiv(e.args[0].Subst(bind), e.args[1].Subst(bind))
-	case KindMin, KindMax, KindSum, KindProd:
-		args := make([]*Expr, len(e.args))
-		for i, a := range e.args {
-			args[i] = a.Subst(bind)
-		}
-		switch e.kind {
-		case KindMin:
-			return Min(args...)
-		case KindMax:
-			return Max(args...)
-		case KindSum:
-			return Add(args...)
-		default:
-			return Mul(args...)
-		}
 	}
 	panic("expr: unknown kind")
 }

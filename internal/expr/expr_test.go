@@ -19,8 +19,6 @@ func TestConstFolding(t *testing.T) {
 		{CeilDiv(Const(7), Const(2)), 4},
 		{CeilDiv(Const(-7), Const(2)), -3},
 		{CeilDiv(Const(8), Const(2)), 4},
-		{Min(Const(3), Const(7)), 3},
-		{Max(Const(3), Const(7)), 7},
 		{Mul(Const(0), Var("N")), 0},
 		{Mul(Const(1), Const(9)), 9},
 	}
@@ -113,35 +111,12 @@ func TestInfPropagation(t *testing.T) {
 	if !Mul(Var("N"), Inf()).IsInf() {
 		t.Error("N * inf should be inf")
 	}
-	if !Max(Const(5), Inf()).IsInf() {
-		t.Error("max(5, inf) should be inf")
-	}
-	if got := Min(Const(5), Inf()); !got.Equal(Const(5)) {
-		t.Errorf("min(5, inf) = %s, want 5", got)
-	}
 	v, err := Inf().Eval(Env{})
 	if err != nil || v != math.MaxInt64 {
 		t.Fatalf("inf eval = %d, %v", v, err)
 	}
 	if !Div(Inf(), Const(2)).IsInf() {
 		t.Error("inf / 2 should be inf")
-	}
-}
-
-func TestMinMaxSimplify(t *testing.T) {
-	n := Var("N")
-	if got := Min(n, n); !got.Equal(n) {
-		t.Errorf("min(N,N) = %s", got)
-	}
-	m := Min(n, Const(4), Const(9))
-	v, err := m.Eval(Env{"N": 7})
-	if err != nil || v != 4 {
-		t.Fatalf("min eval got %d %v", v, err)
-	}
-	mx := Max(n, Const(4))
-	v, err = mx.Eval(Env{"N": 7})
-	if err != nil || v != 7 {
-		t.Fatalf("max eval got %d %v", v, err)
 	}
 }
 
@@ -229,4 +204,53 @@ func TestDivByZeroEval(t *testing.T) {
 	if _, err := e.Eval(Env{"N": 4, "T": 0}); err == nil {
 		t.Fatal("expected division-by-zero error")
 	}
+}
+
+// MustEval evaluates e and panics on error. It is intended for callers that
+// have already validated the environment (e.g. benchmark tables).
+func (e *Expr) MustEval(env Env) int64 {
+	v, err := e.Eval(env)
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
+// Subst returns e with every occurrence of the named symbols replaced by the
+// given expressions. Substitution re-normalizes the result.
+func (e *Expr) Subst(bind map[string]*Expr) *Expr {
+	switch e.kind {
+	case KindInf:
+		return e
+	case KindPoly:
+		total := Zero()
+		for key, coef := range e.poly {
+			term := Const(coef)
+			if key != "" {
+				for _, name := range strings.Split(key, "*") {
+					if r, ok := bind[name]; ok {
+						term = Mul(term, r)
+					} else {
+						term = Mul(term, Var(name))
+					}
+				}
+			}
+			total = Add(total, term)
+		}
+		return total
+	case KindDiv:
+		return Div(e.args[0].Subst(bind), e.args[1].Subst(bind))
+	case KindCeilDiv:
+		return CeilDiv(e.args[0].Subst(bind), e.args[1].Subst(bind))
+	case KindSum, KindProd:
+		args := make([]*Expr, len(e.args))
+		for i, a := range e.args {
+			args[i] = a.Subst(bind)
+		}
+		if e.kind == KindSum {
+			return Add(args...)
+		}
+		return Mul(args...)
+	}
+	panic("expr: unknown kind")
 }

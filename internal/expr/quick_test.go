@@ -25,32 +25,14 @@ func randExpr(r *rand.Rand, depth int) (*Expr, func(a, b, c int64) int64) {
 	}
 	l, lf := randExpr(r, depth-1)
 	rr, rf := randExpr(r, depth-1)
-	switch r.Intn(5) {
+	switch r.Intn(3) {
 	case 0:
 		return Add(l, rr), func(a, b, c int64) int64 { return lf(a, b, c) + rf(a, b, c) }
 	case 1:
 		return Sub(l, rr), func(a, b, c int64) int64 { return lf(a, b, c) - rf(a, b, c) }
-	case 2:
-		return Mul(l, rr), func(a, b, c int64) int64 { return lf(a, b, c) * rf(a, b, c) }
-	case 3:
-		return Min(l, rr), func(a, b, c int64) int64 { return min64(lf(a, b, c), rf(a, b, c)) }
 	default:
-		return Max(l, rr), func(a, b, c int64) int64 { return max64(lf(a, b, c), rf(a, b, c)) }
+		return Mul(l, rr), func(a, b, c int64) int64 { return lf(a, b, c) * rf(a, b, c) }
 	}
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // TestQuickEvalMatchesDirect checks that symbolic construction plus Eval is

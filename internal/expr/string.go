@@ -21,16 +21,6 @@ func (e *Expr) render() string {
 		return "floor(" + e.args[0].str + " / " + e.args[1].str + ")"
 	case KindCeilDiv:
 		return "ceil(" + e.args[0].str + " / " + e.args[1].str + ")"
-	case KindMin, KindMax:
-		name := "min"
-		if e.kind == KindMax {
-			name = "max"
-		}
-		parts := make([]string, len(e.args))
-		for i, a := range e.args {
-			parts[i] = a.str
-		}
-		return name + "(" + strings.Join(parts, ", ") + ")"
 	case KindSum:
 		parts := make([]string, len(e.args))
 		for i, a := range e.args {

@@ -65,13 +65,6 @@ func (t *SymTab) Len() int {
 	return len(t.names)
 }
 
-// Names returns a copy of the names in slot order.
-func (t *SymTab) Names() []string {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return append([]string(nil), t.names...)
-}
-
 // Frame is a flat register file of symbol bindings indexed by SymTab slot:
 // the hot-path replacement for Env maps. A Frame belongs to one goroutine
 // at a time (it is deliberately not synchronized — give each worker its
@@ -91,9 +84,6 @@ func (t *SymTab) NewFrame() *Frame {
 	n := t.Len()
 	return &Frame{tab: t, vals: make([]int64, n), bound: make([]bool, n)}
 }
-
-// Tab returns the symbol table the frame indexes.
-func (f *Frame) Tab() *SymTab { return f.tab }
 
 // Reset clears every binding (the slots stay allocated).
 func (f *Frame) Reset() {
@@ -137,15 +127,6 @@ func (f *Frame) Get(slot int) (int64, bool) {
 		return 0, false
 	}
 	return f.vals[slot], true
-}
-
-// GetName is Get by symbol name.
-func (f *Frame) GetName(name string) (int64, bool) {
-	slot, ok := f.tab.Lookup(name)
-	if !ok {
-		return 0, false
-	}
-	return f.Get(slot)
 }
 
 // Bind sets every binding of env whose name has a slot; names unknown to

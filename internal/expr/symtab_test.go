@@ -25,7 +25,7 @@ func TestSymTabSlotAssignment(t *testing.T) {
 	if _, ok := tab.Lookup("TJ"); ok {
 		t.Fatalf("Lookup of unassigned symbol reported a slot")
 	}
-	if got := tab.Names(); len(got) != 2 || got[0] != "N" || got[1] != "TI" {
+	if got := names(tab); len(got) != 2 || got[0] != "N" || got[1] != "TI" {
 		t.Fatalf("Names = %v", got)
 	}
 }
@@ -40,7 +40,7 @@ func TestSymTabSlotStabilityUnderRecompile(t *testing.T) {
 
 	tab := NewSymTab()
 	Compile(e1, tab)
-	first := tab.Names()
+	first := names(tab)
 
 	Compile(e1, tab) // recompile: no new slots
 	if got := tab.Len(); got != len(first) {
@@ -99,10 +99,10 @@ func TestFrameBasics(t *testing.T) {
 	if v, ok := f.Get(n); !ok || v != 42 {
 		t.Fatalf("Get = %d,%v want 42,true", v, ok)
 	}
-	if v, ok := f.GetName("N"); !ok || v != 42 {
+	if v, ok := getName(f, "N"); !ok || v != 42 {
 		t.Fatalf("GetName = %d,%v want 42,true", v, ok)
 	}
-	if _, ok := f.GetName("nope"); ok {
+	if _, ok := getName(f, "nope"); ok {
 		t.Fatalf("GetName of unknown symbol reported a value")
 	}
 	if f.SetName("nope", 1) {
@@ -112,7 +112,7 @@ func TestFrameBasics(t *testing.T) {
 	if _, ok := f.Get(n); ok {
 		t.Fatalf("Reset left slot bound")
 	}
-	if f.Tab() != tab {
+	if f.tab != tab {
 		t.Fatalf("Tab mismatch")
 	}
 }
@@ -136,10 +136,28 @@ func TestFrameBindIgnoresUnknownNames(t *testing.T) {
 	tab.Slot("N")
 	f := tab.NewFrame()
 	f.Bind(Env{"N": 3, "GHOST": 9})
-	if v, ok := f.GetName("N"); !ok || v != 3 {
+	if v, ok := getName(f, "N"); !ok || v != 3 {
 		t.Fatalf("N = %d,%v want 3,true", v, ok)
 	}
 	if _, ok := tab.Lookup("GHOST"); ok {
 		t.Fatalf("Bind assigned a slot for an unknown name")
 	}
+}
+
+// names returns the table's names in slot order.
+func names(t *SymTab) []string {
+	out := make([]string, t.Len())
+	for i := range out {
+		out[i] = t.Name(i)
+	}
+	return out
+}
+
+// getName is Frame.Get by symbol name.
+func getName(f *Frame, name string) (int64, bool) {
+	slot, ok := f.tab.Lookup(name)
+	if !ok {
+		return 0, false
+	}
+	return f.Get(slot)
 }

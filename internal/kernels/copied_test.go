@@ -119,19 +119,23 @@ func TestCopyingRemovesConflictMisses(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dm, err := cachesim.NewDirectMapped(capacity, 1)
+		dm, err := cachesim.NewAssocCache(capacity, 1, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fa, err := cachesim.NewFullyAssoc(capacity)
+		fa, err := cachesim.NewAssocCache(capacity, capacity, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		p.Run(func(_ int, addr int64) {
-			dm.Access(addr)
-			fa.Access(addr)
+		p.RunBlocks(0, func(_ []int32, addrs []int64) {
+			dm.AccessBlock(addrs)
+			fa.AccessBlock(addrs)
 		})
-		return dm.MissRatio(), fa.MissRatio(), dm.Accesses()
+		n, err := p.Length()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dm.MissRatio(), fa.MissRatio(), n
 	}
 	dPlain, fPlain, _ := run(plain)
 	dCopied, fCopied, _ := run(copied)

@@ -74,40 +74,6 @@ func TiledMatmul() (*loopir.Nest, error) {
 	})
 }
 
-// TiledMatmulDims returns the tiled matmul with independent bounds NI, NJ,
-// NK per index — the form §7 partitions across processors (Figs. 8 and 9:
-// the I loop is split, giving each processor a row block of C and A and all
-// of B).
-func TiledMatmulDims() (*loopir.Nest, error) {
-	ni, nj, nk := expr.Var("NI"), expr.Var("NJ"), expr.Var("NK")
-	spec := loopir.PerfectNestSpec{
-		Name: "matmul-dims",
-		Arrays: []*loopir.Array{
-			{Name: "A", Dims: []*expr.Expr{ni, nj}},
-			{Name: "B", Dims: []*expr.Expr{nj, nk}},
-			{Name: "C", Dims: []*expr.Expr{ni, nk}},
-		},
-		Indices: []string{"i", "j", "k"},
-		Trips:   []*expr.Expr{ni, nj, nk},
-		Stmt:    matmulStmt(),
-	}
-	return loopir.TilePerfect(spec, []loopir.TileSpec{
-		loopir.DefaultTileSpec("i", ni),
-		loopir.DefaultTileSpec("j", nj),
-		loopir.DefaultTileSpec("k", nk),
-	})
-}
-
-// MatmulDimsEnv binds the per-dimension matmul symbols.
-func MatmulDimsEnv(ni, nj, nk, ti, tj, tk int64) (expr.Env, error) {
-	for _, p := range [][2]int64{{ni, ti}, {nj, tj}, {nk, tk}} {
-		if p[1] <= 0 || p[0]%p[1] != 0 {
-			return nil, fmt.Errorf("kernels: tile %d does not divide bound %d", p[1], p[0])
-		}
-	}
-	return expr.Env{"NI": ni, "NJ": nj, "NK": nk, "TI": ti, "TJ": tj, "TK": tk}, nil
-}
-
 // TwoIndexBounds names the four index ranges of the two-index transform.
 // The paper's experiments use NI = NJ = NM = NN.
 type TwoIndexBounds struct {

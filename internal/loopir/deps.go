@@ -14,7 +14,7 @@ import (
 // is provably safe under the class's semantics; a non-empty list means a
 // human (or a cleverer analysis) must decide.
 
-// FusionHazards inspects two sibling loops that FuseAdjacent would merge
+// FusionHazards inspects two sibling loops that FuseLegal would merge
 // (same index name and trip) and reports the array/dimension pairs whose
 // dependence structure fusion could violate:
 //

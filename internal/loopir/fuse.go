@@ -1,32 +1,20 @@
 package loopir
 
-// FuseAdjacent merges adjacent sibling loops that share an index name and a
+// FuseLegal merges adjacent sibling loops that share an index name and a
 // trip count into one loop with the concatenated bodies, recursively — the
 // mechanical half of the TCE's loop fusion (Fig. 1 of the paper: the
-// producer's and consumer's common loops become one). It is legal for the
-// class handled here because the loops are fully permutable with no
-// fusion-preventing dependences (§2); storage contraction of the
-// intermediate is a separate step (see tce.GenFusedTransformChain).
+// producer's and consumer's common loops become one; storage contraction of
+// the intermediate is a separate step, see tce.GenFusedTransformChain). A
+// pair of fusable siblings is merged only when FusionHazards proves the
+// merge safe, so the result is a legal nest even outside the TCE-generated
+// class. The returned count is the number of loop pairs actually merged —
+// zero means fusion is a structural no-op on this nest (nothing fusable, or
+// every fusable pair is hazardous), which plan enumeration uses to discard
+// the step.
 //
 // The input nest is not modified; a new nest is returned.
-func FuseAdjacent(n *Nest) (*Nest, error) {
-	nodes, _ := fuseNodes(n, n.Root, false)
-	var arrays []*Array
-	for _, a := range n.Arrays {
-		arrays = append(arrays, a)
-	}
-	return NewNest(n.Name+"-fused", arrays, nodes)
-}
-
-// FuseLegal is FuseAdjacent gated by the dependence diagnostics: a pair of
-// fusable siblings is merged only when FusionHazards proves the merge safe,
-// so the result is a legal nest even outside the TCE-generated class. The
-// returned count is the number of loop pairs actually merged — zero means
-// fusion is a structural no-op on this nest (nothing fusable, or every
-// fusable pair is hazardous), which plan enumeration uses to discard the
-// step.
 func FuseLegal(n *Nest) (*Nest, int, error) {
-	nodes, merges := fuseNodes(n, n.Root, true)
+	nodes, merges := fuseNodes(n, n.Root)
 	var arrays []*Array
 	for _, a := range n.Arrays {
 		arrays = append(arrays, a)
@@ -38,16 +26,16 @@ func FuseLegal(n *Nest) (*Nest, int, error) {
 	return fused, merges, nil
 }
 
-// fuseNodes is the shared walk of FuseAdjacent and FuseLegal: clone the
-// tree, merging adjacent same-index/same-trip sibling loops bottom-up. With
-// check set, a merge happens only when FusionHazards is empty on the pair.
-func fuseNodes(n *Nest, nodes []Node, check bool) ([]Node, int) {
+// fuseNodes is FuseLegal's walk: clone the tree, merging adjacent
+// same-index/same-trip sibling loops bottom-up when FusionHazards is empty
+// on the pair.
+func fuseNodes(n *Nest, nodes []Node) ([]Node, int) {
 	merges := 0
 	tryMerge := func(prev, next *Loop) bool {
 		if prev.Index != next.Index || !prev.Trip.Equal(next.Trip) {
 			return false
 		}
-		if check && len(FusionHazards(n, prev, next)) > 0 {
+		if len(FusionHazards(n, prev, next)) > 0 {
 			return false
 		}
 		return true
@@ -95,7 +83,3 @@ func fuseNodes(n *Nest, nodes []Node, check bool) ([]Node, int) {
 	}
 	return fuse(nodes), merges
 }
-
-// LoopCount returns the number of loop nodes in the nest — a simple
-// structural metric for fusion tests.
-func (n *Nest) LoopCount() int { return len(n.loops) }

@@ -24,18 +24,18 @@ func TestFuseAdjacentSimple(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fused, err := FuseAdjacent(nest)
+	fused, _, err := FuseLegal(nest)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fused.LoopCount() != 1 {
-		t.Fatalf("fused has %d loops, want 1:\n%s", fused.LoopCount(), fused)
+	if len(fused.Loops()) != 1 {
+		t.Fatalf("fused has %d loops, want 1:\n%s", len(fused.Loops()), fused)
 	}
 	if len(fused.Stmts()) != 2 {
 		t.Fatalf("statements lost: %d", len(fused.Stmts()))
 	}
 	// Original untouched.
-	if nest.LoopCount() != 2 {
+	if len(nest.Loops()) != 2 {
 		t.Fatal("original nest mutated")
 	}
 }
@@ -58,12 +58,12 @@ func TestFuseAdjacentNested(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fused, err := FuseAdjacent(nest)
+	fused, _, err := FuseLegal(nest)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fused.LoopCount() != 2 {
-		t.Fatalf("want fully fused (2 loops), got %d:\n%s", fused.LoopCount(), fused)
+	if len(fused.Loops()) != 2 {
+		t.Fatalf("want fully fused (2 loops), got %d:\n%s", len(fused.Loops()), fused)
 	}
 }
 
@@ -87,12 +87,12 @@ func TestFuseAdjacentRespectsMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fused, err := FuseAdjacent(nest)
+	fused, _, err := FuseLegal(nest)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fused.LoopCount() != 2 {
-		t.Fatalf("different index names must not fuse: %d loops", fused.LoopCount())
+	if len(fused.Loops()) != 2 {
+		t.Fatalf("different index names must not fuse: %d loops", len(fused.Loops()))
 	}
 	// Non-adjacent same loops (statement in between at top level) do not
 	// exist in this IR (top level holds loops and statements), but a
@@ -111,11 +111,11 @@ func TestFuseAdjacentRespectsMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fused2, err := FuseAdjacent(nest2)
+	fused2, _, err := FuseLegal(nest2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fused2.LoopCount() != 3 {
-		t.Fatalf("non-adjacent loops fused: %d", fused2.LoopCount())
+	if len(fused2.Loops()) != 3 {
+		t.Fatalf("non-adjacent loops fused: %d", len(fused2.Loops()))
 	}
 }

@@ -336,3 +336,70 @@ func TestImperfectNestConstruction(t *testing.T) {
 		t.Fatalf("depth(S2)=%d want 2", d)
 	}
 }
+
+// StmtsTouching returns the statements referencing the array, in program
+// order.
+func (n *Nest) StmtsTouching(array string) []*Stmt { return n.refStmt[array] }
+
+// Depth returns the nesting depth of s (number of enclosing loops).
+func (n *Nest) Depth(s *Stmt) int { return len(n.encl[s]) }
+
+// AppearingLoops returns, for reference r of statement s, the subset of
+// enclosing loops whose index appears in r, outermost first, and the
+// complementary non-appearing loops.
+func (n *Nest) AppearingLoops(s *Stmt, r *Ref) (app, nonApp []*Loop) {
+	used := map[string]bool{}
+	for _, sub := range r.Subs {
+		for _, t := range sub.Terms {
+			used[t.Index] = true
+		}
+	}
+	for _, l := range n.encl[s] {
+		if used[l.Index] {
+			app = append(app, l)
+		} else {
+			nonApp = append(nonApp, l)
+		}
+	}
+	return app, nonApp
+}
+
+// Footprint returns the symbolic total memory footprint of the nest in
+// elements: the sum of all array sizes. This is the quantity loop fusion
+// reduces (Fig. 1 of the paper) and the bound that decides when a
+// computation needs out-of-core treatment.
+func (n *Nest) Footprint() *expr.Expr {
+	total := expr.Zero()
+	for _, a := range n.Arrays {
+		total = expr.Add(total, a.Elements())
+	}
+	return total
+}
+
+// TotalIterations returns the symbolic total number of innermost statement
+// executions, summed over all statements.
+func (n *Nest) TotalIterations() *expr.Expr {
+	total := expr.Zero()
+	for _, s := range n.stmts {
+		iter := expr.One()
+		for _, l := range n.encl[s] {
+			iter = expr.Mul(iter, l.Trip)
+		}
+		total = expr.Add(total, iter)
+	}
+	return total
+}
+
+// SitesFor returns the reference sites touching the given array, in program
+// order.
+func (n *Nest) SitesFor(array string) []RefSite {
+	var out []RefSite
+	for _, st := range n.stmts {
+		for i := range st.Refs {
+			if st.Refs[i].Array == array {
+				out = append(out, RefSite{Stmt: st, RefIdx: i})
+			}
+		}
+	}
+	return out
+}

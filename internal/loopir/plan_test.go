@@ -57,8 +57,8 @@ func TestApplyPlanTile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.LoopCount() != 6 {
-		t.Errorf("tiled nest has %d loops, want 6", got.LoopCount())
+	if len(got.Loops()) != 6 {
+		t.Errorf("tiled nest has %d loops, want 6", len(got.Loops()))
 	}
 	syms := strings.Join(got.SymbolNames(), ",")
 	for _, want := range []string{"TI", "TJ", "TK"} {
@@ -231,8 +231,8 @@ func TestFuseLegalCountsAndGates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if merges != 1 || fused.LoopCount() != 1 {
-		t.Errorf("merges=%d loops=%d, want 1 and 1", merges, fused.LoopCount())
+	if merges != 1 || len(fused.Loops()) != 1 {
+		t.Errorf("merges=%d loops=%d, want 1 and 1", merges, len(fused.Loops()))
 	}
 	// A hazardous pair — writer A[i] then reader A[0]-style misalignment —
 	// must not merge. Here the consumer reads A through a different index

@@ -33,17 +33,3 @@ func (n *Nest) Sites() []RefSite {
 	}
 	return out
 }
-
-// SitesFor returns the reference sites touching the given array, in program
-// order.
-func (n *Nest) SitesFor(array string) []RefSite {
-	var out []RefSite
-	for _, st := range n.stmts {
-		for i := range st.Refs {
-			if st.Refs[i].Array == array {
-				out = append(out, RefSite{Stmt: st, RefIdx: i})
-			}
-		}
-	}
-	return out
-}

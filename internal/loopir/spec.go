@@ -1,8 +1,6 @@
 package loopir
 
 import (
-	"encoding/json"
-	"fmt"
 	"sort"
 	"strconv"
 	"strings"
@@ -21,25 +19,6 @@ type Spec struct {
 	Nest string `json:"nest"`
 	// Env binds the nest's symbols (loop bounds, tile sizes) to values.
 	Env map[string]int64 `json:"env,omitempty"`
-}
-
-// DecodeSpec parses the JSON encoding of a Spec and its nest text. The
-// returned nest is the parsed (but not canonicalized) form.
-func DecodeSpec(data []byte) (*Spec, *Nest, error) {
-	var s Spec
-	dec := json.NewDecoder(strings.NewReader(string(data)))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&s); err != nil {
-		return nil, nil, fmt.Errorf("loopir: decode spec: %w", err)
-	}
-	if strings.TrimSpace(s.Nest) == "" {
-		return nil, nil, fmt.Errorf("loopir: spec has empty nest source")
-	}
-	nest, err := Parse(s.Nest)
-	if err != nil {
-		return nil, nil, err
-	}
-	return &s, nest, nil
 }
 
 // Canonicalize returns the canonical form of the spec together with the
@@ -77,30 +56,11 @@ func (s *Spec) Canonicalize() (*Spec, *Nest, error) {
 	return out, nest, nil
 }
 
-// Encode renders the spec as deterministic JSON: encoding/json sorts the
-// env map keys, so equal specs encode to equal bytes.
-func (s *Spec) Encode() ([]byte, error) {
-	return json.Marshal(s)
-}
-
-// CanonicalKey canonicalizes the spec and packs it into a stable string
-// key: the canonical nest text, a NUL separator, then the relevant
-// bindings as sorted "name=value" pairs. Two specs produce the same key
-// exactly when they canonicalize identically, so the key is insensitive to
-// array declaration order, env ordering, whitespace and comments.
-func (s *Spec) CanonicalKey() (string, error) {
-	c, _, err := s.Canonicalize()
-	if err != nil {
-		return "", err
-	}
-	return c.packKey(), nil
-}
-
 // Key renders the spec's key without re-canonicalizing. It is only
 // meaningful on a spec that is already canonical (the result of
 // Canonicalize or SpecOf); the serving layer calls it on resolved requests
 // so the per-request hot path parses the nest once, not twice. For an
-// arbitrary spec use CanonicalKey.
+// arbitrary spec canonicalize it first.
 func (c *Spec) Key() string { return c.packKey() }
 
 // packKey renders an already-canonical spec's key.
@@ -134,8 +94,8 @@ func (s *Spec) ExprEnv() expr.Env {
 }
 
 // SpecOf renders a nest and environment as a canonical Spec: the inverse
-// boundary of DecodeSpec for callers that already hold a parsed nest (the
-// load generator derives its expected responses this way).
+// boundary of Canonicalize for callers that already hold a parsed nest (the
+// service resolves built-in kernels this way).
 func SpecOf(nest *Nest, env expr.Env) *Spec {
 	s := &Spec{Nest: Unparse(nest)}
 	if len(env) > 0 {

@@ -3,6 +3,8 @@ package loopir
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -21,6 +23,34 @@ for iT = ceil(N/TI) {
 }
 `
 
+// decodeSpec parses the JSON encoding of a Spec and its nest text. The
+// returned nest is the parsed (but not canonicalized) form.
+func decodeSpec(data []byte) (*Spec, *Nest, error) {
+	var s Spec
+	dec := json.NewDecoder(strings.NewReader(string(data)))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&s); err != nil {
+		return nil, nil, fmt.Errorf("loopir: decode spec: %w", err)
+	}
+	if strings.TrimSpace(s.Nest) == "" {
+		return nil, nil, fmt.Errorf("loopir: spec has empty nest source")
+	}
+	nest, err := Parse(s.Nest)
+	if err != nil {
+		return nil, nil, err
+	}
+	return &s, nest, nil
+}
+
+// canonicalKey is Canonicalize followed by Key: the key of any spec.
+func canonicalKey(s *Spec) (string, error) {
+	c, _, err := s.Canonicalize()
+	if err != nil {
+		return "", err
+	}
+	return c.Key(), nil
+}
+
 // mustSpecJSON builds a spec JSON body for tests.
 func mustSpecJSON(t testing.TB, nest string, env map[string]int64) []byte {
 	t.Helper()
@@ -33,7 +63,7 @@ func mustSpecJSON(t testing.TB, nest string, env map[string]int64) []byte {
 
 func TestSpecDecodeCanonicalizeEncodeFixedPoint(t *testing.T) {
 	data := mustSpecJSON(t, specMatmulSrc, map[string]int64{"N": 64, "TI": 8, "TJ": 8, "TK": 8})
-	s, _, err := DecodeSpec(data)
+	s, _, err := decodeSpec(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,11 +71,11 @@ func TestSpecDecodeCanonicalizeEncodeFixedPoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc1, err := c1.Encode()
+	enc1, err := json.Marshal(c1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, _, err := DecodeSpec(enc1)
+	s2, _, err := decodeSpec(enc1)
 	if err != nil {
 		t.Fatalf("canonical encoding does not decode: %v", err)
 	}
@@ -53,7 +83,7 @@ func TestSpecDecodeCanonicalizeEncodeFixedPoint(t *testing.T) {
 	if err != nil {
 		t.Fatalf("canonical encoding does not re-canonicalize: %v", err)
 	}
-	enc2, err := c2.Encode()
+	enc2, err := json.Marshal(c2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,11 +107,11 @@ func TestSpecCanonicalKeyOrderInsensitive(t *testing.T) {
 		Nest: "# comment\nnest small\narray B[N]\narray A[N]\n\nfor i = N {\n    S0:   B[i] += A[i]\n}\n",
 		Env:  map[string]int64{"N": 32, "JUNK": 7},
 	}
-	ka, err := a.CanonicalKey()
+	ka, err := canonicalKey(&a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	kb, err := b.CanonicalKey()
+	kb, err := canonicalKey(&b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +121,7 @@ func TestSpecCanonicalKeyOrderInsensitive(t *testing.T) {
 
 	// A genuinely different binding must change the key.
 	c := Spec{Nest: a.Nest, Env: map[string]int64{"N": 64}}
-	kc, err := c.CanonicalKey()
+	kc, err := canonicalKey(&c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,14 +140,14 @@ func TestSpecDecodeRejectsBadInput(t *testing.T) {
 		`{"nest":"nest x","unknown":"field"}`, // unknown JSON field
 	}
 	for _, src := range cases {
-		if _, _, err := DecodeSpec([]byte(src)); err == nil {
-			t.Errorf("DecodeSpec(%q) succeeded, want error", src)
+		if _, _, err := decodeSpec([]byte(src)); err == nil {
+			t.Errorf("decodeSpec(%q) succeeded, want error", src)
 		}
 	}
 }
 
 func TestSpecOfMatchesCanonicalize(t *testing.T) {
-	s, _, err := DecodeSpec(mustSpecJSON(t, specMatmulSrc, map[string]int64{"N": 64, "TI": 8, "TJ": 8, "TK": 8, "X": 1}))
+	s, _, err := decodeSpec(mustSpecJSON(t, specMatmulSrc, map[string]int64{"N": 64, "TI": 8, "TJ": 8, "TK": 8, "X": 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +172,7 @@ func FuzzNestSpecJSONRoundTrip(f *testing.F) {
 	f.Add(mustSpecJSON(f, "nest scalar\narray T[M]\nfor i = ceil(M/2) {\n  S0: T[] += T[i*2]\n}\n", map[string]int64{"M": 16}))
 	f.Add([]byte(`{"nest":"# junk"}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, _, err := DecodeSpec(data)
+		s, _, err := decodeSpec(data)
 		if err != nil {
 			t.Skip() // undecodable inputs are out of scope
 		}
@@ -152,11 +182,11 @@ func FuzzNestSpecJSONRoundTrip(f *testing.F) {
 			// the same text, so failure here is a real bug.
 			t.Fatalf("Canonicalize failed on decoded spec: %v", err)
 		}
-		enc1, err := c1.Encode()
+		enc1, err := json.Marshal(c1)
 		if err != nil {
 			t.Fatalf("Encode: %v", err)
 		}
-		s2, _, err := DecodeSpec(enc1)
+		s2, _, err := decodeSpec(enc1)
 		if err != nil {
 			t.Fatalf("canonical encoding does not decode: %v\nencoding: %s", err, enc1)
 		}
@@ -164,18 +194,18 @@ func FuzzNestSpecJSONRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("canonical encoding does not canonicalize: %v\nencoding: %s", err, enc1)
 		}
-		enc2, err := c2.Encode()
+		enc2, err := json.Marshal(c2)
 		if err != nil {
 			t.Fatalf("Encode: %v", err)
 		}
 		if !bytes.Equal(enc1, enc2) {
 			t.Fatalf("canonicalize not a fixed point:\nfirst:  %s\nsecond: %s", enc1, enc2)
 		}
-		k1, err := s.CanonicalKey()
+		k1, err := canonicalKey(s)
 		if err != nil {
 			t.Fatalf("CanonicalKey on original: %v", err)
 		}
-		if k2 := c2.packKey(); k1 != k2 {
+		if k2 := c2.Key(); k1 != k2 {
 			t.Fatalf("canonical key unstable across round trip:\n%q\n%q", k1, k2)
 		}
 	})

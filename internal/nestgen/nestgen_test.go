@@ -121,7 +121,7 @@ func TestGeneratedNestsFuseSafely(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fused, err := loopir.FuseAdjacent(nest)
+		fused, _, err := loopir.FuseLegal(nest)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -74,7 +74,7 @@ func TestConcurrentTraceSpans(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				s := root.Child("work")
+				s := tr.Start("work")
 				s.SetAttr("i", int64(i))
 				s.End()
 			}

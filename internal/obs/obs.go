@@ -24,7 +24,6 @@
 package obs
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -249,28 +248,5 @@ func (m *Metrics) Timers() map[string]TimerStats {
 	for n, t := range m.timers {
 		out[n] = t.Stats()
 	}
-	return out
-}
-
-// Names returns the sorted names of every registered instrument, prefixed
-// by kind ("counter:", "gauge:", "timer:"). Mostly for tests and debug
-// output.
-func (m *Metrics) Names() []string {
-	if m == nil {
-		return nil
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]string, 0, len(m.counters)+len(m.gauges)+len(m.timers))
-	for n := range m.counters {
-		out = append(out, "counter:"+n)
-	}
-	for n := range m.gauges {
-		out = append(out, "gauge:"+n)
-	}
-	for n := range m.timers {
-		out = append(out, "timer:"+n)
-	}
-	sort.Strings(out)
 	return out
 }

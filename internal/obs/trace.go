@@ -8,7 +8,7 @@ import (
 )
 
 // Trace is a span-style recorder for pipeline stages: a flat, ordered list
-// of named intervals with optional integer attributes and parent links. It
+// of named intervals with optional integer attributes. It
 // is deliberately not a distributed-tracing client — spans live in memory
 // and are emitted into the RunReport artifact.
 //
@@ -25,15 +25,13 @@ func NewTrace() *Trace { return &Trace{} }
 
 // Span is one recorded interval. Create with Trace.Start; close with End.
 type Span struct {
-	tr     *Trace
-	id     int64
-	parent int64 // 0 = root
-	name   string
-	start  time.Time
-	mu     sync.Mutex
-	dur    time.Duration
-	ended  bool
-	attrs  map[string]int64
+	id    int64
+	name  string
+	start time.Time
+	mu    sync.Mutex
+	dur   time.Duration
+	ended bool
+	attrs map[string]int64
 }
 
 // Start opens a root span. Returns nil on a nil trace.
@@ -41,21 +39,11 @@ func (tr *Trace) Start(name string) *Span {
 	if tr == nil {
 		return nil
 	}
-	s := &Span{tr: tr, id: tr.seq.Add(1), name: name, start: time.Now()}
+	s := &Span{id: tr.seq.Add(1), name: name, start: time.Now()}
 	tr.mu.Lock()
 	tr.spans = append(tr.spans, s)
 	tr.mu.Unlock()
 	return s
-}
-
-// Child opens a span nested under s. Returns nil on a nil span.
-func (s *Span) Child(name string) *Span {
-	if s == nil {
-		return nil
-	}
-	c := s.tr.Start(name)
-	c.parent = s.id
-	return c
 }
 
 // SetAttr attaches an integer attribute to the span. No-op on nil.
@@ -87,12 +75,11 @@ func (s *Span) End() {
 
 // SpanRecord is the JSON form of one finished span.
 type SpanRecord struct {
-	ID     int64            `json:"id"`
-	Parent int64            `json:"parent,omitempty"`
-	Name   string           `json:"name"`
-	Start  int64            `json:"startNanos"` // relative to the trace's first span
-	Nanos  int64            `json:"nanos"`
-	Attrs  map[string]int64 `json:"attrs,omitempty"`
+	ID    int64            `json:"id"`
+	Name  string           `json:"name"`
+	Start int64            `json:"startNanos"` // relative to the trace's first span
+	Nanos int64            `json:"nanos"`
+	Attrs map[string]int64 `json:"attrs,omitempty"`
 }
 
 // Records snapshots every span in start order. Open spans are reported with
@@ -124,12 +111,11 @@ func (tr *Trace) Records() []SpanRecord {
 		}
 		s.mu.Unlock()
 		out[i] = SpanRecord{
-			ID:     s.id,
-			Parent: s.parent,
-			Name:   s.name,
-			Start:  int64(s.start.Sub(epoch)),
-			Nanos:  int64(dur),
-			Attrs:  attrs,
+			ID:    s.id,
+			Name:  s.name,
+			Start: int64(s.start.Sub(epoch)),
+			Nanos: int64(dur),
+			Attrs: attrs,
 		}
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].ID < out[j].ID })

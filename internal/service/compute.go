@@ -658,6 +658,12 @@ func (s *Service) computeSimulate(ctx context.Context, spec *loopir.Spec, watche
 	if length > limit {
 		return nil, fmt.Errorf("%w: trace length %d exceeds limit %d for engine %s", errBadRequest, length, limit, eng)
 	}
+	// Every simulator allocates per address (the sampled engine's inner
+	// stack simulator spans the whole address space), so a short trace over
+	// huge declared arrays is as costly as a long one.
+	if p.Size > s.cfg.MaxTraceLen {
+		return nil, fmt.Errorf("%w: address space of %d elements exceeds limit %d", errBadRequest, p.Size, s.cfg.MaxTraceLen)
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

@@ -136,6 +136,11 @@ func TestEndpointErrors(t *testing.T) {
 		{"no watches", "/v1/simulate", `{"kernel":"matmul","n":16}`, http.MethodPost, http.StatusBadRequest},
 		{"negative watch", "/v1/simulate", `{"kernel":"matmul","n":16,"watches":[-1]}`, http.MethodPost, http.StatusBadRequest},
 		{"oversized trace", "/v1/simulate", `{"kernel":"matmul","n":2048,"tiles":[64,64,64],"watchKB":[4]}`, http.MethodPost, http.StatusBadRequest},
+		// A loop past its array's extent, and a short trace over an array
+		// one element larger than MaxTraceLen, never reach a simulator.
+		{"out-of-range trace", "/v1/simulate", oobSimulate, http.MethodPost, http.StatusBadRequest},
+		{"oversized address space", "/v1/simulate", `{"nest":"nest big\narray A[N]\nfor i = 4 {\n  S: A[i] = 0\n}\n","env":{"N":268435457},"watches":[2]}`, http.MethodPost, http.StatusBadRequest},
+		{"oversized sampled address space", "/v1/simulate", `{"nest":"nest big\narray A[N]\nfor i = 4 {\n  S: A[i] = 0\n}\n","env":{"N":268435457},"watches":[2],"engine":"sampled"}`, http.MethodPost, http.StatusBadRequest},
 		// The set-associative geometry taxonomy: an explicit ways of zero is
 		// rejected (omit the field for the fully-associative model), the line
 		// must divide the capacity, the ways must divide the line count, and
@@ -174,6 +179,10 @@ func TestEndpointErrors(t *testing.T) {
 		t.Errorf("over-limit body answered %q, want %q", w.Body.String(), want)
 	}
 }
+
+// oobSimulate is a /v1/simulate body whose loop runs past its array: it used
+// to index past the stack simulator's address space and panic a worker.
+const oobSimulate = `{"nest":"nest oob\narray A[N]\nfor i = M {\n  S: A[i] = 0\n}\n","env":{"N":4,"M":64},"watches":[2]}`
 
 // validPredict is a small well-formed /v1/predict body.
 const validPredict = `{"kernel":"matmul","n":16,"tiles":[4,4,4],"cacheKB":4}`

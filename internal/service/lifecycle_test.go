@@ -89,6 +89,7 @@ func FuzzHandler(f *testing.F) {
 		f.Add([]byte(fx.body))
 	}
 	f.Add([]byte(batchFixture))
+	f.Add([]byte(oobSimulate))
 	m := obs.New()
 	svc := New(Config{Obs: m, Workers: 2, QueueDepth: 16, RequestTimeout: 200 * time.Millisecond, MaxTraceLen: 1 << 16})
 	f.Cleanup(svc.Close)

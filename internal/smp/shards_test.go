@@ -4,9 +4,12 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/cachesim"
 	"repro/internal/expr"
 	"repro/internal/kernels"
+	"repro/internal/loopir"
 	"repro/internal/obs"
+	"repro/internal/trace"
 )
 
 // TestSimulateShardsMatchesSimulate pins the explicit per-processor sharded
@@ -84,4 +87,32 @@ func TestSimulateShardsUnevenSplit(t *testing.T) {
 	if _, err := SimulateShards(nest, env, cfg, ShardOptions{}); err == nil {
 		t.Fatal("expected divisibility error for P=3, NN=8")
 	}
+}
+
+// Simulate computes the same prediction with exact per-processor misses from
+// the trace simulator instead of the analytical model. By symmetry every
+// processor's subproblem is identical up to translation, so one simulation
+// suffices: the oracle SimulateShards, which simulates every processor's
+// cache, is pinned to.
+func Simulate(nest *loopir.Nest, env expr.Env, cfg Config) (*Prediction, error) {
+	penv, err := perProcEnv(env, cfg)
+	if err != nil {
+		return nil, err
+	}
+	p, err := trace.Compile(nest, penv)
+	if err != nil {
+		return nil, err
+	}
+	sim := cachesim.NewStackSim(p.Size, len(p.Sites), []int64{cfg.CacheElems})
+	p.RunBlocks(trace.DefaultBlockSize, sim.AccessBlock)
+	res := sim.Results()
+	misses, err := res.MissesFor(cfg.CacheElems)
+	if err != nil {
+		return nil, err
+	}
+	flops, err := Flops(nest).Eval(penv)
+	if err != nil {
+		return nil, err
+	}
+	return mkPrediction(cfg, misses, flops), nil
 }

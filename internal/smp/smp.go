@@ -22,12 +22,10 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/cachesim"
 	"repro/internal/core"
 	"repro/internal/expr"
 	"repro/internal/kernels"
 	"repro/internal/loopir"
-	"repro/internal/trace"
 )
 
 // CostModel converts flop and miss counts into time. Units are arbitrary
@@ -72,20 +70,6 @@ func (p Prediction) SecondsInfinite(m CostModel) float64 { return p.TimeInfinite
 
 // SecondsBus returns the bus-limited time in seconds.
 func (p Prediction) SecondsBus(m CostModel) float64 { return p.TimeBusBound / m.Frequency }
-
-// TimeInterpolated blends the two limit models: alpha = 0 is the
-// infinite-bandwidth limit, alpha = 1 the bus-limited one. §7 observes the
-// real machine lies between the limits; a calibrated alpha captures a
-// specific machine's effective memory parallelism.
-func (p Prediction) TimeInterpolated(alpha float64) float64 {
-	if alpha < 0 {
-		alpha = 0
-	}
-	if alpha > 1 {
-		alpha = 1
-	}
-	return p.TimeInfiniteBW + alpha*(p.TimeBusBound-p.TimeInfiniteBW)
-}
 
 // Flops returns the symbolic total floating-point operation count of a nest
 // (statement Flops × iteration counts).
@@ -147,33 +131,6 @@ func predictFrame(a *core.Analysis, f *expr.Frame, flopsProg *expr.Program, cfg 
 		return nil, err
 	}
 	return mkPrediction(cfg, rep.Total, flops), nil
-}
-
-// Simulate computes the same prediction with exact per-processor misses from
-// the trace simulator instead of the analytical model. By symmetry every
-// processor's subproblem is identical up to translation, so one simulation
-// suffices.
-func Simulate(nest *loopir.Nest, env expr.Env, cfg Config) (*Prediction, error) {
-	penv, err := perProcEnv(env, cfg)
-	if err != nil {
-		return nil, err
-	}
-	p, err := trace.Compile(nest, penv)
-	if err != nil {
-		return nil, err
-	}
-	sim := cachesim.NewStackSim(p.Size, len(p.Sites), []int64{cfg.CacheElems})
-	p.RunBlocks(trace.DefaultBlockSize, sim.AccessBlock)
-	res := sim.Results()
-	misses, err := res.MissesFor(cfg.CacheElems)
-	if err != nil {
-		return nil, err
-	}
-	flops, err := Flops(nest).Eval(penv)
-	if err != nil {
-		return nil, err
-	}
-	return mkPrediction(cfg, misses, flops), nil
 }
 
 func mkPrediction(cfg Config, perProcMisses, perProcFlops int64) *Prediction {
@@ -246,41 +203,6 @@ func Sweep(a *core.Analysis, baseEnv expr.Env, cfg Config, procs []int64, choice
 		f.SetName(cfg.SplitSymbol, n)
 	}
 	return out, nil
-}
-
-// RunParallelMatmul executes the native tiled matrix multiplication with
-// the i range (rows of C and A) partitioned across procs goroutines — the
-// one-dimensional partitioning of the paper's Figs. 8 and 9. Each goroutine
-// writes a disjoint row block of C, so no synchronization is needed beyond
-// the final join.
-func RunParallelMatmul(a, b, c *kernels.Matrix, ti, tj, tk, procs int) error {
-	if procs <= 0 {
-		return fmt.Errorf("smp: non-positive processor count %d", procs)
-	}
-	rows := a.Rows
-	if rows%(ti*procs) != 0 {
-		return fmt.Errorf("smp: %d processors do not evenly divide %d row tiles", procs, rows/ti)
-	}
-	chunk := rows / procs
-	var wg sync.WaitGroup
-	errs := make([]error, procs)
-	for p := 0; p < procs; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			lo := p * chunk
-			aSlice := &kernels.Matrix{Rows: chunk, Cols: a.Cols, Data: a.Data[lo*a.Cols : (lo+chunk)*a.Cols]}
-			cSlice := &kernels.Matrix{Rows: chunk, Cols: c.Cols, Data: c.Data[lo*c.Cols : (lo+chunk)*c.Cols]}
-			errs[p] = kernels.MatmulTiled(aSlice, b, cSlice, ti, tj, tk)
-		}(p)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // RunParallelTwoIndex executes the native tiled two-index transform with the

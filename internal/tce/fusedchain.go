@@ -109,22 +109,6 @@ func normalizeWith(steps []BinaryStep, swapFirst bool) ([]TransformStep, error) 
 	return out, nil
 }
 
-// FusedChainMemory returns the symbolic total buffer footprint of the fused
-// chain: intermediate k keeps only the new indices of steps 2..k (the
-// outermost new index and the surviving seed indices are bound by enclosing
-// loops). The final output is excluded (it must be materialized anyway).
-func FusedChainMemory(chain []TransformStep, r IndexRanges) *expr.Expr {
-	total := expr.Zero()
-	for k := 0; k < len(chain)-1; k++ {
-		size := expr.One()
-		for j := 1; j <= k; j++ {
-			size = expr.Mul(size, r[chain[j].New])
-		}
-		total = expr.Add(total, size)
-	}
-	return total
-}
-
 // GenFusedTransformChain generates the fully fused loop program for an
 // index-transform chain — the generalization of Fig. 1(c) that, for the
 // four-index transform, produces the classic TCE structure

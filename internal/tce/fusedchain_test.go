@@ -269,3 +269,19 @@ func TestNormalizeChainRejectsNonChain(t *testing.T) {
 		t.Fatal("broken chain accepted")
 	}
 }
+
+// FusedChainMemory returns the symbolic total buffer footprint of the fused
+// chain: intermediate k keeps only the new indices of steps 2..k (the
+// outermost new index and the surviving seed indices are bound by enclosing
+// loops). The final output is excluded (it must be materialized anyway).
+func FusedChainMemory(chain []TransformStep, r IndexRanges) *expr.Expr {
+	total := expr.Zero()
+	for k := 0; k < len(chain)-1; k++ {
+		size := expr.One()
+		for j := 1; j <= k; j++ {
+			size = expr.Mul(size, r[chain[j].New])
+		}
+		total = expr.Add(total, size)
+	}
+	return total
+}

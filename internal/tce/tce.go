@@ -18,7 +18,6 @@ package tce
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/expr"
@@ -77,29 +76,6 @@ func (c Contraction) Validate(r IndexRanges) error {
 		}
 	}
 	return nil
-}
-
-// SumIndices returns the contracted (summation) indices: those appearing in
-// inputs but not in the result, sorted.
-func (c Contraction) SumIndices() []string {
-	inResult := map[string]bool{}
-	for _, ix := range c.Result.Indices {
-		inResult[ix] = true
-	}
-	set := map[string]bool{}
-	for _, in := range c.Inputs {
-		for _, ix := range in.Indices {
-			if !inResult[ix] {
-				set[ix] = true
-			}
-		}
-	}
-	out := make([]string, 0, len(set))
-	for ix := range set {
-		out = append(out, ix)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // NaiveFlops returns the operation count of evaluating the contraction as a

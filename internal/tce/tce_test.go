@@ -1,6 +1,7 @@
 package tce
 
 import (
+	"sort"
 	"strings"
 	"testing"
 
@@ -229,4 +230,27 @@ func TestNaiveFlopsSingleInput(t *testing.T) {
 	if got != 200 {
 		t.Fatalf("naive flops %d want 200", got)
 	}
+}
+
+// SumIndices returns the contracted (summation) indices: those appearing in
+// inputs but not in the result, sorted.
+func (c Contraction) SumIndices() []string {
+	inResult := map[string]bool{}
+	for _, ix := range c.Result.Indices {
+		inResult[ix] = true
+	}
+	set := map[string]bool{}
+	for _, in := range c.Inputs {
+		for _, ix := range in.Indices {
+			if !inResult[ix] {
+				set[ix] = true
+			}
+		}
+	}
+	out := make([]string, 0, len(set))
+	for ix := range set {
+		out = append(out, ix)
+	}
+	sort.Strings(out)
+	return out
 }

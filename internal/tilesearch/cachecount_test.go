@@ -2,6 +2,7 @@ package tilesearch
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"sort"
 	"strings"
@@ -44,7 +45,7 @@ func oracleCacheStats(ev *evaluator) CacheStats {
 	seen := map[string]bool{}
 	var s CacheStats
 	for _, e := range ev.cands {
-		env := ev.opt.BaseEnv.Clone()
+		env := maps.Clone(ev.opt.BaseEnv)
 		for sym, v := range e.c.Tiles {
 			env[sym] = v
 		}
@@ -273,7 +274,7 @@ func TestCacheStatsFailedSearchRecordsNothing(t *testing.T) {
 	if err == nil {
 		t.Fatal("search with TK unbound succeeded")
 	}
-	for _, name := range m.Names() {
+	for _, name := range metricNames(m) {
 		if strings.Contains(name, "evalcache.") {
 			t.Errorf("failed search registered %s", name)
 		}

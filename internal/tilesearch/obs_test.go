@@ -79,15 +79,14 @@ func TestSearchMetricsParallelismInvariant(t *testing.T) {
 			t.Errorf("j=%d: coalesced %d evaluation waits", j, c)
 		}
 	}
-	// Worker instruments appear only on the parallel path. Names() prefixes
-	// each entry with its kind ("counter:", "timer:"), so match on contains.
-	for _, name := range m1.Names() {
+	// Worker instruments appear only on the parallel path.
+	for _, name := range metricNames(m1) {
 		if strings.Contains(name, "worker.") {
 			t.Errorf("sequential run registered worker metric %s", name)
 		}
 	}
 	foundWorker := false
-	for _, name := range m8.Names() {
+	for _, name := range metricNames(m8) {
 		if strings.Contains(name, "worker.") {
 			foundWorker = true
 		}
@@ -180,4 +179,19 @@ func TestSearchTraceSpans(t *testing.T) {
 	if !foundRefine {
 		t.Error("no search.refine spans recorded")
 	}
+}
+
+// metricNames returns the names of every counter, gauge and timer m holds.
+func metricNames(m *obs.Metrics) []string {
+	var out []string
+	for n := range m.Counters() {
+		out = append(out, n)
+	}
+	for n := range m.Gauges() {
+		out = append(out, n)
+	}
+	for n := range m.Timers() {
+		out = append(out, n)
+	}
+	return out
 }

@@ -10,6 +10,7 @@
 package trace
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -37,11 +38,9 @@ type Program struct {
 	nLeaves  int   // leaf loops carrying the stride fast path
 	total    int64 // trace length, computed at compile time
 	minBlock int   // largest per-iteration emission unit; RunBlocks floor
-	checked  bool
 }
 
 type cnode interface {
-	run(vals []int64, emit Emit)
 	runBlocks(vals []int64, b *blockRun)
 }
 
@@ -83,29 +82,33 @@ type cstmt struct {
 	refs []cref
 }
 
-func (l *cloop) run(vals []int64, emit Emit) {
-	for v := int64(0); v < l.trip; v++ {
-		vals[l.slot] = v
-		for _, b := range l.body {
-			b.run(vals, emit)
-		}
+// errOverflow reports int64 overflow in the address or trace-length
+// arithmetic; such a program could never be simulated.
+var errOverflow = errors.New("trace: address or trace length overflows int64")
+
+// mul and add are int64 arithmetic that reports overflow instead of
+// wrapping.
+func mul(a, b int64) (int64, bool) {
+	if a == 0 || b == 0 {
+		return 0, true
 	}
+	c := a * b
+	return c, c/b == a && c/a == b
 }
 
-func (s *cstmt) run(vals []int64, emit Emit) {
-	for i := range s.refs {
-		r := &s.refs[i]
-		addr := r.base
-		for _, t := range r.terms {
-			addr += t.stride * vals[t.slot]
-		}
-		emit(r.site, addr)
-	}
+func add(a, b int64) (int64, bool) {
+	c := a + b
+	return c, (c > a) == (b > 0)
 }
 
 // Compile prepares the nest for execution under env. It validates the
 // environment, lays out arrays (sorted by name for determinism), and
-// pre-resolves every subscript into a flat base+strides form.
+// pre-resolves every subscript into a flat base+strides form. Every
+// reference's lowest and highest address must fall inside the address space
+// [0, Size): each index of a reference runs from 0 to its trip−1
+// independently and appears at most once in it, so those bounds are exact,
+// and a nest that addresses past its declared arrays is rejected here
+// rather than by an out-of-range access in a simulator.
 func Compile(nest *loopir.Nest, env expr.Env) (*Program, error) {
 	if err := nest.ValidateEnv(env); err != nil {
 		return nil, err
@@ -124,7 +127,10 @@ func Compile(nest *loopir.Nest, env expr.Env) (*Program, error) {
 		if err != nil {
 			return nil, err
 		}
-		p.Size += n
+		var ok bool
+		if p.Size, ok = add(p.Size, n); !ok {
+			return nil, errOverflow
+		}
 	}
 
 	siteIdx := map[string]int{}
@@ -134,7 +140,7 @@ func Compile(nest *loopir.Nest, env expr.Env) (*Program, error) {
 
 	// Loop index names may repeat across sibling subtrees, so slots are
 	// allocated per loop node and name→slot bindings are lexically scoped.
-	nSlots := 0
+	var trips []int64 // by slot
 	var compile func(nodes []loopir.Node, scope map[string]int) ([]cnode, error)
 	compile = func(nodes []loopir.Node, scope map[string]int) ([]cnode, error) {
 		var out []cnode
@@ -145,8 +151,8 @@ func Compile(nest *loopir.Nest, env expr.Env) (*Program, error) {
 				if err != nil {
 					return nil, err
 				}
-				slot := nSlots
-				nSlots++
+				slot := len(trips)
+				trips = append(trips, trip)
 				inner := make(map[string]int, len(scope)+1)
 				for k, s := range scope {
 					inner[k] = s
@@ -171,7 +177,10 @@ func Compile(nest *loopir.Nest, env expr.Env) (*Program, error) {
 						if err != nil {
 							return nil, err
 						}
-						acc *= ext
+						var ok bool
+						if acc, ok = mul(acc, ext); !ok {
+							return nil, errOverflow
+						}
 					}
 					c := cref{
 						site: siteIdx[loopir.RefSite{Stmt: v, RefIdx: ri}.Key()],
@@ -187,11 +196,28 @@ func Compile(nest *loopir.Nest, env expr.Env) (*Program, error) {
 								}
 								stride = sv
 							}
-							c.terms = append(c.terms, cterm{
-								slot:   scope[term.Index],
-								stride: stride * dimStride[d],
-							})
+							stride, ok := mul(stride, dimStride[d])
+							if !ok {
+								return nil, errOverflow
+							}
+							c.terms = append(c.terms, cterm{slot: scope[term.Index], stride: stride})
 						}
+					}
+					lo, hi := c.base, c.base
+					for _, t := range c.terms {
+						span, ok := mul(t.stride, trips[t.slot]-1)
+						if ok && span < 0 {
+							lo, ok = add(lo, span)
+						} else if ok {
+							hi, ok = add(hi, span)
+						}
+						if !ok {
+							return nil, errOverflow
+						}
+					}
+					if lo < 0 || hi >= p.Size {
+						return nil, fmt.Errorf("trace: %s addresses [%d, %d] fall outside the address space [0, %d)",
+							loopir.RefSite{Stmt: v, RefIdx: ri}, lo, hi, p.Size)
 					}
 					cs.refs = append(cs.refs, c)
 				}
@@ -205,9 +231,12 @@ func Compile(nest *loopir.Nest, env expr.Env) (*Program, error) {
 		return nil, err
 	}
 	p.root = root
-	p.nSlots = nSlots
+	p.nSlots = len(trips)
 	p.annotate(root)
-	p.total = countAccesses(root)
+	var ok bool
+	if p.total, ok = countAccesses(root); !ok {
+		return nil, errOverflow
+	}
 	return p, nil
 }
 
@@ -263,18 +292,29 @@ func leafRefsOf(l *cloop) ([]leafRef, int, bool) {
 	return refs, len(refs), true
 }
 
-// countAccesses computes the trace length of a compiled subtree.
-func countAccesses(nodes []cnode) int64 {
+// countAccesses computes the trace length of a compiled subtree, reporting
+// false if it overflows int64.
+func countAccesses(nodes []cnode) (int64, bool) {
 	var total int64
 	for _, nd := range nodes {
+		n := int64(0)
+		ok := true
 		switch v := nd.(type) {
 		case *cloop:
-			total += v.trip * countAccesses(v.body)
+			if n, ok = countAccesses(v.body); ok {
+				n, ok = mul(v.trip, n)
+			}
 		case *cstmt:
-			total += int64(len(v.refs))
+			n = int64(len(v.refs))
+		}
+		if ok {
+			total, ok = add(total, n)
+		}
+		if !ok {
+			return 0, false
 		}
 	}
-	return total
+	return total, true
 }
 
 // Run streams the full reference trace to emit, in program order. It is a
@@ -287,17 +327,6 @@ func (p *Program) Run(emit Emit) {
 			emit(int(sites[i]), a)
 		}
 	})
-}
-
-// RunScalar streams the trace through the original per-access tree walker,
-// re-evaluating every subscript sum per reference. It is retained as the
-// reference implementation: the differential tests pin RunBlocks to it, and
-// the simulator benchmarks use it as the scalar baseline.
-func (p *Program) RunScalar(emit Emit) {
-	vals := make([]int64, p.nSlots)
-	for _, n := range p.root {
-		n.run(vals, emit)
-	}
 }
 
 // CheckBounds runs the trace once, verifying that every address falls within
@@ -339,34 +368,8 @@ func (p *Program) CheckBounds() error {
 }
 
 // Length returns the total number of accesses the trace will produce,
-// computed symbolically (without running the trace).
+// computed at compile time (without running the trace). Compile has
+// already rejected a program whose length overflows int64.
 func (p *Program) Length() (int64, error) {
-	total := int64(0)
-	for _, s := range p.Nest.Stmts() {
-		iters := int64(1)
-		for _, l := range p.Nest.Enclosing(s) {
-			t, err := l.Trip.Eval(p.Env)
-			if err != nil {
-				return 0, err
-			}
-			iters *= t
-		}
-		total += iters * int64(len(s.Refs))
-	}
-	return total, nil
-}
-
-// Collect materializes the whole trace as (site, addr) pairs. Only suitable
-// for small programs (tests); long traces should stream through Run.
-func (p *Program) Collect() (sites []int, addrs []int64) {
-	n, err := p.Length()
-	if err == nil && n < 1<<24 {
-		sites = make([]int, 0, n)
-		addrs = make([]int64, 0, n)
-	}
-	p.Run(func(site int, addr int64) {
-		sites = append(sites, site)
-		addrs = append(addrs, addr)
-	})
-	return sites, addrs
+	return p.total, nil
 }

@@ -1,9 +1,11 @@
 package trace
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/expr"
+	"repro/internal/kernels"
 	"repro/internal/loopir"
 )
 
@@ -194,9 +196,10 @@ func TestCompileRejectsBadEnv(t *testing.T) {
 }
 
 func TestCheckBoundsCatchesOverflow(t *testing.T) {
-	// X has extent 2 but the loop runs to 3.
+	// X has extent 2 but the loop runs to 3, so X[2] lands in Y: inside the
+	// address space, which Compile checks, but outside X.
 	nest, err := loopir.NewNest("bad",
-		[]*loopir.Array{{Name: "X", Dims: []*expr.Expr{expr.Var("M")}}},
+		[]*loopir.Array{{Name: "X", Dims: []*expr.Expr{expr.Var("M")}}, {Name: "Y", Dims: []*expr.Expr{expr.Var("M")}}},
 		[]loopir.Node{
 			&loopir.Loop{Index: "i", Trip: expr.Var("N"), Body: []loopir.Node{
 				&loopir.Stmt{Refs: []loopir.Ref{
@@ -213,5 +216,42 @@ func TestCheckBoundsCatchesOverflow(t *testing.T) {
 	}
 	if err := p.CheckBounds(); err == nil {
 		t.Fatal("expected bounds violation")
+	}
+}
+
+// TestCompileRejectsOutOfRange: a loop that runs past its array's extent,
+// with no array after it, would address beyond the simulators' address
+// space; Compile rejects it instead.
+func TestCompileRejectsOutOfRange(t *testing.T) {
+	nest, err := loopir.Parse("nest oob\narray A[N]\nfor i = M {\n  S: A[i] = 0\n}\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Compile(nest, expr.Env{"N": 4, "M": 64})
+	if err == nil || !strings.Contains(err.Error(), "outside the address space [0, 4)") {
+		t.Fatalf("got %v, want an out-of-range error", err)
+	}
+	if _, err := Compile(nest, expr.Env{"N": 64, "M": 64}); err != nil {
+		t.Fatalf("in-range nest rejected: %v", err)
+	}
+}
+
+// TestCompileRejectsOverflow: at N = 2^21 the matmul's trace length
+// (3·N^3 accesses) and addresses overflow int64; Compile reports it instead
+// of returning a program whose Length wraps negative.
+func TestCompileRejectsOverflow(t *testing.T) {
+	nest, err := kernels.Matmul()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Compile(nest, expr.Env{"N": 1 << 21}); err == nil || !strings.Contains(err.Error(), "overflows") {
+		t.Fatalf("got %v, want an overflow error", err)
+	}
+	p, err := Compile(nest, expr.Env{"N": 1 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := p.Length(); err != nil || n != 3<<30 {
+		t.Fatalf("Length = %d, %v; want %d", n, err, int64(3)<<30)
 	}
 }

@@ -6,12 +6,14 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/cachesim"
 	"repro/internal/core"
 	"repro/internal/expr"
 	"repro/internal/kernels"
 	"repro/internal/loopir"
 	"repro/internal/nestgen"
 	"repro/internal/testutil"
+	"repro/internal/trace"
 )
 
 // Set-associative differential harness: generate random nests, simulate
@@ -67,6 +69,87 @@ func assocMeanBudget(ways int64) float64 {
 	default:
 		return assocMeanKWay
 	}
+}
+
+// AssocComparison is the three-way record of the set-associative
+// differential harness at one capacity under one geometry: the AssocCache
+// ground truth against both the fully-associative model (what the paper
+// predicts) and the conflict-aware model (core.PredictMissesFrameConfig).
+type AssocComparison struct {
+	CacheElems int64
+	Ways       int64
+	LineElems  int64
+	Accesses   int64
+	// Simulated is the set-associative LRU simulator's miss count.
+	Simulated int64
+	// PredictedFA is the fully-associative model's prediction — blind to the
+	// set mapping by construction.
+	PredictedFA int64
+	// PredictedConflict is the associativity-aware prediction.
+	PredictedConflict int64
+}
+
+// RelErrFA is the fully-associative model's relative total error.
+func (c AssocComparison) RelErrFA() float64 {
+	return Comparison{PredictedTotal: c.PredictedFA, SimulatedTotal: c.Simulated}.RelErr()
+}
+
+// RelErrConflict is the conflict-aware model's relative total error.
+func (c AssocComparison) RelErrConflict() float64 {
+	return Comparison{PredictedTotal: c.PredictedConflict, SimulatedTotal: c.Simulated}.RelErr()
+}
+
+// RunAssoc cross-checks one nest against the set-associative simulator: the
+// trace is generated once through the batched pipeline and fed to one
+// AssocCache per watched capacity (the set-associative simulator has no
+// single-pass stack-distance trick), then both models predict at every
+// capacity. ways and lineElems follow cachesim.NewAssocCache's conventions;
+// every capacity must be divisible by ways·lineElems.
+func RunAssoc(a *core.Analysis, env expr.Env, capacities []int64, ways, lineElems int64) ([]AssocComparison, error) {
+	p, err := trace.Compile(a.Nest, env)
+	if err != nil {
+		return nil, err
+	}
+	accesses, err := p.Length()
+	if err != nil {
+		return nil, err
+	}
+	caches := make([]*cachesim.AssocCache, len(capacities))
+	for i, cap := range capacities {
+		if caches[i], err = cachesim.NewAssocCache(cap, int(ways), lineElems); err != nil {
+			return nil, err
+		}
+	}
+	p.RunBlocks(0, func(_ []int32, addrs []int64) {
+		for _, c := range caches {
+			c.AccessBlock(addrs)
+		}
+	})
+
+	f := a.SymTab().FrameOf(env)
+	out := make([]AssocComparison, len(capacities))
+	for i, cap := range capacities {
+		fa, err := a.PredictMissesFrame(f, cap)
+		if err != nil {
+			return nil, err
+		}
+		conf, err := a.PredictMissesFrameConfig(f, core.CacheConfig{
+			CapacityElems: cap, Ways: ways, LineElems: lineElems,
+		})
+		if err != nil {
+			return nil, err
+		}
+		out[i] = AssocComparison{
+			CacheElems:        cap,
+			Ways:              ways,
+			LineElems:         lineElems,
+			Accesses:          accesses,
+			Simulated:         caches[i].Misses(),
+			PredictedFA:       fa.Total,
+			PredictedConflict: conf.Total,
+		}
+	}
+	return out, nil
 }
 
 // assocCorpus generates the set-associative differential corpus: the same
@@ -133,10 +216,9 @@ func TestAssocDifferentialCorpus(t *testing.T) {
 	}
 	cases, nests := assocCorpus(t, total)
 	for _, ways := range assocDiffWays {
-		all, err := RunAssocSweep(cases, assocDiffCapacities, ways, 1, -1)
-		if err != nil {
-			t.Fatalf("ways=%d: %v", ways, err)
-		}
+		all := sweep(t, cases, func(c Case) ([]AssocComparison, error) {
+			return RunAssoc(c.Analysis, c.Env, assocDiffCapacities, ways, 1)
+		})
 		var sumFA, sumConf float64
 		n := 0
 		for i, cmps := range all {
@@ -173,23 +255,24 @@ func TestAssocDifferentialCorpus(t *testing.T) {
 	}
 }
 
-// TestAssocSweepDeterministicAcrossParallelism pins RunAssocSweep's output
-// to be bit-identical at every parallelism level; with -race this also
-// exercises the pool for data races.
+// TestAssocSweepDeterministicAcrossParallelism pins RunAssoc's output to
+// be bit-identical whether the cases run one after another or as parallel
+// subtests; with -race this also checks RunAssoc shares no state.
 func TestAssocSweepDeterministicAcrossParallelism(t *testing.T) {
 	cases, _ := assocCorpus(t, 12)
-	want, err := RunAssocSweep(cases, assocDiffCapacities, 4, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, parallelism := range []int{2, 8, -1} {
-		got, err := RunAssocSweep(cases, assocDiffCapacities, 4, 1, parallelism)
+	var want [][]AssocComparison
+	for _, c := range cases {
+		cmps, err := RunAssoc(c.Analysis, c.Env, assocDiffCapacities, 4, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("parallelism %d: results differ from sequential sweep", parallelism)
-		}
+		want = append(want, cmps)
+	}
+	got := sweep(t, cases, func(c Case) ([]AssocComparison, error) {
+		return RunAssoc(c.Analysis, c.Env, assocDiffCapacities, 4, 1)
+	})
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("parallel results differ from the sequential ones")
 	}
 }
 

@@ -50,7 +50,7 @@ const diffSeed = 20260805
 
 // diffCorpus deterministically generates the differential corpus: the nest,
 // env and analysis for each index. Generation is sequential (the rand
-// stream orders it); simulation is what RunSweep distributes.
+// stream orders it); simulation is what RunSweep runs in parallel.
 func diffCorpus(t *testing.T, total int) ([]Case, []*loopir.Nest) {
 	t.Helper()
 	r := rand.New(rand.NewSource(diffSeed))
@@ -85,10 +85,7 @@ func TestDifferentialModelVsSimulator(t *testing.T) {
 		total = 12
 	}
 	cases, nests := diffCorpus(t, total)
-	all, err := RunSweep(cases, []int64{8, 32, 128, 512}, SweepOptions{Parallelism: -1})
-	if err != nil {
-		t.Fatalf("differential sweep failed: %v", err)
-	}
+	all := RunSweep(t, cases, []int64{8, 32, 128, 512}, SweepOptions{})
 	var maxRel, sumRel float64
 	var maxDesc string
 	checked := 0

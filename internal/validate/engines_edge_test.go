@@ -42,8 +42,7 @@ for i = N - 1 {
 	}
 	env := expr.Env{"N": 1} // trip N-1 evaluates to 0
 	for _, eng := range cachesim.Engines() {
-		_, err := RunSweep([]Case{{Name: "zerotrip", Analysis: a, Env: env}},
-			[]int64{16}, SweepOptions{Engine: eng})
+		_, err := runOne(Case{Name: "zerotrip", Analysis: a, Env: env}, []int64{16}, SweepOptions{Engine: eng})
 		if err == nil {
 			t.Errorf("engine %s accepted a zero-trip nest", eng)
 			continue
@@ -144,14 +143,13 @@ func TestEnginesSingleArray(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s", describe(i, nest, "analysis failed: "+err.Error()))
 		}
-		cases := []Case{{Name: nest.Name, Analysis: a, Env: env}}
 		byEngine := map[cachesim.Engine][]Comparison{}
 		for _, eng := range cachesim.Engines() {
-			out, err := RunSweep(cases, watches, SweepOptions{Engine: eng})
+			out, err := runOne(Case{Name: nest.Name, Analysis: a, Env: env}, watches, SweepOptions{Engine: eng})
 			if err != nil {
 				t.Fatalf("%s", describe(i, nest, fmt.Sprintf("engine %s failed: %v", eng, err)))
 			}
-			byEngine[eng] = out[0]
+			byEngine[eng] = out
 		}
 		e := byEngine[cachesim.EngineExact]
 		for _, eng := range []cachesim.Engine{cachesim.EngineAnalytic, cachesim.EngineSampled} {
@@ -170,10 +168,10 @@ func TestEnginesSingleArray(t *testing.T) {
 	}
 }
 
-// TestEnginesCapacitiesCrossed: the miss-curve summary (which watched
-// capacities still change the outcome) must agree across engines when the
-// per-capacity counts do — watch order given shuffled to exercise the
-// sort inside CapacitiesCrossed.
+// TestEnginesCapacitiesCrossed: the miss curve over watched capacities
+// given out of order (so each engine must index its counts by watch, not
+// by capacity rank) agrees across the engines, and the small capacities
+// cross below the footprint capacity's count.
 func TestEnginesCapacitiesCrossed(t *testing.T) {
 	a := testutil.AnalyzedMatmul(t)
 	env := expr.Env{"N": 24, "TI": 8, "TJ": 8, "TK": 8}
@@ -192,14 +190,14 @@ func TestEnginesCapacitiesCrossed(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	want := exact.Results().CapacitiesCrossed()
-	if len(want) == 0 {
-		t.Fatal("expected the small capacities to differ from the footprint capacity")
+	want := exact.Results().Misses
+	if want[1] <= want[0] || want[2] <= want[0] {
+		t.Fatalf("expected the small capacities to miss more than the footprint capacity: %v", want)
 	}
-	if got := sampled.Results().CapacitiesCrossed(); !reflect.DeepEqual(got, want) {
-		t.Errorf("sampled crossed capacities %v, exact %v", got, want)
+	if got := sampled.Results().Misses; !reflect.DeepEqual(got, want) {
+		t.Errorf("sampled misses %v, exact %v", got, want)
 	}
-	if got := ar.CapacitiesCrossed(); !reflect.DeepEqual(got, want) {
-		t.Errorf("analytic crossed capacities %v, exact %v", got, want)
+	if got := ar.Misses; !reflect.DeepEqual(got, want) {
+		t.Errorf("analytic misses %v, exact %v", got, want)
 	}
 }

@@ -58,14 +58,8 @@ func TestCrossEngineDifferential(t *testing.T) {
 	cases, nests := diffCorpus(t, total)
 	watches := engWatches()
 
-	exact, err := RunSweep(cases, watches, SweepOptions{Parallelism: -1})
-	if err != nil {
-		t.Fatalf("exact sweep failed: %v", err)
-	}
-	analytic, err := RunSweep(cases, watches, SweepOptions{Parallelism: -1, Engine: cachesim.EngineAnalytic})
-	if err != nil {
-		t.Fatalf("analytic sweep failed: %v", err)
-	}
+	exact := RunSweep(t, cases, watches, SweepOptions{})
+	analytic := RunSweep(t, cases, watches, SweepOptions{Engine: cachesim.EngineAnalytic})
 
 	var sumRel float64
 	checked := 0
@@ -163,17 +157,11 @@ func TestCrossEngineDifferential(t *testing.T) {
 func TestSampledEngineRateOneMatchesExact(t *testing.T) {
 	cases, nests := diffCorpus(t, 8)
 	watches := []int64{8, 128, 2048}
-	exact, err := RunSweep(cases, watches, SweepOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	exact := RunSweep(t, cases, watches, SweepOptions{})
 	// SampleLog2Rate 0 means "auto"; the corpus address spaces are far under
 	// DefaultLog2Rate's 64K budget, so auto resolves to rate 1 (log2 rate 0)
 	// for every nest and the engine degenerates to exact.
-	sampled, err := RunSweep(cases, watches, SweepOptions{Engine: cachesim.EngineSampled})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sampled := RunSweep(t, cases, watches, SweepOptions{Engine: cachesim.EngineSampled})
 	for i := range cases {
 		for wi := range watches {
 			e, s := exact[i][wi], sampled[i][wi]
@@ -188,21 +176,21 @@ func TestSampledEngineRateOneMatchesExact(t *testing.T) {
 }
 
 // TestSampledEngineDeterministic: the sampled engine is a pure function of
-// (trace, rate, seed) — repeated forced-rate sweeps agree, at any
-// parallelism.
+// (trace, rate, seed) — a sequential and a parallel forced-rate sweep
+// agree.
 func TestSampledEngineDeterministic(t *testing.T) {
 	cases, _ := diffCorpus(t, 8)
 	watches := []int64{16, 512}
 	opt := SweepOptions{Engine: cachesim.EngineSampled, SampleLog2Rate: 2}
-	first, err := RunSweep(cases, watches, opt)
-	if err != nil {
-		t.Fatal(err)
+	var first [][]Comparison
+	for _, c := range cases {
+		cmps, err := runOne(c, watches, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first = append(first, cmps)
 	}
-	opt.Parallelism = -1
-	second, err := RunSweep(cases, watches, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	second := RunSweep(t, cases, watches, opt)
 	for i := range first {
 		for wi := range first[i] {
 			if first[i][wi].SimulatedTotal != second[i][wi].SimulatedTotal {

@@ -6,12 +6,120 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cachesim"
+	"repro/internal/cachesim/analytic"
 	"repro/internal/core"
 	"repro/internal/expr"
 	"repro/internal/nestgen"
 	"repro/internal/obs"
 	"repro/internal/testutil"
+	"repro/internal/trace"
 )
+
+// Case is one independent nest in a differential sweep: an analysis and the
+// concrete bounds to evaluate it under.
+type Case struct {
+	Name     string
+	Analysis *core.Analysis
+	Env      expr.Env
+}
+
+// SweepOptions selects the simulation engine a sweep compares the model
+// against.
+type SweepOptions struct {
+	// Obs receives the exact engine's "cachesim.*" counter flushes and
+	// "simulate.total" timings. Instruments are atomic, so cases running in
+	// parallel aggregate exactly.
+	Obs *obs.Metrics
+	// Engine selects the simulation engine: exact (default) walks the whole
+	// trace through StackSim, sampled estimates from a SHARDS-style address
+	// sample, and analytic evaluates the closed-form model itself (so
+	// Predicted == Simulated by construction — useful to exercise the
+	// analytic plumbing under the sweep's comparison shape).
+	Engine cachesim.Engine
+	// BlockSize overrides the exact engine's trace block size; 0 means
+	// trace.DefaultBlockSize.
+	BlockSize int
+	// SampleLog2Rate and SampleSeed configure the sampled engine: the
+	// sampling rate is 2^-SampleLog2Rate (0 falls back to
+	// cachesim.DefaultLog2Rate for the nest's address space) and seed 0
+	// selects cachesim.DefaultSampleSeed.
+	SampleLog2Rate int
+	SampleSeed     uint64
+}
+
+// sweep runs fn on every case as parallel subtests of one group and returns
+// the results in case order once every case has finished. A case error
+// fails the test.
+func sweep[T any](t *testing.T, cases []Case, fn func(Case) (T, error)) []T {
+	t.Helper()
+	out := make([]T, len(cases))
+	t.Run("cases", func(t *testing.T) {
+		for i, c := range cases {
+			t.Run(c.Name, func(t *testing.T) {
+				t.Parallel()
+				var err error
+				if out[i], err = fn(c); err != nil {
+					t.Fatalf("%s: %v", c.Name, err)
+				}
+			})
+		}
+	})
+	if t.Failed() {
+		t.FailNow()
+	}
+	return out
+}
+
+// RunSweep cross-checks every case at every watched capacity through the
+// engine opt selects; out[i] holds case i's comparisons.
+func RunSweep(t *testing.T, cases []Case, watches []int64, opt SweepOptions) [][]Comparison {
+	t.Helper()
+	return sweep(t, cases, func(c Case) ([]Comparison, error) { return runOne(c, watches, opt) })
+}
+
+// runOne simulates one case through the engine opt selects and compares
+// the model against it at every watched capacity.
+func runOne(c Case, watches []int64, opt SweepOptions) ([]Comparison, error) {
+	var res cachesim.Results
+	var err error
+	switch opt.Engine {
+	case cachesim.EngineAnalytic:
+		// No trace at all: the closed form is the simulated side.
+		res, _, err = analytic.Simulate(c.Analysis, c.Env, watches)
+	case cachesim.EngineSampled:
+		res, err = simulateSampled(c, watches, opt)
+	default:
+		if opt.BlockSize == 0 {
+			res, err = simulate(c.Analysis.Nest, c.Env, watches, opt.Obs)
+			break
+		}
+		var p *trace.Program
+		if p, err = trace.Compile(c.Analysis.Nest, c.Env); err == nil {
+			sim := cachesim.NewStackSim(p.Size, len(p.Sites), watches)
+			p.RunBlocks(opt.BlockSize, sim.AccessBlock)
+			res = sim.Results()
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	return compare(c.Analysis, c.Env, watches, res)
+}
+
+func simulateSampled(c Case, watches []int64, opt SweepOptions) (cachesim.Results, error) {
+	p, err := trace.Compile(c.Analysis.Nest, c.Env)
+	if err != nil {
+		return cachesim.Results{}, err
+	}
+	k := opt.SampleLog2Rate
+	if k <= 0 {
+		k = cachesim.DefaultLog2Rate(p.Size)
+	}
+	sim := cachesim.NewSampledSim(p.Size, len(p.Sites), watches, k, opt.SampleSeed)
+	p.RunBlocks(0, sim.AccessBlock)
+	return sim.Results(), nil
+}
 
 // sweepCorpus generates a small deterministic corpus for sweep tests.
 func sweepCorpus(t *testing.T, n int) []Case {
@@ -30,80 +138,34 @@ func sweepCorpus(t *testing.T, n int) []Case {
 	return cases
 }
 
-// TestRunSweepDeterministic pins the sharded sweep's determinism claim:
-// identical comparisons and identical aggregated cachesim counters at every
-// parallelism level, with the scalar and batched pipelines also agreeing.
+// TestRunSweepDeterministic pins the sweep's determinism claim: identical
+// comparisons and identical aggregated cachesim counters whether the cases
+// run one after another or as parallel subtests sharing one registry.
 func TestRunSweepDeterministic(t *testing.T) {
 	cases := sweepCorpus(t, 9)
 	watches := []int64{8, 64, 256}
 
-	type outcome struct {
-		cmps     [][]Comparison
-		counters map[string]int64
-	}
-	runAt := func(parallelism int, scalar bool) outcome {
-		m := obs.New()
-		cmps, err := RunSweep(cases, watches, SweepOptions{Parallelism: parallelism, Obs: m, Scalar: scalar})
+	seq := obs.New()
+	var want [][]Comparison
+	for _, c := range cases {
+		cmps, err := runOne(c, watches, SweepOptions{Obs: seq})
 		if err != nil {
-			t.Fatalf("sweep (j=%d scalar=%v): %v", parallelism, scalar, err)
+			t.Fatalf("%s: %v", c.Name, err)
 		}
-		return outcome{cmps: cmps, counters: m.Counters()}
+		want = append(want, cmps)
 	}
-
-	ref := runAt(1, true) // sequential scalar reference
-	for _, cfg := range []struct {
-		j      int
-		scalar bool
-	}{{1, false}, {4, false}, {8, false}, {8, true}, {-1, false}} {
-		got := runAt(cfg.j, cfg.scalar)
-		if !reflect.DeepEqual(got.cmps, ref.cmps) {
-			t.Fatalf("comparisons at j=%d scalar=%v diverge from sequential scalar reference",
-				cfg.j, cfg.scalar)
-		}
-		if !reflect.DeepEqual(got.counters, ref.counters) {
-			t.Fatalf("obs counters at j=%d scalar=%v diverge:\n%v\nwant\n%v",
-				cfg.j, cfg.scalar, got.counters, ref.counters)
-		}
+	par := obs.New()
+	if got := RunSweep(t, cases, watches, SweepOptions{Obs: par}); !reflect.DeepEqual(got, want) {
+		t.Fatal("parallel comparisons diverge from the sequential ones")
+	}
+	if got, want := par.Counters(), seq.Counters(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("obs counters diverge:\n%v\nwant\n%v", got, want)
 	}
 }
 
-// TestRunSweepEarliestError checks that with several failing cases the
-// error reported is the lowest-indexed one, as a sequential sweep would
-// report.
-func TestRunSweepEarliestError(t *testing.T) {
-	cases := sweepCorpus(t, 6)
-	// Break cases 2 and 4 by removing a bound their traces need.
-	breakCase := func(i int) {
-		env := expr.Env{}
-		for k, v := range cases[i].Env {
-			env[k] = v
-		}
-		for k := range env {
-			delete(env, k)
-			break
-		}
-		cases[i].Env = env
-	}
-	breakCase(2)
-	breakCase(4)
-	// Ensure deleting a symbol actually breaks evaluation.
-	if _, err := RunSweep(cases[2:3], []int64{8}, SweepOptions{}); err == nil {
-		t.Skip("corpus case needs no bounds; cannot construct failure")
-	}
-	for _, j := range []int{1, 8} {
-		_, err := RunSweep(cases, []int64{8}, SweepOptions{Parallelism: j})
-		if err == nil {
-			t.Fatalf("j=%d: expected error", j)
-		}
-		_, seqErr := RunSweep(cases[2:3], []int64{8}, SweepOptions{})
-		if err.Error() != seqErr.Error() {
-			t.Fatalf("j=%d: got %q, want earliest failure %q", j, err, seqErr)
-		}
-	}
-}
-
-// TestRunObservedBatchedMatchesScalar pins RunObserved (now on the batched
-// pipeline) to the scalar reference path on the sweep corpus.
+// TestRunObservedBatchedMatchesScalar pins RunObserved (on the batched
+// pipeline) to the per-access path: the trace emitted one access at a time
+// into StackSim.Access.
 func TestRunObservedBatchedMatchesScalar(t *testing.T) {
 	cases := sweepCorpus(t, 4)
 	watches := []int64{4, 16, 128}
@@ -112,11 +174,17 @@ func TestRunObservedBatchedMatchesScalar(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		scalar, err := RunSweep([]Case{c}, watches, SweepOptions{Scalar: true})
+		p, err := trace.Compile(c.Analysis.Nest, c.Env)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(batched, scalar[0]) {
+		sim := cachesim.NewStackSim(p.Size, len(p.Sites), watches)
+		p.Run(sim.Access)
+		scalar, err := compare(c.Analysis, c.Env, watches, sim.Results())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(batched, scalar) {
 			t.Fatalf("%s: batched and scalar comparisons diverge", c.Name)
 		}
 	}
@@ -127,16 +195,10 @@ func TestRunObservedBatchedMatchesScalar(t *testing.T) {
 func TestRunSweepOddBlockSize(t *testing.T) {
 	cases := sweepCorpus(t, 3)
 	watches := []int64{8, 64}
-	ref, err := RunSweep(cases, watches, SweepOptions{Scalar: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := RunSweep(cases, watches, SweepOptions{BlockSize: 3, Parallelism: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := RunSweep(t, cases, watches, SweepOptions{})
+	got := RunSweep(t, cases, watches, SweepOptions{BlockSize: 3})
 	if !reflect.DeepEqual(got, ref) {
-		t.Fatal("block size 3 diverges from scalar reference")
+		t.Fatal("block size 3 diverges from the default block size")
 	}
 }
 

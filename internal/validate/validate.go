@@ -10,7 +10,6 @@ import (
 	"strings"
 
 	"repro/internal/cachesim"
-	"repro/internal/cachesim/analytic"
 	"repro/internal/core"
 	"repro/internal/expr"
 	"repro/internal/loopir"
@@ -25,15 +24,6 @@ type SiteComparison struct {
 	Accesses  int64
 	Predicted int64
 	Simulated int64
-}
-
-// AbsErr returns |Predicted − Simulated|.
-func (s SiteComparison) AbsErr() int64 {
-	d := s.Predicted - s.Simulated
-	if d < 0 {
-		d = -d
-	}
-	return d
 }
 
 // Comparison is the full cross-check at one cache capacity.
@@ -79,20 +69,35 @@ func Run(a *core.Analysis, env expr.Env, watches []int64) ([]Comparison, error) 
 // recording (Run is exactly RunObserved with nil).
 //
 // The simulation goes through the batched pipeline (trace.RunBlocks feeding
-// cachesim.AccessBlock); results and counter values are identical to the
-// per-access path, which remains reachable via RunSweep's Scalar option.
+// cachesim.StackSim.AccessBlock) of the exact engine.
 func RunObserved(a *core.Analysis, env expr.Env, watches []int64, m *obs.Metrics) ([]Comparison, error) {
-	return runOne(a, env, watches, m, SweepOptions{})
-}
-
-// runOne is the shared body of RunObserved and RunSweep shards: simulate
-// once through the selected engine, compare at every watched capacity.
-func runOne(a *core.Analysis, env expr.Env, watches []int64, m *obs.Metrics, opt SweepOptions) ([]Comparison, error) {
-	res, err := simulateOne(a, env, watches, m, opt)
+	res, err := simulate(a.Nest, env, watches, m)
 	if err != nil {
 		return nil, err
 	}
+	return compare(a, env, watches, res)
+}
 
+// simulate produces the "Simulated" side of a comparison: the nest's exact
+// trace through the batched stack simulator, timed under "simulate.total"
+// with the simulator's counters flushed into m.
+func simulate(nest *loopir.Nest, env expr.Env, watches []int64, m *obs.Metrics) (cachesim.Results, error) {
+	sw := m.Timer("simulate.total").Start()
+	defer sw.Stop()
+	p, err := trace.Compile(nest, env)
+	if err != nil {
+		return cachesim.Results{}, err
+	}
+	sim := cachesim.NewStackSim(p.Size, len(p.Sites), watches)
+	p.RunBlocks(trace.DefaultBlockSize, sim.AccessBlock)
+	sim.FlushMetrics(m)
+	return sim.Results(), nil
+}
+
+// compare evaluates the analysis under env at every watched capacity and
+// pairs each prediction with the simulated results res, whose Misses are
+// indexed like watches and whose PerSite follows the nest's site order.
+func compare(a *core.Analysis, env expr.Env, watches []int64, res cachesim.Results) ([]Comparison, error) {
 	// Bind the environment into one frame and reuse it across the capacity
 	// sweep: the per-capacity predictions share every expression evaluation.
 	f := a.SymTab().FrameOf(env)
@@ -128,65 +133,17 @@ func runOne(a *core.Analysis, env expr.Env, watches []int64, m *obs.Metrics, opt
 	return out, nil
 }
 
-// simulateOne produces the "Simulated" side of a comparison through the
-// engine opt selects, timed under "simulate.total" with the engine's
-// counters flushed into m.
-func simulateOne(a *core.Analysis, env expr.Env, watches []int64, m *obs.Metrics, opt SweepOptions) (cachesim.Results, error) {
-	sw := m.Timer("simulate.total").Start()
-	defer sw.Stop()
-	switch opt.Engine {
-	case cachesim.EngineAnalytic:
-		// No trace at all: the closed form is the simulated side.
-		res, _, err := analytic.Simulate(a, env, watches)
-		return res, err
-	case cachesim.EngineSampled:
-		p, err := trace.Compile(a.Nest, env)
-		if err != nil {
-			return cachesim.Results{}, err
-		}
-		k := opt.SampleLog2Rate
-		if k <= 0 {
-			k = cachesim.DefaultLog2Rate(p.Size)
-		}
-		sim := cachesim.NewSampledSim(p.Size, len(p.Sites), watches, k, opt.SampleSeed)
-		p.RunBlocks(opt.BlockSize, sim.AccessBlock)
-		sim.FlushMetrics(m)
-		return sim.Results(), nil
-	default: // cachesim.EngineExact
-		p, err := trace.Compile(a.Nest, env)
-		if err != nil {
-			return cachesim.Results{}, err
-		}
-		if opt.Scalar {
-			// The frozen pre-batching pipeline: per-access emission into the
-			// Fenwick-tree reference simulator. Kept both as a benchmark
-			// baseline and as an independent implementation to diff against.
-			ref := cachesim.NewReferenceSim(p.Size, len(p.Sites), watches)
-			p.RunScalar(ref.Access)
-			ref.FlushMetrics(m)
-			return ref.Results(), nil
-		}
-		sim := cachesim.NewStackSim(p.Size, len(p.Sites), watches)
-		p.RunBlocks(opt.BlockSize, sim.AccessBlock)
-		sim.FlushMetrics(m)
-		return sim.Results(), nil
-	}
-}
-
 // SimulatedMisses compiles a nest's reference trace and runs the exact
 // stack simulator once at a single capacity, returning the ground-truth
 // miss count. It needs no analysis — which is the point: the joint-search
-// differential tests and bench-optimize use it to check transformed nests
-// against the simulator directly, independent of the model that ranked
-// them.
+// differential tests use it to check transformed nests against the
+// simulator directly, independent of the model that ranked them.
 func SimulatedMisses(nest *loopir.Nest, env expr.Env, cacheElems int64) (int64, error) {
-	p, err := trace.Compile(nest, env)
+	res, err := simulate(nest, env, []int64{cacheElems}, nil)
 	if err != nil {
 		return 0, err
 	}
-	sim := cachesim.NewStackSim(p.Size, len(p.Sites), []int64{cacheElems})
-	p.RunBlocks(trace.DefaultBlockSize, sim.AccessBlock)
-	return sim.Results().Misses[0], nil
+	return res.Misses[0], nil
 }
 
 // SimulatedMissesGeom is SimulatedMisses under an explicit set-associative

@@ -90,10 +90,6 @@ func TestRelErrEdgeCases(t *testing.T) {
 	if c.RelErr() != 1 {
 		t.Error("n/0 should be 1")
 	}
-	s := SiteComparison{Predicted: 3, Simulated: 7}
-	if s.AbsErr() != 4 {
-		t.Error("AbsErr")
-	}
 }
 
 func TestRunRejectsBadEnv(t *testing.T) {

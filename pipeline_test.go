@@ -42,11 +42,11 @@ func TestFullPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fused, err := loopir.FuseAdjacent(unfused)
+	fused, _, err := loopir.FuseLegal(unfused)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fused.LoopCount() >= unfused.LoopCount() {
+	if len(fused.Loops()) >= len(unfused.Loops()) {
 		t.Fatal("fusion had no effect")
 	}
 
@@ -54,17 +54,6 @@ func TestFullPipeline(t *testing.T) {
 	chainNest, err := tce.GenFusedTransformChain("pipeline-chain", steps, ranges)
 	if err != nil {
 		t.Fatal(err)
-	}
-	chain, err := tce.NormalizeChain(steps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mem, err := tce.FusedChainMemory(chain, ranges).Eval(expr.Env{"N": 64, "V": 48})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mem != 1 { // the two-index intermediate contracts to a scalar
-		t.Fatalf("fused chain memory %d, want 1", mem)
 	}
 
 	// 5. Cache characterization of every generated form, validated.
