@@ -39,7 +39,9 @@ race:
 # transformation-plan legality contract (plans apply cleanly or reject
 # before evaluation, and applied plans preserve execution semantics), and
 # the service boundary (mutated bodies on every route answer inside the
-# 200/400/429/503/504 taxonomy, never panic, and balance the counters).
+# 200/400/429/503/504 taxonomy, never panic, and balance the counters), and
+# the stored-trace reader (corrupt files end in an error or in blocks whose
+# sites and addresses lie inside the header's bounds).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzAnalyzeNoPanic$$' -fuzztime 10s ./internal/tilesearch
 	$(GO) test -run '^$$' -fuzz '^FuzzAnalyticVsExact$$' -fuzztime 10s ./internal/validate
@@ -47,6 +49,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzAssocBlockVsScalar$$' -fuzztime 10s ./internal/cachesim
 	$(GO) test -run '^$$' -fuzz '^FuzzPlanLegality$$' -fuzztime 10s ./internal/loopir
 	$(GO) test -run '^$$' -fuzz '^FuzzHandler$$' -fuzztime 10s ./internal/service
+	$(GO) test -run '^$$' -fuzz '^FuzzReadTrace$$' -fuzztime 10s ./internal/trace
 
 check: fmt vet deadcode race fuzz-smoke
 

@@ -44,7 +44,7 @@ func benchAblation(b *testing.B, opts core.Options) {
 		b.Fatal(err)
 	}
 	sim := cachesim.NewStackSim(p.Size, len(p.Sites), []int64{cache})
-	p.Run(sim.Access)
+	p.RunBlocks(0, sim.AccessBlock)
 	m, _ := sim.Results().MissesFor(cache)
 	rel := float64(pred-m) / float64(m)
 	if rel < 0 {

@@ -111,7 +111,7 @@ func BenchmarkTable2SimulatedScaled(b *testing.B) {
 			b.Fatal(err)
 		}
 		sim := cachesim.NewStackSim(p.Size, len(p.Sites), []int64{cache})
-		p.Run(sim.Access)
+		p.RunBlocks(trace.DefaultBlockSize, sim.AccessBlock)
 		m, err := sim.Results().MissesFor(cache)
 		if err != nil {
 			b.Fatal(err)
@@ -153,7 +153,7 @@ func BenchmarkTable3SimulatedScaled(b *testing.B) {
 			b.Fatal(err)
 		}
 		sim := cachesim.NewStackSim(p.Size, len(p.Sites), []int64{cache})
-		p.Run(sim.Access)
+		p.RunBlocks(trace.DefaultBlockSize, sim.AccessBlock)
 		m, err := sim.Results().MissesFor(cache)
 		if err != nil {
 			b.Fatal(err)
@@ -277,18 +277,21 @@ func BenchmarkFig11SMP(b *testing.B) {
 // --- substrate micro-benchmarks ---
 
 // BenchmarkStackSimAccess measures the exact LRU stack simulator's
-// per-access cost on a random trace.
+// per-access cost on a random trace, fed in blocks as production feeds it;
+// b.N counts accesses.
 func BenchmarkStackSimAccess(b *testing.B) {
 	const space = 1 << 18
 	r := rand.New(rand.NewSource(1))
-	addrs := make([]int64, 1<<16)
+	addrs := make([]int64, trace.DefaultBlockSize)
 	for i := range addrs {
 		addrs[i] = int64(r.Intn(space))
 	}
+	sites := make([]int32, len(addrs))
 	sim := cachesim.NewStackSim(space, 1, []int64{8192})
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sim.Access(0, addrs[i&(len(addrs)-1)])
+	for n := b.N; n > 0; n -= len(addrs) {
+		k := min(n, len(addrs))
+		sim.AccessBlock(sites[:k], addrs[:k])
 	}
 }
 
@@ -311,7 +314,7 @@ func BenchmarkTraceGeneration(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var count int64
-		p.Run(func(_ int, _ int64) { count++ })
+		p.RunBlocks(trace.DefaultBlockSize, func(_ []int32, addrs []int64) { count += int64(len(addrs)) })
 		if count != n {
 			b.Fatal("trace length mismatch")
 		}

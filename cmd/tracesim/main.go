@@ -4,7 +4,8 @@
 // yields miss counts for every requested cache size plus the stack-distance
 // histogram), optionally through set-associative and direct-mapped caches
 // for sensitivity analysis beyond the paper's fully-associative model, and
-// optionally through a two-level cache hierarchy.
+// optionally through a two-level cache hierarchy. Generated and replayed
+// traces reach every simulator the same way, in blocks of -block accesses.
 //
 // Usage:
 //
@@ -27,6 +28,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -39,89 +41,95 @@ import (
 	"repro/internal/trace"
 )
 
+// options collects one invocation's flag values; run takes it by value so
+// tests can drive the tool without touching the flag package.
+type options struct {
+	kernel     string
+	n          int64
+	tiles      string
+	cacheKB    string
+	assoc      int
+	line       int64
+	l1KB, l2KB int64
+	dump       string
+	replay     string
+	block      int
+	engine     string
+	sampleLog2 int
+}
+
+// bindFlags registers the command's flags on fs, writing into o.
+func bindFlags(fs *flag.FlagSet, o *options) {
+	fs.StringVar(&o.kernel, "kernel", "matmul", "kernel: matmul | twoindex | fourindex")
+	fs.Int64Var(&o.n, "n", 128, "loop bound")
+	fs.StringVar(&o.tiles, "tiles", "", "comma-separated tile sizes")
+	fs.StringVar(&o.cacheKB, "cache-kb", "64", "comma-separated cache sizes in KB")
+	fs.IntVar(&o.assoc, "assoc", 0, "additionally simulate a set-associative cache with this many ways")
+	fs.Int64Var(&o.line, "line", 1, "line size in elements for the set-associative cache")
+	fs.Int64Var(&o.l1KB, "l1-kb", 0, "two-level mode: L1 size in KB (requires -l2-kb)")
+	fs.Int64Var(&o.l2KB, "l2-kb", 0, "two-level mode: L2 size in KB")
+	fs.StringVar(&o.dump, "dump", "", "write the trace to this file and exit")
+	fs.StringVar(&o.replay, "replay", "", "replay a stored trace instead of generating one")
+	fs.IntVar(&o.block, "block", 0, "trace block size in accesses (0 = default)")
+	fs.StringVar(&o.engine, "engine", "exact", "simulation engine: exact | analytic | sampled")
+	fs.IntVar(&o.sampleLog2, "sample-log2", -1, "sampled engine: log2 of the sampling rate (-1 = auto from the address space)")
+}
+
 func main() {
-	var (
-		kernel  = flag.String("kernel", "matmul", "kernel: matmul | twoindex | fourindex")
-		n       = flag.Int64("n", 128, "loop bound")
-		tiles   = flag.String("tiles", "", "comma-separated tile sizes")
-		cacheKB = flag.String("cache-kb", "64", "comma-separated cache sizes in KB")
-		assoc   = flag.Int("assoc", 0, "additionally simulate a set-associative cache with this many ways")
-		line    = flag.Int64("line", 1, "line size in elements for the set-associative cache")
-		l1KB    = flag.Int64("l1-kb", 0, "two-level mode: L1 size in KB (requires -l2-kb)")
-		l2KB    = flag.Int64("l2-kb", 0, "two-level mode: L2 size in KB")
-		dump    = flag.String("dump", "", "write the trace to this file and exit")
-		replay  = flag.String("replay", "", "replay a stored trace instead of generating one")
-		block   = flag.Int("block", 0, "trace block size in accesses (0 = default)")
-		engine  = flag.String("engine", "exact", "simulation engine: exact | analytic | sampled")
-		sLog2   = flag.Int("sample-log2", -1, "sampled engine: log2 of the sampling rate (-1 = auto from the address space)")
-	)
+	var o options
+	bindFlags(flag.CommandLine, &o)
 	flag.Parse()
-	if err := run(*kernel, *n, *tiles, *cacheKB, *assoc, *line, *l1KB, *l2KB, *dump, *replay, *block, *engine, *sLog2); err != nil {
+	if err := run(os.Stdout, o); err != nil {
 		fmt.Fprintln(os.Stderr, "tracesim:", err)
 		os.Exit(1)
 	}
 }
 
-// traceSource abstracts generated vs replayed traces. run streams
-// per-access (for the dump path); runBlocks streams through the batched
-// block pipeline (for simulation).
+// traceSource is a generated or a replayed trace. blocks streams it once,
+// in blocks of at most blockSize accesses (<= 0 selects the default).
 type traceSource struct {
 	nSites    int
 	addrSpace int64
 	siteNames []string
-	run       func(trace.Emit) error
-	runBlocks func(blockSize int, emit trace.EmitBlock) error
+	blocks    func(blockSize int, emit trace.EmitBlock) error
+	file      *os.File // the replayed trace; nil for a generated kernel
 	// analysis and env are set only for generated kernels; the analytic
 	// engine needs the compiled model, which a stored trace does not carry.
 	analysis *core.Analysis
 	env      expr.Env
 }
 
-func openSource(kernel string, n int64, tiles, replay string) (*traceSource, error) {
-	if replay != "" {
-		f, err := os.Open(replay)
+func openSource(w io.Writer, o options) (*traceSource, error) {
+	if o.replay != "" {
+		f, err := os.Open(o.replay)
 		if err != nil {
 			return nil, err
 		}
-		// Read the header once to size the simulators, then re-open per run.
-		h, _, err := trace.ReadTrace(f, func(int, int64) {})
-		f.Close()
+		rd, h, err := trace.NewReader(f)
 		if err != nil {
+			f.Close()
 			return nil, err
 		}
 		names := make([]string, h.NSites)
 		for i := range names {
 			names[i] = fmt.Sprintf("site#%d", i)
 		}
-		runScalar := func(emit trace.Emit) error {
-			f, err := os.Open(replay)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			_, _, err = trace.ReadTrace(f, emit)
-			return err
-		}
 		return &traceSource{
 			nSites:    h.NSites,
 			addrSpace: h.AddrSpace,
 			siteNames: names,
-			run:       runScalar,
-			runBlocks: func(blockSize int, emit trace.EmitBlock) error {
-				bb := trace.NewBlockBuffer(blockSize, emit)
-				if err := runScalar(bb.Emit); err != nil {
-					return err
-				}
-				bb.Flush()
-				return nil
+			blocks: func(blockSize int, emit trace.EmitBlock) error {
+				_, err := rd.Blocks(blockSize, emit)
+				return err
 			},
+			file: f,
 		}, nil
 	}
-	ts, err := experiments.ParseTiles(tiles)
+	ts, err := experiments.ParseTiles(o.tiles)
 	if err != nil {
 		return nil, err
 	}
-	nest, env, err := experiments.BuildKernel(kernel, n, ts)
+	nest, env, err := experiments.BuildKernel(o.kernel, o.n, ts)
 	if err != nil {
 		return nil, err
 	}
@@ -137,13 +145,12 @@ func openSource(kernel string, n int64, tiles, replay string) (*traceSource, err
 	for i, s := range p.Sites {
 		names[i] = s.String()
 	}
-	fmt.Printf("kernel %s env %v\n", kernel, env)
+	fmt.Fprintf(w, "kernel %s env %v\n", o.kernel, env)
 	return &traceSource{
 		nSites:    len(p.Sites),
 		addrSpace: p.Size,
 		siteNames: names,
-		run:       func(emit trace.Emit) error { p.Run(emit); return nil },
-		runBlocks: func(blockSize int, emit trace.EmitBlock) error {
+		blocks: func(blockSize int, emit trace.EmitBlock) error {
 			p.RunBlocks(blockSize, emit)
 			return nil
 		},
@@ -152,56 +159,72 @@ func openSource(kernel string, n int64, tiles, replay string) (*traceSource, err
 	}, nil
 }
 
-func run(kernel string, n int64, tiles, cacheKB string, assoc int, line, l1KB, l2KB int64, dump, replay string, block int, engine string, sampleLog2 int) error {
-	eng, err := cachesim.ParseEngine(engine)
+func run(w io.Writer, o options) error {
+	eng, err := cachesim.ParseEngine(o.engine)
 	if err != nil {
 		return err
 	}
-	src, err := openSource(kernel, n, tiles, replay)
+	src, err := openSource(w, o)
 	if err != nil {
 		return err
 	}
-	if dump != "" {
-		f, err := os.Create(dump)
+	if src.file != nil {
+		defer src.file.Close()
+	}
+	if o.dump != "" {
+		f, err := os.Create(o.dump)
 		if err != nil {
 			return err
 		}
 		defer f.Close()
-		w, err := trace.NewWriter(f, src.nSites, src.addrSpace)
+		tw, err := trace.NewWriter(f, src.nSites, src.addrSpace)
 		if err != nil {
 			return err
 		}
-		if err := src.run(w.Emit); err != nil {
+		if err := src.blocks(o.block, tw.WriteBlock); err != nil {
 			return err
 		}
-		if err := w.Close(); err != nil {
+		if err := tw.Close(); err != nil {
 			return err
 		}
-		fmt.Printf("wrote %d records to %s\n", w.Records(), dump)
+		if err := f.Close(); err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "wrote %d records to %s\n", tw.Records(), o.dump)
 		return nil
 	}
-	if l1KB > 0 || l2KB > 0 {
-		if l1KB <= 0 || l2KB <= 0 {
+	if o.l1KB > 0 || o.l2KB > 0 {
+		if o.l1KB <= 0 || o.l2KB <= 0 {
 			return fmt.Errorf("two-level mode needs both -l1-kb and -l2-kb")
 		}
-		h, err := cachesim.NewHierarchy(src.addrSpace, experiments.KB(l1KB), experiments.KB(l2KB))
-		if err != nil {
+		if o.l2KB < o.l1KB {
+			return fmt.Errorf("two-level mode needs -l2-kb of at least -l1-kb")
+		}
+		// Both levels are fully-associative LRU and L2 is at least as large
+		// as L1, so L2 includes L1 and one stack-distance pass watching both
+		// capacities classifies every access: L1 serves the accesses that
+		// fit L1, L2 the L1 misses that fit L2, memory the L2 misses.
+		sim := cachesim.NewStackSim(src.addrSpace, src.nSites,
+			[]int64{experiments.KB(o.l1KB), experiments.KB(o.l2KB)})
+		if err := src.blocks(o.block, sim.AccessBlock); err != nil {
 			return err
 		}
-		if err := src.runBlocks(block, func(_ []int32, addrs []int64) { h.AccessBlock(addrs) }); err != nil {
-			return err
+		res := sim.Results()
+		n := res.Accesses
+		l1, l2, mem := n-res.Misses[0], res.Misses[0]-res.Misses[1], res.Misses[1]
+		amat := 0.0
+		if n > 0 {
+			amat = (float64(l1) + float64(l2)*10 + float64(mem)*150) / float64(n)
 		}
-		fmt.Printf("two-level hierarchy L1=%dKB L2=%dKB over %d accesses:\n", l1KB, l2KB, h.Accesses())
-		fmt.Printf("  L1 hits %d (%.3f%%)  L2 hits %d (%.3f%%)  memory %d (%.3f%%)\n",
-			h.L1Hits, pct(h.L1Hits, h.Accesses()),
-			h.L2Hits, pct(h.L2Hits, h.Accesses()),
-			h.MemAccesses, pct(h.MemAccesses, h.Accesses()))
-		fmt.Printf("  AMAT (1/10/150 cycles): %.3f cycles\n", h.AMAT(1, 10, 150))
+		fmt.Fprintf(w, "two-level hierarchy L1=%dKB L2=%dKB over %d accesses:\n", o.l1KB, o.l2KB, n)
+		fmt.Fprintf(w, "  L1 hits %d (%.3f%%)  L2 hits %d (%.3f%%)  memory %d (%.3f%%)\n",
+			l1, pct(l1, n), l2, pct(l2, n), mem, pct(mem, n))
+		fmt.Fprintf(w, "  AMAT (1/10/150 cycles): %.3f cycles\n", amat)
 		return nil
 	}
 
 	var watches []int64
-	for _, p := range strings.Split(cacheKB, ",") {
+	for _, p := range strings.Split(o.cacheKB, ",") {
 		kb, err := strconv.ParseInt(strings.TrimSpace(p), 10, 64)
 		if err != nil {
 			return fmt.Errorf("bad cache size %q", p)
@@ -211,7 +234,7 @@ func run(kernel string, n int64, tiles, cacheKB string, assoc int, line, l1KB, l
 
 	switch eng {
 	case cachesim.EngineAnalytic:
-		if assoc > 0 {
+		if o.assoc > 0 {
 			return fmt.Errorf("-assoc needs a trace walk; use -engine exact or sampled")
 		}
 		if src.analysis == nil {
@@ -221,52 +244,52 @@ func run(kernel string, n int64, tiles, cacheKB string, assoc int, line, l1KB, l
 		if err != nil {
 			return err
 		}
-		fmt.Printf("analytic model: %d accesses, address space %d elements (no trace walked)\n",
+		fmt.Fprintf(w, "analytic model: %d accesses, address space %d elements (no trace walked)\n",
 			res.Accesses, src.addrSpace)
-		fmt.Printf("accesses %d, distinct addresses (compulsory misses) %d\n", res.Accesses, res.Distinct)
-		for i, w := range res.Watches {
-			fmt.Printf("fully-assoc LRU %6d KB: %12d predicted misses (%.3f%%)\n",
-				w*experiments.ElemBytes/1024, res.Misses[i], 100*res.MissRatio(i))
+		fmt.Fprintf(w, "accesses %d, distinct addresses (compulsory misses) %d\n", res.Accesses, res.Distinct)
+		for i, c := range res.Watches {
+			fmt.Fprintf(w, "fully-assoc LRU %6d KB: %12d predicted misses (%.3f%%)\n",
+				c*experiments.ElemBytes/1024, res.Misses[i], 100*res.MissRatio(i))
 		}
-		printPerSite(res, src.siteNames)
-		fmt.Printf("model closed-form throughout: %v (%d stack-distance components)\n", info.Exact, info.Components)
+		printPerSite(w, res, src.siteNames)
+		fmt.Fprintf(w, "model closed-form throughout: %v (%d stack-distance components)\n", info.Exact, info.Components)
 		return nil
 
 	case cachesim.EngineSampled:
-		if assoc > 0 {
+		if o.assoc > 0 {
 			return fmt.Errorf("-assoc needs the exact trace walk; use -engine exact")
 		}
-		k := sampleLog2
+		k := o.sampleLog2
 		if k < 0 {
 			k = cachesim.DefaultLog2Rate(src.addrSpace)
 		}
 		ssim := cachesim.NewSampledSim(src.addrSpace, src.nSites, watches, k, 0)
-		if err := src.runBlocks(block, ssim.AccessBlock); err != nil {
+		if err := src.blocks(o.block, ssim.AccessBlock); err != nil {
 			return err
 		}
 		res, st := ssim.Results(), ssim.Stats()
 		bound := ssim.MissBound(0.05)
-		fmt.Printf("trace length %d, address space %d elements\n", res.Accesses, src.addrSpace)
-		fmt.Printf("sampling rate 2^-%d: kept %d of %d accesses (%d sampled addresses)\n",
+		fmt.Fprintf(w, "trace length %d, address space %d elements\n", res.Accesses, src.addrSpace)
+		fmt.Fprintf(w, "sampling rate 2^-%d: kept %d of %d accesses (%d sampled addresses)\n",
 			st.Log2Rate, st.SampledAccesses, st.TotalAccesses, st.SampledDistinct)
-		fmt.Printf("accesses %d, distinct addresses (compulsory misses, estimated) %d\n", res.Accesses, res.Distinct)
-		for i, w := range res.Watches {
-			fmt.Printf("fully-assoc LRU %6d KB: %12d ± %d estimated misses (%.3f%%, 95%% envelope)\n",
-				w*experiments.ElemBytes/1024, res.Misses[i], bound, 100*res.MissRatio(i))
+		fmt.Fprintf(w, "accesses %d, distinct addresses (compulsory misses, estimated) %d\n", res.Accesses, res.Distinct)
+		for i, c := range res.Watches {
+			fmt.Fprintf(w, "fully-assoc LRU %6d KB: %12d ± %d estimated misses (%.3f%%, 95%% envelope)\n",
+				c*experiments.ElemBytes/1024, res.Misses[i], bound, 100*res.MissRatio(i))
 		}
-		printPerSite(res, src.siteNames)
+		printPerSite(w, res, src.siteNames)
 		return nil
 	}
 
 	sim := cachesim.NewStackSim(src.addrSpace, src.nSites, watches)
 	var extra *cachesim.AssocCache
-	if assoc > 0 {
-		extra, err = cachesim.NewAssocCache(watches[0], assoc, line)
+	if o.assoc > 0 {
+		extra, err = cachesim.NewAssocCache(watches[0], o.assoc, o.line)
 		if err != nil {
 			return err
 		}
 	}
-	if err := src.runBlocks(block, func(sites []int32, addrs []int64) {
+	if err := src.blocks(o.block, func(sites []int32, addrs []int64) {
 		sim.AccessBlock(sites, addrs)
 		if extra != nil {
 			extra.AccessBlock(addrs)
@@ -275,30 +298,30 @@ func run(kernel string, n int64, tiles, cacheKB string, assoc int, line, l1KB, l
 		return err
 	}
 	res := sim.Results()
-	fmt.Printf("trace length %d, address space %d elements\n", res.Accesses, src.addrSpace)
-	fmt.Printf("accesses %d, distinct addresses (compulsory misses) %d\n", res.Accesses, res.Distinct)
-	for i, w := range res.Watches {
-		fmt.Printf("fully-assoc LRU %6d KB: %12d misses (%.3f%%)\n",
-			w*experiments.ElemBytes/1024, res.Misses[i], 100*res.MissRatio(i))
+	fmt.Fprintf(w, "trace length %d, address space %d elements\n", res.Accesses, src.addrSpace)
+	fmt.Fprintf(w, "accesses %d, distinct addresses (compulsory misses) %d\n", res.Accesses, res.Distinct)
+	for i, c := range res.Watches {
+		fmt.Fprintf(w, "fully-assoc LRU %6d KB: %12d misses (%.3f%%)\n",
+			c*experiments.ElemBytes/1024, res.Misses[i], 100*res.MissRatio(i))
 	}
 	if extra != nil {
-		fmt.Printf("%d-way LRU (line %d elems) %d KB: %d misses (%.3f%%)\n",
-			assoc, line, watches[0]*experiments.ElemBytes/1024, extra.Misses(), 100*extra.MissRatio())
+		fmt.Fprintf(w, "%d-way LRU (line %d elems) %d KB: %d misses (%.3f%%)\n",
+			o.assoc, o.line, watches[0]*experiments.ElemBytes/1024, extra.Misses(), 100*extra.MissRatio())
 	}
-	printPerSite(res, src.siteNames)
-	fmt.Println("stack-distance histogram:")
-	fmt.Print(res.SDHistogramString())
+	printPerSite(w, res, src.siteNames)
+	fmt.Fprintln(w, "stack-distance histogram:")
+	fmt.Fprint(w, res.SDHistogramString())
 	return nil
 }
 
-func printPerSite(res cachesim.Results, names []string) {
-	fmt.Println("per-site misses (first watched size):")
+func printPerSite(w io.Writer, res cachesim.Results, names []string) {
+	fmt.Fprintln(w, "per-site misses (first watched size):")
 	for i, name := range names {
 		ps := res.PerSite[i]
 		if ps.Accesses == 0 {
 			continue
 		}
-		fmt.Printf("  %-40s %12d / %12d\n", name, ps.Misses[0], ps.Accesses)
+		fmt.Fprintf(w, "  %-40s %12d / %12d\n", name, ps.Misses[0], ps.Accesses)
 	}
 }
 

@@ -48,7 +48,7 @@ func TestAssocFullWaysMatchesStackSimAtLineSize(t *testing.T) {
 		sim := NewStackSim(space/line+1, 1, []int64{lines})
 		for _, addr := range assocPropTrace(r, space, 30000) {
 			c.Access(addr)
-			sim.Access(0, addr/line)
+			sim.access(0, addr/line)
 		}
 		m, err := sim.Results().MissesFor(lines)
 		if err != nil {

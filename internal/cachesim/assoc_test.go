@@ -20,7 +20,7 @@ func TestFullyAssocMatchesStackSim(t *testing.T) {
 		if !c.Access(addr) {
 			assocMisses++
 		}
-		sim.Access(0, addr)
+		sim.access(0, addr)
 	}
 	m, _ := sim.Results().MissesFor(capacity)
 	if m != assocMisses {

@@ -22,50 +22,6 @@ func randTrace(r *rand.Rand, space int64, n int) []int64 {
 	return addrs
 }
 
-// TestAccessBlockMatchesScalar is the consumption half of the batched
-// pipeline's exactness guarantee: feeding the same trace through Access
-// per-reference and through AccessBlock in odd-sized batches must yield
-// byte-identical Results — misses per watch, histogram, per-site stats —
-// and identical internal operation counts (so obs counters agree too).
-func TestAccessBlockMatchesScalar(t *testing.T) {
-	r := rand.New(rand.NewSource(42))
-	watches := []int64{64, 1, 16, 4, 256} // deliberately unsorted
-	for trial := 0; trial < 10; trial++ {
-		space := int64(r.Intn(300) + 4)
-		n := r.Intn(20000) + 500
-		addrs := randTrace(r, space, n)
-		nSites := 3
-		sites := make([]int32, n)
-		for i := range sites {
-			sites[i] = int32(i % nSites)
-		}
-
-		scalar := NewStackSim(space, nSites, watches)
-		for i, a := range addrs {
-			scalar.Access(int(sites[i]), a)
-		}
-		batched := NewStackSim(space, nSites, watches)
-		for lo := 0; lo < n; {
-			hi := lo + r.Intn(777) + 1
-			if hi > n {
-				hi = n
-			}
-			batched.AccessBlock(sites[lo:hi], addrs[lo:hi])
-			lo = hi
-		}
-
-		sr, br := scalar.Results(), batched.Results()
-		if !reflect.DeepEqual(sr, br) {
-			t.Fatalf("trial %d (space %d, n %d): results diverge\nscalar  %+v\nbatched %+v",
-				trial, space, n, sr, br)
-		}
-		if scalar.ops != batched.ops || scalar.compactions != batched.compactions {
-			t.Fatalf("trial %d: op counters diverge: ops %d vs %d, compactions %d vs %d",
-				trial, scalar.ops, batched.ops, scalar.compactions, batched.compactions)
-		}
-	}
-}
-
 // TestAccessBlockOnSD checks the per-access hook still fires in order from
 // the batched path.
 func TestAccessBlockOnSD(t *testing.T) {
@@ -148,7 +104,7 @@ func TestCapacitiesCrossed(t *testing.T) {
 	// below 3 every access misses.
 	s := NewStackSim(8, 1, []int64{4, 1, 3, 2}) // unsorted watches
 	for _, a := range []int64{0, 1, 2, 0, 1, 2} {
-		s.Access(0, a)
+		s.access(0, a)
 	}
 	res := s.Results()
 	got := capacitiesCrossed(res)
@@ -161,7 +117,7 @@ func TestCapacitiesCrossed(t *testing.T) {
 	// Flat curve: all watches large enough -> nothing crossed.
 	s2 := NewStackSim(8, 1, []int64{3, 5})
 	for _, a := range []int64{0, 1, 2, 0, 1, 2} {
-		s2.Access(0, a)
+		s2.access(0, a)
 	}
 	if got := capacitiesCrossed(s2.Results()); len(got) != 0 {
 		t.Fatalf("flat curve crossed %v, want none", got)
@@ -243,34 +199,5 @@ func TestAssocAccessBlockMatchesScalar(t *testing.T) {
 			t.Fatalf("geometry %+v: scalar %d/%d vs batched %d/%d",
 				geom, a.Misses(), a.accesses, b.Misses(), b.accesses)
 		}
-	}
-}
-
-// TestHierarchyAccessBlockMatchesScalar pins Hierarchy.AccessBlock to
-// Access.
-func TestHierarchyAccessBlockMatchesScalar(t *testing.T) {
-	r := rand.New(rand.NewSource(23))
-	a, err := NewHierarchy(256, 8, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewHierarchy(256, 8, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	addrs := randTrace(r, 256, 25000)
-	for _, x := range addrs {
-		a.Access(x)
-	}
-	for lo := 0; lo < len(addrs); lo += 1000 {
-		hi := lo + 1000
-		if hi > len(addrs) {
-			hi = len(addrs)
-		}
-		b.AccessBlock(addrs[lo:hi])
-	}
-	if a.L1Hits != b.L1Hits || a.L2Hits != b.L2Hits || a.MemAccesses != b.MemAccesses {
-		t.Fatalf("hierarchy diverges: scalar (%d,%d,%d) batched (%d,%d,%d)",
-			a.L1Hits, a.L2Hits, a.MemAccesses, b.L1Hits, b.L2Hits, b.MemAccesses)
 	}
 }

@@ -5,73 +5,54 @@ import (
 	"testing"
 )
 
+// levels splits the accesses of a simulation watching {L1, L2} by the level
+// of a two-level inclusive LRU hierarchy that serves them: L1 hits are the
+// accesses that fit L1, L2 hits the L1 misses that fit L2, and memory
+// accesses the L2 misses.
+func levels(r Results) (l1, l2, mem int64) {
+	return r.Accesses - r.Misses[0], r.Misses[0] - r.Misses[1], r.Misses[1]
+}
+
 func TestHierarchyClassification(t *testing.T) {
-	h, err := NewHierarchy(64, 2, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Trace: a b c d a  — distances: inf inf inf inf, then a at depth 4.
+	sim := NewStackSim(64, 1, []int64{2, 4})
+	// Trace: a b c d a — distances: inf inf inf inf, then a at depth 4.
 	for _, addr := range []int64{0, 1, 2, 3, 0} {
-		h.Access(addr)
+		sim.access(0, addr)
 	}
-	if h.MemAccesses != 4 {
-		t.Errorf("mem accesses %d want 4", h.MemAccesses)
+	if l1, l2, mem := levels(sim.Results()); l1 != 0 || l2 != 1 || mem != 4 {
+		t.Errorf("L1 %d, L2 %d, memory %d hits; want 0, 1 (sd 4 fits L2 not L1), 4", l1, l2, mem)
 	}
-	if h.L2Hits != 1 {
-		t.Errorf("L2 hits %d want 1 (sd 4 fits L2 not L1)", h.L2Hits)
-	}
-	if h.L1Hits != 0 {
-		t.Errorf("L1 hits %d want 0", h.L1Hits)
-	}
-	h.Access(0) // immediate re-access: sd 1 → L1
-	if h.L1Hits != 1 {
-		t.Errorf("L1 hits %d want 1", h.L1Hits)
-	}
-	if h.Accesses() != 6 {
-		t.Errorf("accesses %d", h.Accesses())
+	sim.access(0, 0) // immediate re-access: sd 1 → L1
+	if l1, l2, mem := levels(sim.Results()); l1 != 1 || l1+l2+mem != 6 {
+		t.Errorf("L1 hits %d of %d accesses, want 1 of 6", l1, l1+l2+mem)
 	}
 }
 
+// TestHierarchyConsistentWithSeparateSims checks the two-watch level counts
+// against a separate simulator that classifies every access by its stack
+// distance: sd ≤ L1 hits L1, L1 < sd ≤ L2 hits L2, the rest go to memory.
 func TestHierarchyConsistentWithSeparateSims(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
-	const space = 96
-	h, err := NewHierarchy(space, 8, 32)
-	if err != nil {
-		t.Fatal(err)
+	const space, capL1, capL2 = 96, 8, 32
+	both := NewStackSim(space, 1, []int64{capL1, capL2})
+	perAccess := NewStackSim(space, 1, nil)
+	var want [3]int64 // L1, L2, memory
+	perAccess.OnSD = func(_ int, sd int64) {
+		switch {
+		case sd != InfSD && sd <= capL1:
+			want[0]++
+		case sd != InfSD && sd <= capL2:
+			want[1]++
+		default:
+			want[2]++
+		}
 	}
-	flat := NewStackSim(space, 1, []int64{8, 32})
 	for i := 0; i < 40000; i++ {
 		addr := int64(r.Intn(space))
-		h.Access(addr)
-		flat.Access(0, addr)
+		both.access(0, addr)
+		perAccess.access(0, addr)
 	}
-	res := flat.Results()
-	m1, _ := res.MissesFor(8)
-	m2, _ := res.MissesFor(32)
-	if h.L1Hits != res.Accesses-m1 {
-		t.Errorf("L1 hits %d vs %d", h.L1Hits, res.Accesses-m1)
-	}
-	if h.MemAccesses != m2 {
-		t.Errorf("memory accesses %d vs L2 misses %d", h.MemAccesses, m2)
-	}
-	if h.L2Hits != m1-m2 {
-		t.Errorf("L2 hits %d vs %d", h.L2Hits, m1-m2)
-	}
-}
-
-func TestHierarchyAMAT(t *testing.T) {
-	h, _ := NewHierarchy(8, 1, 2)
-	h.Access(0)
-	h.Access(0)
-	// One memory access (compulsory), one L1 hit.
-	amat := h.AMAT(1, 10, 100)
-	if amat != (100+1)/2.0 {
-		t.Errorf("AMAT %v", amat)
-	}
-	if _, err := NewHierarchy(8, 4, 2); err == nil {
-		t.Error("L2 smaller than L1 accepted")
-	}
-	if _, err := NewHierarchy(8, 0, 2); err == nil {
-		t.Error("zero L1 accepted")
+	if l1, l2, mem := levels(both.Results()); [3]int64{l1, l2, mem} != want {
+		t.Errorf("levels (L1, L2, memory) %d, %d, %d; per-access classification %v", l1, l2, mem, want)
 	}
 }

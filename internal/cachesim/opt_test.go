@@ -8,7 +8,7 @@ import (
 func lruMisses(addrs []int64, capacity int64, space int64) int64 {
 	sim := NewStackSim(space, 1, []int64{capacity})
 	for _, a := range addrs {
-		sim.Access(0, a)
+		sim.access(0, a)
 	}
 	m, _ := sim.Results().MissesFor(capacity)
 	return m

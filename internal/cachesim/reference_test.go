@@ -92,7 +92,7 @@ func (s *ReferenceSim) fenPrefix(i int64) int64 {
 	return sum
 }
 
-// Access processes one reference, exactly as StackSim.Access does.
+// Access processes one reference, exactly as StackSim.AccessBlock does.
 func (s *ReferenceSim) Access(site int, addr int64) {
 	s.res.Accesses++
 	st := &s.res.PerSite[site]

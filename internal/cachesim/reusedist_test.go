@@ -33,7 +33,7 @@ func TestReuseDistanceOverpredicts(t *testing.T) {
 	stack := NewStackSim(16, 1, []int64{capacity})
 	touch := func(addr int64) {
 		reuse.Access(addr)
-		stack.Access(0, addr)
+		stack.access(0, addr)
 	}
 	for rep := 0; rep < 10; rep++ {
 		touch(15) // the reused element X

@@ -88,15 +88,6 @@ func TestSampledDeterministicAcrossBlockSizes(t *testing.T) {
 			}
 		}
 	}
-	// The scalar Access path must agree with the batched one too.
-	s := NewSampledSim(1<<16, 1, watches, 3, 0)
-	for _, a := range addrs {
-		s.Access(0, a)
-	}
-	r := s.Results()
-	if r.Accesses != ref.Accesses || r.Misses[0] != ref.Misses[0] || r.Misses[1] != ref.Misses[1] {
-		t.Fatalf("scalar path diverged from batched: %+v vs %+v", r, ref)
-	}
 }
 
 // TestSampledWithinBound: on a trace large enough for the estimator to

@@ -1,7 +1,12 @@
 package cachesim
 
-// The per-access entry points of the simulators that production drives only
-// through AccessBlock: the scalar oracles the batched paths are pinned to.
+// Per-access entry points for tests. Production drives the simulators only
+// through AccessBlock; AssocCache.Access is the scalar oracle its batched
+// path is pinned to, and access feeds hand-written traces to a StackSim one
+// reference at a time.
+
+// access feeds one reference through AccessBlock.
+func (s *StackSim) access(site int32, addr int64) { s.AccessBlock([]int32{site}, []int64{addr}) }
 
 // Access simulates one element access; it returns true on hit.
 func (c *AssocCache) Access(addr int64) bool {
@@ -24,17 +29,4 @@ func (c *AssocCache) Access(addr int64) bool {
 	s[0] = line
 	c.sets[set] = s
 	return false
-}
-
-// Access classifies one reference.
-func (h *Hierarchy) Access(addr int64) { h.sim.Access(0, addr) }
-
-// Access processes one reference (the scalar path; AccessBlock is the hot
-// one). Unsampled accesses only bump the totals.
-func (s *SampledSim) Access(site int, addr int64) {
-	s.total++
-	s.siteTotal[site]++
-	if sampleHash(uint64(addr), s.seed)>>(64-s.k) == 0 {
-		s.inner.Access(site, addr)
-	}
 }

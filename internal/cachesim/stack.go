@@ -42,7 +42,7 @@ type Results struct {
 	// bits.Len(sd) == b, i.e. 2^(b-1) <= sd < 2^b. First touches are not in
 	// the histogram; they are counted by Distinct.
 	Hist [64]int64
-	// PerSite is indexed by the site id given to Access; sized by the
+	// PerSite is indexed by the site ids given to AccessBlock; sized by the
 	// nSites argument of NewStackSim.
 	PerSite []SiteStats
 }
@@ -176,96 +176,22 @@ func watchPrefix(sorted []int64, sd int64) int {
 // spaces stays around a hundred entries.
 const blkShift = 8
 
-// livePrefix counts live slots at positions <= slot: a block-tree prefix
-// walk, then popcounts over the partial block.
-func (s *StackSim) livePrefix(slot int64) int64 {
-	b := slot >> blkShift
-	var sum int64
-	for j := b; j > 0; j -= j & (-j) {
-		sum += s.blkFen[j]
-	}
-	w := slot >> 6
-	for j := b << (blkShift - 6); j < w; j++ {
-		sum += int64(bits.OnesCount64(s.live[j]))
-	}
-	// Shifting left by 63-r discards bits above r, so the popcount covers
-	// exactly bit positions 0..slot%64 of the final word.
-	return sum + int64(bits.OnesCount64(s.live[w]<<(63-uint(slot&63))))
-}
-
-func (s *StackSim) markLive(slot int64) {
-	s.live[slot>>6] |= 1 << uint(slot&63)
-	for j := slot>>blkShift + 1; j <= s.nBlk; j += j & (-j) {
-		s.blkFen[j]++
-	}
-}
-
-func (s *StackSim) clearLive(slot int64) {
-	s.live[slot>>6] &^= 1 << uint(slot&63)
-	for j := slot>>blkShift + 1; j <= s.nBlk; j += j & (-j) {
-		s.blkFen[j]--
-	}
-}
-
-// Access processes one reference. site indexes the per-site stats; pass 0
-// if per-site stats are not needed. Streaming consumers should prefer
-// AccessBlock, which amortizes the per-call overhead over whole blocks;
-// both paths maintain the same state and produce identical Results (pinned
-// by TestAccessBlockMatchesScalar).
-func (s *StackSim) Access(site int, addr int64) {
-	s.res.Accesses++
-	st := &s.res.PerSite[site]
-	st.Accesses++
-
-	old := s.slotOf[addr]
-	var sd int64
-	k := len(s.sortedW)
-	if old == 0 {
-		sd = InfSD
-		s.active++
-		s.res.Distinct++
-		st.FirstTouch++
-		s.ops++
-	} else {
-		// Distinct addresses accessed strictly after old, plus the address
-		// itself.
-		sd = s.active - s.livePrefix(old) + 1
-		s.clearLive(old)
-		s.addrAt[old] = -1
-		s.res.Hist[bits.Len64(uint64(sd))]++
-		k = watchPrefix(s.sortedW, sd)
-		s.ops += 3 // prefix query, removal, insertion
-	}
-	s.missK[k]++
-	s.siteK[site][k]++
-	if s.OnSD != nil {
-		s.OnSD(site, sd)
-	}
-
-	if s.clock > s.cap {
-		s.compact()
-	}
-	s.slotOf[addr] = s.clock
-	s.addrAt[s.clock] = addr
-	s.markLive(s.clock)
-	s.clock++
-}
-
 // AccessBlock processes one batch of references (the trace.EmitBlock
-// shape). It is the hot path of the batched simulation pipeline: slice
-// headers and the per-site stats base are hoisted out of the loop, the
-// live-slot structure is inlined (the helper walks are too large for the
-// compiler to inline as calls), the operation/access counters are committed
-// once per block, and the per-access watch scan is replaced by the
-// missed-prefix length.
+// shape); it is the simulator's only access path. sites[i] indexes the
+// per-site stats of the access at addrs[i]. Slice headers and the per-site
+// stats base are hoisted out of the loop, the live-slot structure is walked
+// inline, the operation/access counters are committed once per block, and
+// the per-access watch scan is replaced by the missed-prefix length.
 //
-// Beyond hoisting, the removal and insertion exploit block locality: when
-// the vacated slot and the new slot fall in the same 256-slot block — the
-// common case for the short reuse distances of tiled kernels — the two
-// block-tree updates cancel and the whole update is two bitset writes. Every
-// counter (including ops, which counts logical operations: one query plus
-// two updates per hit) and all Results are identical to issuing every
-// access through Access, and to the tests' reference simulator.
+// A hit's stack distance is the number of live slots after its previous
+// slot, counted by a block-tree prefix walk plus popcounts over the partial
+// block. The removal and insertion exploit block locality: when the vacated
+// slot and the new slot fall in the same 256-slot block — the common case
+// for the short reuse distances of tiled kernels — the two block-tree
+// updates cancel and the whole update is two bitset writes. Every counter
+// (including ops, which counts logical operations: one query plus two
+// updates per hit) and all Results are identical at any block size, and to
+// the tests' reference simulator.
 func (s *StackSim) AccessBlock(sites []int32, addrs []int64) {
 	if len(addrs) == 0 {
 		return
@@ -328,8 +254,8 @@ func (s *StackSim) AccessBlock(sites []int32, addrs []int64) {
 			live[w] &^= 1 << uint(old&63)
 			if clock > s.cap {
 				// Finish the removal, then compact, then insert — the
-				// scalar order, so the trigger index and resulting state
-				// match Access exactly.
+				// reference simulator's order, so the trigger index and
+				// resulting state match it exactly.
 				for j := b + 1; j <= nBlk; j += j & (-j) {
 					blkFen[j]--
 				}

@@ -12,7 +12,7 @@ func TestStackSimBasic(t *testing.T) {
 	s.OnSD = func(_ int, sd int64) { sds = append(sds, sd) }
 	// Trace: a b a b c a
 	for _, addr := range []int64{0, 1, 0, 1, 2, 0} {
-		s.Access(0, addr)
+		s.access(0, addr)
 	}
 	want := []int64{InfSD, InfSD, 2, 2, InfSD, 3}
 	if len(sds) != len(want) {
@@ -37,7 +37,7 @@ func TestStackSimBasic(t *testing.T) {
 func TestStackSimRepeatedSameAddress(t *testing.T) {
 	s := NewStackSim(4, 1, []int64{1})
 	for i := 0; i < 5; i++ {
-		s.Access(0, 2)
+		s.access(0, 2)
 	}
 	r := s.Results()
 	m, _ := r.MissesFor(1)
@@ -69,7 +69,7 @@ func TestStackSimMatchesNaiveRandom(t *testing.T) {
 		for ; i < n; i++ {
 			addr := int64(r.Intn(int(space)))
 			want = naive.Access(addr)
-			sim.Access(0, addr)
+			sim.access(0, addr)
 			if got != want {
 				ok = false
 				badAt = i
@@ -98,7 +98,7 @@ func TestStackSimCompaction(t *testing.T) {
 	for i := 0; i < 100000; i++ {
 		addr := int64(r.Intn(space))
 		want := naive.Access(addr)
-		sim.Access(0, addr)
+		sim.access(0, addr)
 		if got != want {
 			t.Fatalf("access %d: sd=%d naive=%d", i, got, want)
 		}
@@ -110,7 +110,7 @@ func TestMissesMonotoneInCapacity(t *testing.T) {
 	watches := []int64{1, 2, 4, 8, 16, 32}
 	sim := NewStackSim(64, 1, watches)
 	for i := 0; i < 20000; i++ {
-		sim.Access(0, int64(r.Intn(64)))
+		sim.access(0, int64(r.Intn(64)))
 	}
 	res := sim.Results()
 	for i := 1; i < len(watches); i++ {
@@ -130,11 +130,11 @@ func TestMissesMonotoneInCapacity(t *testing.T) {
 
 func TestPerSiteStats(t *testing.T) {
 	sim := NewStackSim(8, 2, []int64{1})
-	sim.Access(0, 0)
-	sim.Access(1, 1)
-	sim.Access(0, 0) // sd 2 -> miss at cap 1
-	sim.Access(1, 1) // sd 2 -> miss at cap 1
-	sim.Access(1, 1) // sd 1 -> hit at cap 1
+	sim.access(0, 0)
+	sim.access(1, 1)
+	sim.access(0, 0) // sd 2 -> miss at cap 1
+	sim.access(1, 1) // sd 2 -> miss at cap 1
+	sim.access(1, 1) // sd 1 -> hit at cap 1
 	res := sim.Results()
 	if res.PerSite[0].Accesses != 2 || res.PerSite[1].Accesses != 3 {
 		t.Fatalf("per-site accesses %+v", res.PerSite)
@@ -158,7 +158,7 @@ func TestQuickStackSimEqualsNaive(t *testing.T) {
 		sim.OnSD = func(_ int, sd int64) { got = sd }
 		for _, b := range raw {
 			want := naive.Access(int64(b))
-			sim.Access(0, int64(b))
+			sim.access(0, int64(b))
 			if got != want {
 				return false
 			}
@@ -172,7 +172,7 @@ func TestQuickStackSimEqualsNaive(t *testing.T) {
 
 func TestMissesForUnknownCapacity(t *testing.T) {
 	sim := NewStackSim(4, 1, []int64{2})
-	sim.Access(0, 1)
+	sim.access(0, 1)
 	res := sim.Results()
 	if _, err := res.MissesFor(99); err == nil {
 		t.Fatal("expected error for unwatched capacity")
@@ -183,7 +183,7 @@ func TestMissesAtLeastBound(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	sim := NewStackSim(128, 1, []int64{16})
 	for i := 0; i < 50000; i++ {
-		sim.Access(0, int64(r.Intn(128)))
+		sim.access(0, int64(r.Intn(128)))
 	}
 	res := sim.Results()
 	exact, _ := res.MissesFor(16)
@@ -195,8 +195,8 @@ func TestMissesAtLeastBound(t *testing.T) {
 
 func TestSDHistogramString(t *testing.T) {
 	sim := NewStackSim(4, 1, nil)
-	sim.Access(0, 0)
-	sim.Access(0, 0)
+	sim.access(0, 0)
+	sim.access(0, 0)
 	out := sim.Results().SDHistogramString()
 	if out == "" {
 		t.Fatal("empty histogram rendering")

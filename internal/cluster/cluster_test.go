@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/service"
 )
 
@@ -404,51 +405,66 @@ func TestRouterDrainAndAdmission(t *testing.T) {
 	rt.draining.Store(false)
 }
 
-// TestKeyMemo pins the router-side key memo: hits return the memoized key
-// (including memoized planning errors), the LRU stays bounded, oversized
-// bodies bypass it.
+// TestKeyMemo pins the router's key memo as the router builds it: hits
+// return the memoized key (including memoized planning errors), the LRU
+// stays bounded, oversized bodies bypass it, and router.keymemo.hits and
+// .misses count every lookup, an oversized body as a miss.
 func TestKeyMemo(t *testing.T) {
-	km := newKeyMemo(nil)
+	// The service's plan-memo bounds, which the key memo shares.
+	const memoCap, memoMaxBody = 1024, 4096
+	m := obs.New()
+	km := service.NewKeyMemo(m, "router.keymemo")
+	counts := func(hits, misses int64) {
+		t.Helper()
+		if h, ms := m.Counter("router.keymemo.hits").Load(), m.Counter("router.keymemo.misses").Load(); h != hits || ms != misses {
+			t.Fatalf("hits %d, misses %d; want %d, %d", h, ms, hits, misses)
+		}
+	}
 	body := []byte(`{"kernel":"matmul","n":16,"tiles":[4,4,4],"cacheKB":4}`)
-	k1, err := km.lookup("/v1/predict", body)
+	k1, err := km.Key("/v1/predict", body)
 	if err != nil || k1 == "" {
 		t.Fatalf("lookup: %q %v", k1, err)
 	}
-	k2, err := km.lookup("/v1/predict", body)
+	k2, err := km.Key("/v1/predict", body)
 	if err != nil || k2 != k1 {
 		t.Fatalf("memoized lookup diverged: %q vs %q (%v)", k2, k1, err)
 	}
-	if km.len() != 1 {
-		t.Fatalf("memo holds %d entries, want 1", km.len())
+	if km.Len() != 1 {
+		t.Fatalf("memo holds %d entries, want 1", km.Len())
 	}
+	counts(1, 1)
 	// Same body, different path → different memo entry and key.
-	k3, err := km.lookup("/v1/analyze", []byte(`{"kernel":"matmul","n":16,"tiles":[4,4,4]}`))
+	k3, err := km.Key("/v1/analyze", []byte(`{"kernel":"matmul","n":16,"tiles":[4,4,4]}`))
 	if err != nil || k3 == k1 {
 		t.Fatalf("analyze key: %q %v", k3, err)
 	}
 	// Errors memoize too.
-	if _, err := km.lookup("/v1/predict", []byte(`{"kernel":"matmul","n":16}`)); err == nil {
+	if _, err := km.Key("/v1/predict", []byte(`{"kernel":"matmul","n":16}`)); err == nil {
 		t.Fatal("bad predict accepted")
 	}
-	if _, err := km.lookup("/v1/predict", []byte(`{"kernel":"matmul","n":16}`)); err == nil {
+	if _, err := km.Key("/v1/predict", []byte(`{"kernel":"matmul","n":16}`)); err == nil {
 		t.Fatal("memoized bad predict accepted")
 	}
-	if km.len() != 3 {
-		t.Fatalf("memo holds %d entries, want 3", km.len())
+	if km.Len() != 3 {
+		t.Fatalf("memo holds %d entries, want 3", km.Len())
 	}
+	counts(2, 3)
 	// Oversized bodies still resolve but are not memoized.
-	big := append([]byte(`{"kernel":"matmul","n":16,"tiles":[4,4,4],"cacheKB":4,"env":{}} `), bytes.Repeat([]byte(" "), maxKeyMemoBody)...)
-	if _, err := km.lookup("/v1/predict", big); err != nil {
-		t.Fatalf("oversized body: %v", err)
+	big := append([]byte(`{"kernel":"matmul","n":16,"tiles":[4,4,4],"cacheKB":4,"env":{}} `), bytes.Repeat([]byte(" "), memoMaxBody)...)
+	for i := 0; i < 2; i++ {
+		if _, err := km.Key("/v1/predict", big); err != nil {
+			t.Fatalf("oversized body: %v", err)
+		}
 	}
-	if km.len() != 3 {
-		t.Fatalf("oversized body was memoized: %d entries", km.len())
+	if km.Len() != 3 {
+		t.Fatalf("oversized body was memoized: %d entries", km.Len())
 	}
+	counts(2, 5)
 	// The LRU bound holds.
-	for i := 0; i < keyMemoCap+50; i++ {
-		km.lookup("/v1/predict", []byte(fmt.Sprintf(`{"kernel":"matmul","n":%d,"tiles":[4,4,4],"cacheKB":4}`, i%64+8)))
+	for i := 0; i < memoCap+50; i++ {
+		km.Key("/v1/predict", []byte(fmt.Sprintf(`{"kernel":"matmul","n":%d,"tiles":[4,4,4],"cacheKB":4}`, i+8)))
 	}
-	if km.len() > keyMemoCap {
-		t.Fatalf("memo grew past its cap: %d > %d", km.len(), keyMemoCap)
+	if km.Len() != memoCap {
+		t.Fatalf("memo holds %d entries, want its cap %d", km.Len(), memoCap)
 	}
 }

@@ -83,7 +83,7 @@ type Router struct {
 	cfg      Config
 	ring     *Ring
 	prober   *prober
-	keys     *keyMemo
+	keys     *service.KeyMemo
 	client   *http.Client
 	inflight chan struct{}
 	draining atomic.Bool
@@ -108,7 +108,7 @@ func New(cfg Config) (*Router, error) {
 	rt := &Router{
 		cfg:    cfg,
 		ring:   ring,
-		keys:   newKeyMemo(m),
+		keys:   service.NewKeyMemo(m, "router.keymemo"),
 		client: &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 64}},
 
 		inflight:      make(chan struct{}, cfg.MaxInFlight),
@@ -150,7 +150,7 @@ func (rt *Router) Health() RouterHealth {
 		Draining:       rt.draining.Load(),
 		UptimeSec:      time.Since(rt.started).Seconds(),
 		InFlight:       len(rt.inflight),
-		KeyMemoEntries: rt.keys.len(),
+		KeyMemoEntries: rt.keys.Len(),
 		Replicas:       rt.prober.snapshot(),
 	}
 	if h.Draining {
@@ -255,7 +255,7 @@ func (rt *Router) serveProxy(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	key, err := rt.keys.lookup(r.URL.Path, body)
+	key, err := rt.keys.Key(r.URL.Path, body)
 	if err != nil {
 		rt.errs.Inc()
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})

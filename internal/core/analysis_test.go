@@ -45,7 +45,7 @@ func simulateMisses(t *testing.T, nest *loopir.Nest, env expr.Env, watches []int
 		t.Fatal(err)
 	}
 	sim := cachesim.NewStackSim(p.Size, len(p.Sites), watches)
-	p.Run(sim.Access)
+	p.RunBlocks(0, sim.AccessBlock)
 	return sim.Results()
 }
 

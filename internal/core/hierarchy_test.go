@@ -11,7 +11,8 @@ import (
 // TestPredictHierarchyAgainstSimulator: two single-level predictions, one at
 // each capacity, classify every access of a two-level hierarchy — L1 hits
 // are the L1 report's hits, L2 hits the misses L2 recovers, and memory
-// accesses the L2 misses — and must match cachesim.Hierarchy.
+// accesses the L2 misses — and must match one simulator watching both
+// capacities.
 func TestPredictHierarchyAgainstSimulator(t *testing.T) {
 	nest := matmulNest(t)
 	a, err := Analyze(nest)
@@ -37,14 +38,12 @@ func TestPredictHierarchyAgainstSimulator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := cachesim.NewHierarchy(p.Size, capL1, capL2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.RunBlocks(0, func(_ []int32, addrs []int64) { h.AccessBlock(addrs) })
+	sim := cachesim.NewStackSim(p.Size, len(p.Sites), []int64{capL1, capL2})
+	p.RunBlocks(0, sim.AccessBlock)
+	res := sim.Results()
 
-	if l1.Accesses != h.Accesses() {
-		t.Fatalf("accesses %d vs %d", l1.Accesses, h.Accesses())
+	if l1.Accesses != res.Accesses {
+		t.Fatalf("accesses %d vs %d", l1.Accesses, res.Accesses)
 	}
 	tol := int64(3 * N * N)
 	check := func(name string, got, want int64) {
@@ -56,9 +55,9 @@ func TestPredictHierarchyAgainstSimulator(t *testing.T) {
 			t.Errorf("%s: predicted %d vs simulated %d", name, got, want)
 		}
 	}
-	check("L1 hits", l1Hits, h.L1Hits)
-	check("L2 hits", l2Hits, h.L2Hits)
-	check("memory", mem, h.MemAccesses)
+	check("L1 hits", l1Hits, res.Accesses-res.Misses[0])
+	check("L2 hits", l2Hits, res.Misses[0]-res.Misses[1])
+	check("memory", mem, res.Misses[1])
 
 	// Conservation.
 	if l1Hits+l2Hits+mem != l1.Accesses {

@@ -86,7 +86,7 @@ func TestQuickImperfectNestsPredictVsSim(t *testing.T) {
 		}
 		watches := []int64{1, 2, 4, 8, 16, 1000}
 		sim := cachesim.NewStackSim(p.Size, len(p.Sites), watches)
-		p.Run(sim.Access)
+		p.RunBlocks(0, sim.AccessBlock)
 		res := sim.Results()
 
 		// Compulsory misses must be exact.

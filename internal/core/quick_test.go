@@ -114,7 +114,7 @@ func TestQuickRandomNestsPredictVsSim(t *testing.T) {
 		}
 		watches := []int64{1, 2, 3, 5, 9, 17, 40, 1000}
 		sim := cachesim.NewStackSim(p.Size, len(p.Sites), watches)
-		p.Run(sim.Access)
+		p.RunBlocks(0, sim.AccessBlock)
 		res := sim.Results()
 
 		var total int64 // statement executions, summed over statements

@@ -85,7 +85,7 @@ func TestPhaseCurveMatchesSimulation(t *testing.T) {
 			t.Fatal(err)
 		}
 		sim := cachesim.NewStackSim(p.Size, len(p.Sites), []int64{cache})
-		p.Run(sim.Access)
+		p.RunBlocks(0, sim.AccessBlock)
 		m, _ := sim.Results().MissesFor(cache)
 		pts = append(pts, pt{tile, pred, m})
 	}

@@ -69,7 +69,7 @@ func TestCCSDModelVsSimulation(t *testing.T) {
 	}
 	watches := []int64{8, 64, 512, 4096, 1 << 30}
 	sim := cachesim.NewStackSim(p.Size, len(p.Sites), watches)
-	p.Run(sim.Access)
+	p.RunBlocks(0, sim.AccessBlock)
 	res := sim.Results()
 
 	predInfRep, err := a.PredictMissesFrame(a.SymTab().FrameOf(env), 1<<40)

@@ -68,7 +68,7 @@ func TestCopiedModelVsSimulation(t *testing.T) {
 	}
 	watches := []int64{16, 128, 1024, 1 << 30}
 	sim := cachesim.NewStackSim(p.Size, len(p.Sites), watches)
-	p.Run(sim.Access)
+	p.RunBlocks(0, sim.AccessBlock)
 	res := sim.Results()
 	predInfRep, err := a.PredictMissesFrame(a.SymTab().FrameOf(env), 1<<40)
 	if err != nil {

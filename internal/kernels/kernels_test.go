@@ -97,7 +97,7 @@ func TestTwoIndexModelVsSimulation(t *testing.T) {
 	}
 	watches := []int64{4, 16, 64, 150, 400, 1200, 4000, 100000}
 	sim := cachesim.NewStackSim(p.Size, len(p.Sites), watches)
-	p.Run(sim.Access)
+	p.RunBlocks(0, sim.AccessBlock)
 	res := sim.Results()
 	for i, c := range watches {
 		predRep, err := a.PredictMissesFrame(a.SymTab().FrameOf(env), c)

@@ -56,7 +56,7 @@ func TestGeneratedNestsModelAccuracy(t *testing.T) {
 			}
 			watches := []int64{1, 3, 9, 27, 1 << 20}
 			sim := cachesim.NewStackSim(p.Size, len(p.Sites), watches)
-			p.Run(sim.Access)
+			p.RunBlocks(0, sim.AccessBlock)
 			res := sim.Results()
 
 			predInfRep, err := a.PredictMissesFrame(a.SymTab().FrameOf(env), 1<<40)

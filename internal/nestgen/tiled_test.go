@@ -31,7 +31,7 @@ func TestGeneratedTiledNests(t *testing.T) {
 		}
 		watches := []int64{1, 2, 4, 8, 16, 64, 1 << 20}
 		sim := cachesim.NewStackSim(p.Size, len(p.Sites), watches)
-		p.Run(sim.Access)
+		p.RunBlocks(0, sim.AccessBlock)
 		res := sim.Results()
 
 		predInfRep, err := a.PredictMissesFrame(a.SymTab().FrameOf(env), 1<<40)

@@ -72,6 +72,13 @@ func (c *memoLRU[V]) put(key []byte, val V) {
 	c.misses.Inc()
 }
 
+// len reports the number of memoized entries.
+func (c *memoLRU[V]) len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.lru.Len()
+}
+
 // planned is one memoized single-request planning outcome: JSON decode,
 // kernel construction, nest parse, canonicalization, key packing. Planning
 // is deterministic, so identical bodies always reproduce the same canonical
@@ -152,3 +159,39 @@ func (s *Service) planBatch(body []byte) *batchPlan {
 		return plan
 	})
 }
+
+// KeyMemo memoizes CanonicalKeyForRequest per exact (path, body) bytes, with
+// the plan memo's machinery and bounds; the analysisrouter keys every
+// request through one. Planning errors are memoized too: a malformed body
+// is malformed forever, and re-rejecting it should not cost a re-parse. A
+// body over the size bound is keyed from scratch each time and counts as a
+// miss.
+type KeyMemo struct{ memo *memoLRU[keyed] }
+
+// keyed is one memoized key derivation.
+type keyed struct {
+	key string
+	err error
+}
+
+// NewKeyMemo returns an empty key memo that counts its lookups as
+// prefix.hits and prefix.misses in m (nil m counts nothing).
+func NewKeyMemo(m *obs.Metrics, prefix string) *KeyMemo {
+	return &KeyMemo{newMemoLRU[keyed](planCacheCap, m, prefix)}
+}
+
+// Key returns the canonical key of a single request, from the memo when the
+// same bytes were keyed before.
+func (km *KeyMemo) Key(path string, body []byte) (string, error) {
+	if len(body) > maxPlanBody {
+		km.memo.misses.Inc()
+	}
+	k := memoized(km.memo, maxPlanBody, path, body, func() keyed {
+		key, err := CanonicalKeyForRequest(path, body)
+		return keyed{key, err}
+	})
+	return k.key, k.err
+}
+
+// Len reports the number of memoized bodies.
+func (km *KeyMemo) Len() int { return km.memo.len() }

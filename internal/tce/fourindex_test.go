@@ -45,7 +45,7 @@ func TestFourIndexPipeline(t *testing.T) {
 	}
 	watches := []int64{16, 128, 1024, 1 << 30}
 	sim := cachesim.NewStackSim(p.Size, len(p.Sites), watches)
-	p.Run(sim.Access)
+	p.RunBlocks(0, sim.AccessBlock)
 	res := sim.Results()
 	total, _ := p.Length()
 	for i, cap := range watches {

@@ -223,7 +223,7 @@ func TestFusedFourIndexAnalyzable(t *testing.T) {
 	}
 	watches := []int64{8, 64, 512, 1 << 30}
 	sim := cachesim.NewStackSim(p.Size, len(p.Sites), watches)
-	p.Run(sim.Access)
+	p.RunBlocks(0, sim.AccessBlock)
 	res := sim.Results()
 	total, _ := p.Length()
 	for i, cap := range watches {

@@ -120,7 +120,7 @@ func TestGenLoopNestTwoIndex(t *testing.T) {
 	}
 	watches := []int64{8, 64, 512, 100000}
 	sim := cachesim.NewStackSim(p.Size, len(p.Sites), watches)
-	p.Run(sim.Access)
+	p.RunBlocks(0, sim.AccessBlock)
 	res := sim.Results()
 	for i, cap := range watches {
 		predRep, err := a.PredictMissesFrame(a.SymTab().FrameOf(env), cap)
@@ -190,7 +190,7 @@ func TestFusedTwoIndexNest(t *testing.T) {
 	}
 	watches := []int64{2, 30, 300, 100000}
 	sim := cachesim.NewStackSim(p.Size, len(p.Sites), watches)
-	p.Run(sim.Access)
+	p.RunBlocks(0, sim.AccessBlock)
 	res := sim.Results()
 	for i, cap := range watches {
 		predRep, err := a.PredictMissesFrame(a.SymTab().FrameOf(env), cap)

@@ -1,18 +1,18 @@
 package trace
 
-// Batched trace generation. Per-access emission (Emit) costs an indirect
-// call per reference, which dominates trace generation once subscripts are
-// precompiled; the block API amortizes it to one call per ~64K accesses and
-// lets the innermost-loop walker advance addresses by precomputed strides.
-// The buffers handed to an EmitBlock are reused between calls — consumers
-// must fully process (or copy) them before returning.
+// Batched traces. A trace reaches its consumers only in blocks, whether
+// RunBlocks generates it or a Reader decodes it from a file: one call per
+// ~64K accesses instead of one per reference, and the innermost-loop walker
+// advances addresses by precomputed strides. The buffers handed to an
+// EmitBlock are reused between calls — consumers must fully process (or
+// copy) them before returning.
 
 // EmitBlock receives one batch of accesses: sites[i] is the static
 // reference-site index of the access at addrs[i]. Both slices have the same
 // length and are valid only for the duration of the call.
 type EmitBlock func(sites []int32, addrs []int64)
 
-// DefaultBlockSize is the batch granularity used by Run and the cmd tools:
+// DefaultBlockSize is the batch granularity of the simulators' callers:
 // 64K accesses ≈ 768 KB of buffer, large enough to amortize the per-block
 // call to nothing and small enough to stay cache- and allocation-friendly.
 const DefaultBlockSize = 1 << 16
@@ -143,45 +143,4 @@ func (s *cstmt) runBlocks(vals []int64, b *blockRun) {
 		n++
 	}
 	b.n = n
-}
-
-// BlockBuffer adapts a per-access Emit stream (e.g. ReadTrace replay) into
-// EmitBlock batches. Call Flush after the stream ends to deliver the final
-// partial block.
-type BlockBuffer struct {
-	sites []int32
-	addrs []int64
-	n     int
-	sink  EmitBlock
-}
-
-// NewBlockBuffer creates a buffer of the given block size (<= 0 selects
-// DefaultBlockSize) delivering to sink.
-func NewBlockBuffer(blockSize int, sink EmitBlock) *BlockBuffer {
-	if blockSize <= 0 {
-		blockSize = DefaultBlockSize
-	}
-	return &BlockBuffer{
-		sites: make([]int32, blockSize),
-		addrs: make([]int64, blockSize),
-		sink:  sink,
-	}
-}
-
-// Emit buffers one access; it has the trace.Emit signature.
-func (b *BlockBuffer) Emit(site int, addr int64) {
-	if b.n == len(b.addrs) {
-		b.Flush()
-	}
-	b.sites[b.n] = int32(site)
-	b.addrs[b.n] = addr
-	b.n++
-}
-
-// Flush delivers any buffered accesses to the sink.
-func (b *BlockBuffer) Flush() {
-	if b.n > 0 {
-		b.sink(b.sites[:b.n], b.addrs[:b.n])
-		b.n = 0
-	}
 }

@@ -129,18 +129,6 @@ func TestRunBlocksMatchesScalar(t *testing.T) {
 				}
 			}
 		}
-		// Run (the adapter) must match too.
-		var adSites []int
-		var adAddrs []int64
-		p.Run(func(site int, addr int64) {
-			adSites = append(adSites, site)
-			adAddrs = append(adAddrs, addr)
-		})
-		for i := range wantAddrs {
-			if adSites[i] != wantSites[i] || adAddrs[i] != wantAddrs[i] {
-				t.Fatalf("%s: Run adapter diverges at access %d", p.Nest.Name, i)
-			}
-		}
 	}
 }
 
@@ -158,35 +146,6 @@ func TestRunBlocksLength(t *testing.T) {
 		_, addrs := collectBlocks(p, 16)
 		if int64(len(addrs)) != want {
 			t.Fatalf("%s: stream length %d want %d", p.Nest.Name, len(addrs), want)
-		}
-	}
-}
-
-// TestBlockBuffer checks the Emit→EmitBlock adapter, including the final
-// partial flush.
-func TestBlockBuffer(t *testing.T) {
-	var got []int64
-	var blocks int
-	bb := NewBlockBuffer(4, func(sites []int32, addrs []int64) {
-		blocks++
-		for i := range addrs {
-			if sites[i] != 1 {
-				t.Fatalf("site %d want 1", sites[i])
-			}
-			got = append(got, addrs[i])
-		}
-	})
-	for a := int64(0); a < 10; a++ {
-		bb.Emit(1, a)
-	}
-	bb.Flush()
-	bb.Flush() // idempotent on empty
-	if len(got) != 10 || blocks != 3 {
-		t.Fatalf("got %d accesses in %d blocks, want 10 in 3", len(got), blocks)
-	}
-	for i, a := range got {
-		if a != int64(i) {
-			t.Fatalf("addr[%d] = %d", i, a)
 		}
 	}
 }

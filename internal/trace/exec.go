@@ -137,13 +137,14 @@ func (e *Executor) Run() {
 		}
 		curStmt = -1
 	}
-	e.prog.Run(func(site int, addr int64) {
-		s := stmtOf[site]
-		if refIdx[site] == 0 {
-			flush()
-			curStmt = s
+	e.prog.RunBlocks(DefaultBlockSize, func(sites []int32, block []int64) {
+		for i, site := range sites {
+			if refIdx[site] == 0 {
+				flush()
+				curStmt = stmtOf[site]
+			}
+			addrs[refIdx[site]] = block[i]
 		}
-		addrs[refIdx[site]] = addr
 	})
 	flush()
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 )
 
 // Binary trace format. Traces can be written once and replayed through any
@@ -51,24 +52,26 @@ func NewWriter(w io.Writer, nSites int, addrSpace int64) (*Writer, error) {
 	return &Writer{w: bw, nSites: nSites}, nil
 }
 
-// Emit records one access; it has the trace.Emit signature so it can be
-// passed directly to Program.Run.
-func (t *Writer) Emit(site int, addr int64) {
+// WriteBlock records one block of accesses; it has the EmitBlock signature
+// so it can be passed directly to Program.RunBlocks or Reader.Blocks.
+func (t *Writer) WriteBlock(sites []int32, addrs []int64) {
 	if t.err != nil {
 		return
 	}
-	if site < 0 || site >= t.nSites {
-		t.err = fmt.Errorf("trace: site %d out of range [0,%d)", site, t.nSites)
-		return
+	for i, addr := range addrs {
+		site := sites[i]
+		if site < 0 || int(site) >= t.nSites {
+			t.err = fmt.Errorf("trace: site %d out of range [0,%d)", site, t.nSites)
+			return
+		}
+		n := binary.PutUvarint(t.buf[:], uint64(site))
+		n += binary.PutVarint(t.buf[n:], addr-t.prevAddr)
+		if _, t.err = t.w.Write(t.buf[:n]); t.err != nil {
+			return
+		}
+		t.prevAddr = addr
+		t.records++
 	}
-	n := binary.PutUvarint(t.buf[:], uint64(site))
-	n += binary.PutVarint(t.buf[n:], addr-t.prevAddr)
-	if _, err := t.w.Write(t.buf[:n]); err != nil {
-		t.err = err
-		return
-	}
-	t.prevAddr = addr
-	t.records++
 }
 
 // Close writes the terminating sentinel and flushes. It returns the first
@@ -93,58 +96,96 @@ type Header struct {
 	AddrSpace int64
 }
 
-// ReadTrace replays a stored trace, invoking emit per access, and returns
-// the header and the record count.
-func ReadTrace(r io.Reader, emit Emit) (Header, int64, error) {
+// Reader decodes a stored trace: NewReader reads its header, Blocks its
+// records.
+type Reader struct {
+	br *bufio.Reader
+	h  Header
+}
+
+// NewReader reads and checks the header of a stored trace. A site count
+// that does not fit the int32 site ids of a block, or an address space that
+// is not a positive int64, is rejected here, before a caller sizes anything
+// from them.
+func NewReader(r io.Reader) (*Reader, Header, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
-	var h Header
 	magic := make([]byte, len(traceMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {
-		return h, 0, fmt.Errorf("trace: reading magic: %w", err)
+		return nil, Header{}, fmt.Errorf("trace: reading magic: %w", err)
 	}
 	if string(magic) != traceMagic {
-		return h, 0, fmt.Errorf("trace: bad magic %q", magic)
+		return nil, Header{}, fmt.Errorf("trace: bad magic %q", magic)
 	}
 	ver, err := br.ReadByte()
 	if err != nil {
-		return h, 0, err
+		return nil, Header{}, err
 	}
 	if ver != traceVersion {
-		return h, 0, fmt.Errorf("trace: unsupported version %d", ver)
+		return nil, Header{}, fmt.Errorf("trace: unsupported version %d", ver)
 	}
 	nSites, err := binary.ReadUvarint(br)
 	if err != nil {
-		return h, 0, err
+		return nil, Header{}, err
 	}
 	addrSpace, err := binary.ReadUvarint(br)
 	if err != nil {
-		return h, 0, err
+		return nil, Header{}, err
 	}
-	h.NSites = int(nSites)
-	h.AddrSpace = int64(addrSpace)
+	if nSites > math.MaxInt32 {
+		return nil, Header{}, fmt.Errorf("trace: site count %d exceeds %d", nSites, math.MaxInt32)
+	}
+	if addrSpace == 0 || addrSpace > math.MaxInt64 {
+		return nil, Header{}, fmt.Errorf("trace: address space %d is not a positive int64", addrSpace)
+	}
+	h := Header{NSites: int(nSites), AddrSpace: int64(addrSpace)}
+	return &Reader{br: br, h: h}, h, nil
+}
 
-	var count int64
-	var prevAddr int64
+// Blocks decodes the records in order, handing them to emit in blocks of
+// at most blockSize accesses (<= 0 selects DefaultBlockSize), and returns
+// the record count. Every emitted site is below the header's NSites and
+// every address inside [0, AddrSpace): a record that breaks either, or a
+// stream that ends before its sentinel, stops decoding with an error, and
+// the records of the unfinished block are not emitted. The buffers are
+// sized by blockSize alone, never by the header.
+func (t *Reader) Blocks(blockSize int, emit EmitBlock) (int64, error) {
+	if blockSize <= 0 {
+		blockSize = DefaultBlockSize
+	}
+	sites := make([]int32, blockSize)
+	addrs := make([]int64, blockSize)
+	nSites := uint64(t.h.NSites)
+	var count, addr int64
+	n := 0
 	for {
-		site, err := binary.ReadUvarint(br)
+		site, err := binary.ReadUvarint(t.br)
 		if err != nil {
-			return h, count, fmt.Errorf("trace: truncated stream after %d records: %w", count, err)
+			return count, fmt.Errorf("trace: truncated stream after %d records: %w", count, err)
 		}
 		if site == nSites {
-			return h, count, nil // sentinel
+			break // sentinel
 		}
 		if site > nSites {
-			return h, count, fmt.Errorf("trace: corrupt site %d", site)
+			return count, fmt.Errorf("trace: corrupt site %d", site)
 		}
-		delta, err := binary.ReadVarint(br)
+		delta, err := binary.ReadVarint(t.br)
 		if err != nil {
-			return h, count, fmt.Errorf("trace: truncated record %d: %w", count, err)
+			return count, fmt.Errorf("trace: truncated record %d: %w", count, err)
 		}
-		prevAddr += delta
-		if prevAddr < 0 || prevAddr >= h.AddrSpace {
-			return h, count, fmt.Errorf("trace: corrupt address %d at record %d", prevAddr, count)
+		addr += delta
+		if addr < 0 || addr >= t.h.AddrSpace {
+			return count, fmt.Errorf("trace: corrupt address %d at record %d", addr, count)
 		}
-		emit(int(site), prevAddr)
+		sites[n], addrs[n] = int32(site), addr
+		n++
 		count++
+		if n == blockSize {
+			emit(sites, addrs)
+			n = 0
+		}
 	}
+	if n > 0 {
+		emit(sites[:n], addrs[:n])
+	}
+	return count, nil
 }

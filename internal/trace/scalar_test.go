@@ -3,14 +3,14 @@ package trace
 // RunScalar streams the trace through the original per-access tree walker,
 // re-evaluating every subscript sum per reference. It is the test oracle
 // that RunBlocks' leaf stride walker and block flushing are pinned to.
-func (p *Program) RunScalar(emit Emit) {
+func (p *Program) RunScalar(emit func(site int, addr int64)) {
 	vals := make([]int64, p.nSlots)
 	for _, n := range p.root {
 		runScalar(n, vals, emit)
 	}
 }
 
-func runScalar(n cnode, vals []int64, emit Emit) {
+func runScalar(n cnode, vals []int64, emit func(site int, addr int64)) {
 	switch v := n.(type) {
 	case *cloop:
 		for i := int64(0); i < v.trip; i++ {
@@ -29,13 +29,4 @@ func runScalar(n cnode, vals []int64, emit Emit) {
 			emit(r.site, addr)
 		}
 	}
-}
-
-// Collect materializes the whole trace as (site, addr) pairs.
-func (p *Program) Collect() (sites []int, addrs []int64) {
-	p.Run(func(site int, addr int64) {
-		sites = append(sites, site)
-		addrs = append(addrs, addr)
-	})
-	return sites, addrs
 }

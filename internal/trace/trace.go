@@ -18,10 +18,6 @@ import (
 	"repro/internal/loopir"
 )
 
-// Emit receives one access: the index of the static reference site (into
-// Program.Sites) and the element address.
-type Emit func(site int, addr int64)
-
 // Program is a nest compiled against a concrete environment, ready to
 // generate its reference trace.
 type Program struct {
@@ -315,18 +311,6 @@ func countAccesses(nodes []cnode) (int64, bool) {
 		}
 	}
 	return total, true
-}
-
-// Run streams the full reference trace to emit, in program order. It is a
-// thin adapter over the batched RunBlocks pipeline; callers that can consume
-// whole blocks (e.g. cachesim.StackSim.AccessBlock) should use RunBlocks
-// directly to avoid the per-access callback.
-func (p *Program) Run(emit Emit) {
-	p.RunBlocks(DefaultBlockSize, func(sites []int32, addrs []int64) {
-		for i, a := range addrs {
-			emit(int(sites[i]), a)
-		}
-	})
 }
 
 // CheckBounds runs the trace once, verifying that every address falls within

@@ -37,7 +37,7 @@ func TestVectorTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sites, addrs := p.Collect()
+	sites, addrs := collectBlocks(p, 0)
 	// Arrays laid out alphabetically: X at 0, Y at 4.
 	wantAddrs := []int64{0, 4, 1, 5, 2, 6, 3, 7}
 	wantSites := []int{0, 1, 0, 1, 0, 1, 0, 1}
@@ -90,7 +90,7 @@ func TestMatmulTraceOrderAndLength(t *testing.T) {
 	if wantLen != 3*3*3*3 {
 		t.Fatalf("Length = %d want 81", wantLen)
 	}
-	sites, addrs := p.Collect()
+	sites, addrs := collectBlocks(p, 0)
 	if int64(len(addrs)) != wantLen {
 		t.Fatalf("trace length %d want %d", len(addrs), wantLen)
 	}
@@ -134,7 +134,7 @@ func TestTiledSubscripts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, addrs := p.Collect()
+	_, addrs := collectBlocks(p, 0)
 	for i, a := range addrs {
 		if a != int64(i) {
 			t.Fatalf("addr[%d]=%d want %d", i, a, i)
@@ -172,7 +172,7 @@ func TestImperfectTraceOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, addrs := p.Collect()
+	_, addrs := collectBlocks(p, 0)
 	// X at 0..1, Y at 2..3. Order: X[0], Y[0], Y[1], X[1], Y[0], Y[1].
 	want := []int64{0, 2, 3, 1, 2, 3}
 	if len(addrs) != len(want) {

@@ -164,8 +164,7 @@ func TestRunSweepDeterministic(t *testing.T) {
 }
 
 // TestRunObservedBatchedMatchesScalar pins RunObserved (on the batched
-// pipeline) to the per-access path: the trace emitted one access at a time
-// into StackSim.Access.
+// pipeline) to a simulator fed one access at a time.
 func TestRunObservedBatchedMatchesScalar(t *testing.T) {
 	cases := sweepCorpus(t, 4)
 	watches := []int64{4, 16, 128}
@@ -179,7 +178,11 @@ func TestRunObservedBatchedMatchesScalar(t *testing.T) {
 			t.Fatal(err)
 		}
 		sim := cachesim.NewStackSim(p.Size, len(p.Sites), watches)
-		p.Run(sim.Access)
+		p.RunBlocks(0, func(sites []int32, addrs []int64) {
+			for i := range addrs {
+				sim.AccessBlock(sites[i:i+1], addrs[i:i+1])
+			}
+		})
 		scalar, err := compare(c.Analysis, c.Env, watches, sim.Results())
 		if err != nil {
 			t.Fatal(err)

@@ -87,7 +87,7 @@ func SimulateMisses(nest *Nest, env Env, watchElems []int64) (SimResults, error)
 		return SimResults{}, err
 	}
 	sim := cachesim.NewStackSim(p.Size, len(p.Sites), watchElems)
-	p.Run(sim.Access)
+	p.RunBlocks(trace.DefaultBlockSize, sim.AccessBlock)
 	return sim.Results(), nil
 }
 

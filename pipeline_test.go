@@ -124,7 +124,7 @@ func TestFullPipeline(t *testing.T) {
 			t.Fatal(err)
 		}
 		sim := cachesim.NewStackSim(p.Size, len(p.Sites), []int64{2048})
-		p.Run(sim.Access)
+		p.RunBlocks(0, sim.AccessBlock)
 		m, err := sim.Results().MissesFor(2048)
 		if err != nil {
 			t.Fatal(err)
