@@ -12,8 +12,8 @@ import (
 // — misses per unsorted watch list, histogram, per-site stats — and
 // identical flushed counters. The two engines share no counting code, so
 // agreement here is the strongest correctness evidence in the package.
+// Uniform addresses, random sites among 1–4, blocks of 1–300.
 func TestStackSimMatchesReference(t *testing.T) {
-	// Uniform addresses, random sites among 1–4, blocks of 1–300.
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 8; trial++ {
 		space := int64(16 + rng.Intn(600))
@@ -27,9 +27,14 @@ func TestStackSimMatchesReference(t *testing.T) {
 		}
 		matchReference(t, rng, space, nSites, []int64{128, 2, 16, 1024}, sites, addrs, 300)
 	}
-	// A hot set mixed into uniform addresses over spaces as small as 4,
-	// three sites round-robin, traces up to 20K, blocks of 1–777.
-	rng = rand.New(rand.NewSource(42))
+}
+
+// TestAccessBlockMatchesScalar requires StackSim fed in blocks of 1–777 to
+// agree with ReferenceSim fed one access at a time, on a hot set mixed into
+// uniform addresses over spaces as small as 4, three sites round-robin,
+// traces up to 20K and an unsorted watch list.
+func TestAccessBlockMatchesScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 10; trial++ {
 		space := int64(rng.Intn(300) + 4)
 		n := rng.Intn(20000) + 500

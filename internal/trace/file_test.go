@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"os"
+	"slices"
 	"testing"
 
 	"repro/internal/kernels"
@@ -99,6 +100,50 @@ func TestTraceFileRoundTrip(t *testing.T) {
 				t.Fatalf("block %d record %d: (%d,%d) want (%d,%d)",
 					bs, i, gotSites[i], gotAddrs[i], wantSites[i], wantAddrs[i])
 			}
+		}
+	}
+}
+
+// TestBlockBuffer checks how Reader.Blocks batches a replayed stream: ten
+// accesses at block size 4 arrive in order as blocks of 4, 4 and a final
+// partial 2, and an empty trace emits no block at all.
+func TestBlockBuffer(t *testing.T) {
+	sites := make([]int32, 10)
+	addrs := make([]int64, 10)
+	for i := range addrs {
+		sites[i], addrs[i] = 1, int64(i)
+	}
+	for _, tc := range []struct {
+		sites      []int32
+		addrs      []int64
+		wantBlocks []int
+	}{
+		{sites, addrs, []int{4, 4, 2}},
+		{nil, nil, nil},
+	} {
+		rd, _, err := NewReader(bytes.NewReader(writeTrace(t, 2, 10, tc.sites, tc.addrs)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []int64
+		var blocks []int
+		n, err := rd.Blocks(4, func(bs []int32, ba []int64) {
+			blocks = append(blocks, len(ba))
+			for i := range ba {
+				if bs[i] != 1 {
+					t.Fatalf("site %d want 1", bs[i])
+				}
+				got = append(got, ba[i])
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != int64(len(tc.addrs)) || !slices.Equal(blocks, tc.wantBlocks) {
+			t.Fatalf("%d records in blocks %v, want %d in %v", n, blocks, len(tc.addrs), tc.wantBlocks)
+		}
+		if !slices.Equal(got, tc.addrs) {
+			t.Fatalf("addrs %v want %v", got, tc.addrs)
 		}
 	}
 }
