@@ -17,12 +17,9 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"repro/internal/obs"
@@ -50,53 +47,16 @@ func main() {
 
 func run(addr, debugAddr string, workers, queue, cacheEntries, maxBatch int, timeout, drainWait time.Duration, report string) error {
 	m := obs.New()
-	svc := service.New(service.Config{
+	sv, err := service.Serve(addr, service.New(service.Config{
 		Workers:        workers,
 		QueueDepth:     queue,
 		CacheEntries:   cacheEntries,
 		MaxBatchItems:  maxBatch,
 		RequestTimeout: timeout,
 		Obs:            m,
-	})
-	sv, err := service.Serve(addr, svc)
+	}))
 	if err != nil {
 		return err
 	}
-
-	var debug *obs.DebugServer
-	if debugAddr != "" {
-		debug, err = obs.StartDebugServer(debugAddr, m)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("analysisd debug server on %s\n", debug.Addr)
-	}
-	fmt.Printf("analysisd listening on %s\n", sv.Addr())
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	s := <-sig
-	fmt.Printf("analysisd: %s, draining\n", s)
-
-	ctx, cancel := context.WithTimeout(context.Background(), drainWait)
-	defer cancel()
-	drainErr := sv.Drain(ctx)
-	if debug != nil {
-		if err := debug.Shutdown(ctx); err != nil && drainErr == nil {
-			drainErr = err
-		}
-	}
-	if report != "" {
-		rep := obs.NewRunReport("analysisd", os.Args[1:])
-		rep.AddMetrics(m)
-		rep.Finish()
-		if err := rep.WriteFile(report); err != nil && drainErr == nil {
-			drainErr = err
-		}
-	}
-	if drainErr != nil {
-		return drainErr
-	}
-	fmt.Println("analysisd: drained cleanly")
-	return nil
+	return sv.RunDaemon("analysisd", "", m, debugAddr, report, drainWait)
 }

@@ -19,17 +19,15 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/obs"
+	"repro/internal/service"
 )
 
 func main() {
@@ -43,7 +41,7 @@ func main() {
 		maxBatch      = flag.Int("max-batch", 0, "max items per /v1/batch request (0 = default 256; must not exceed the replicas' cap)")
 		timeout       = flag.Duration("timeout", 30*time.Second, "per-request end-to-end timeout, hedges included")
 		probeInterval = flag.Duration("probe-interval", 500*time.Millisecond, "replica health poll period")
-		drainWait     = flag.Duration("drain-timeout", 30*time.Second, "bound on the shutdown drain")
+		drainWait     = flag.Duration("drain-timeout", service.DrainTimeout, "bound on the shutdown drain")
 		debugAddr     = flag.String("debug-addr", "", "listen address for the expvar/pprof debug server (off when empty)")
 		report        = flag.String("report", "", "write a RunReport JSON on exit")
 	)
@@ -79,46 +77,10 @@ func run(addr, replicas string, vnodes, attempts int, hedge time.Duration, maxIn
 	if err != nil {
 		return err
 	}
-	sv, err := cluster.Serve(addr, rt)
+	sv, err := service.Listen(addr, rt.Handler(), rt.Close)
 	if err != nil {
 		rt.Close()
 		return err
 	}
-
-	var debug *obs.DebugServer
-	if debugAddr != "" {
-		debug, err = obs.StartDebugServer(debugAddr, m)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("analysisrouter debug server on %s\n", debug.Addr)
-	}
-	fmt.Printf("analysisrouter listening on %s (%d replicas)\n", sv.Addr(), len(urls))
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	s := <-sig
-	fmt.Printf("analysisrouter: %s, draining\n", s)
-
-	ctx, cancel := context.WithTimeout(context.Background(), drainWait)
-	defer cancel()
-	drainErr := sv.Drain(ctx)
-	if debug != nil {
-		if err := debug.Shutdown(ctx); err != nil && drainErr == nil {
-			drainErr = err
-		}
-	}
-	if report != "" {
-		rep := obs.NewRunReport("analysisrouter", os.Args[1:])
-		rep.AddMetrics(m)
-		rep.Finish()
-		if err := rep.WriteFile(report); err != nil && drainErr == nil {
-			drainErr = err
-		}
-	}
-	if drainErr != nil {
-		return drainErr
-	}
-	fmt.Println("analysisrouter: drained cleanly")
-	return nil
+	return sv.RunDaemon("analysisrouter", fmt.Sprintf(" (%d replicas)", len(urls)), m, debugAddr, report, drainWait)
 }

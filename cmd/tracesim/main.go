@@ -110,6 +110,10 @@ func openSource(w io.Writer, o options) (*traceSource, error) {
 			f.Close()
 			return nil, err
 		}
+		if err := checkSize(o, h.NSites, h.AddrSpace); err != nil {
+			f.Close()
+			return nil, err
+		}
 		names := make([]string, h.NSites)
 		for i := range names {
 			names[i] = fmt.Sprintf("site#%d", i)
@@ -141,6 +145,9 @@ func openSource(w io.Writer, o options) (*traceSource, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := checkSize(o, len(p.Sites), p.Size); err != nil {
+		return nil, err
+	}
 	names := make([]string, len(p.Sites))
 	for i, s := range p.Sites {
 		names[i] = s.String()
@@ -157,6 +164,26 @@ func openSource(w io.Writer, o options) (*traceSource, error) {
 		analysis: a,
 		env:      env,
 	}, nil
+}
+
+// maxSites bounds a trace's site count; a nest has one site per reference.
+const maxSites = 1 << 16
+
+// checkSize refuses a trace before anything is sized from it: more than
+// maxSites sites, or an address space above trace.DefaultBudget elements,
+// analysisd's default budget, so both tools refuse the same problems. The
+// analytic engine is exempt from the second bound, as in analysisd: it
+// walks no trace, and only trace walks size state per address. -dump and
+// the two-level mode walk the trace whatever the engine.
+func checkSize(o options, nSites int, addrSpace int64) error {
+	if nSites > maxSites {
+		return fmt.Errorf("site count %d exceeds limit %d", nSites, maxSites)
+	}
+	walks := o.engine != string(cachesim.EngineAnalytic) || o.dump != "" || o.l1KB > 0 || o.l2KB > 0
+	if addrSpace > trace.DefaultBudget && walks {
+		return fmt.Errorf("address space of %d elements exceeds limit %d", addrSpace, int64(trace.DefaultBudget))
+	}
+	return nil
 }
 
 func run(w io.Writer, o options) error {

@@ -383,7 +383,7 @@ func TestRouterDrainAndAdmission(t *testing.T) {
 
 	// The draining flag flips every answer to 503 while the listener is
 	// still up — exactly the window Server.Drain creates.
-	rt.draining.Store(true)
+	rt.front.SetDraining(true)
 	status, body = post(t, client, lc.URL(), trafficRequest{"/v1/analyze", "", `{"kernel":"matmul","n":16,"tiles":[4,4,4]}`})
 	if status != 503 || !bytes.Contains(body, []byte("draining")) {
 		t.Fatalf("draining router answered %d %s, want 503 draining", status, body)
@@ -402,7 +402,7 @@ func TestRouterDrainAndAdmission(t *testing.T) {
 	if !bytes.Contains(b, []byte(`"draining":true`)) || !bytes.Contains(b, []byte(`"replicas"`)) {
 		t.Fatalf("enriched router health missing fields: %s", b)
 	}
-	rt.draining.Store(false)
+	rt.front.SetDraining(false)
 }
 
 // TestKeyMemo pins the router's key memo as the router builds it: hits

@@ -14,7 +14,8 @@ import (
 // production runs, minus process boundaries.
 type Local struct {
 	replicaServers []*service.Server
-	routerServer   *Server
+	router         *Router
+	routerServer   *service.Server
 
 	mu      sync.Mutex
 	drained []bool
@@ -45,13 +46,13 @@ func StartLocal(n int, scfg service.Config, rcfg Config) (*Local, error) {
 		lc.Close(context.Background())
 		return nil, err
 	}
-	rsv, err := Serve("127.0.0.1:0", rt)
+	rsv, err := service.Listen("127.0.0.1:0", rt.Handler(), rt.Close)
 	if err != nil {
 		rt.Close()
 		lc.Close(context.Background())
 		return nil, err
 	}
-	lc.routerServer = rsv
+	lc.router, lc.routerServer = rt, rsv
 	return lc, nil
 }
 

@@ -7,7 +7,7 @@ import (
 )
 
 // Router returns the router instance (metrics, health).
-func (lc *Local) Router() *Router { return lc.routerServer.Router }
+func (lc *Local) Router() *Router { return lc.router }
 
 // ReplicaServer returns replica i's server (its Service field reaches the
 // underlying service).

@@ -3,13 +3,10 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -77,22 +74,19 @@ func (c Config) withDefaults() Config {
 }
 
 // Router shards /v1/* requests across analysisd replicas by canonical
-// request key. Construct with New, mount via Handler (or serve via Serve),
-// stop via Server.Drain (or Close when unmounted).
+// request key. Construct with New, serve its Handler (service.Listen), stop
+// via Server.Drain (or Close when unmounted).
 type Router struct {
 	cfg      Config
 	ring     *Ring
 	prober   *prober
 	keys     *service.KeyMemo
 	client   *http.Client
+	front    *service.Front
 	inflight chan struct{}
-	draining atomic.Bool
-	started  time.Time
 
-	total, ok, errs, rejected  *obs.Counter
 	hedges, retries, noReplica *obs.Counter
 	inflightGauge              *obs.Gauge
-	latency                    *obs.Timer
 }
 
 // New builds a router over the configured replica set and starts its
@@ -110,186 +104,111 @@ func New(cfg Config) (*Router, error) {
 		ring:   ring,
 		keys:   service.NewKeyMemo(m, "router.keymemo"),
 		client: &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 64}},
+		front:  service.NewFront(nil),
 
 		inflight:      make(chan struct{}, cfg.MaxInFlight),
-		started:       time.Now(),
-		total:         m.Counter("router.requests"),
-		ok:            m.Counter("router.ok"),
-		errs:          m.Counter("router.errors"),
-		rejected:      m.Counter("router.rejected"),
 		hedges:        m.Counter("router.hedges"),
 		retries:       m.Counter("router.retries"),
 		noReplica:     m.Counter("router.noreplica"),
 		inflightGauge: m.Gauge("router.inflight"),
-		latency:       m.Timer("router.latency"),
 	}
+	// Both routes run the replicas' request lifecycle, counted together
+	// under router.*: /v1/batch is split and fanned out, every other /v1/*
+	// request is proxied whole to its key's owner.
+	st := service.NewRouteStats(m, "router")
+	rt.front.Handle("/v1/batch", st, rt.bounded(rt.serveBatch))
+	rt.front.Handle("/v1/", st, rt.bounded(rt.serveProxy))
+	rt.front.HandleHealth(func() (any, bool) {
+		rd := rt.front.Readiness()
+		return RouterHealth{
+			Readiness:      rd,
+			InFlight:       len(rt.inflight),
+			KeyMemoEntries: rt.keys.Len(),
+			Replicas:       rt.prober.snapshot(),
+		}, rd.Draining
+	})
 	rt.prober = newProber(ring.Replicas(), cfg.ProbeInterval, cfg.ProbeTimeout, m)
 	rt.prober.start()
 	return rt, nil
 }
 
-// Close stops the prober. Handler must no longer be receiving requests
-// (production goes through Server.Drain, which orders this correctly).
+// Handler returns the router's front door: /v1/batch, every other /v1/*
+// endpoint, and /healthz with the bare/enriched contract the replicas
+// expose.
+func (rt *Router) Handler() *service.Front { return rt.front }
+
+// Close stops the prober. The front door must no longer be receiving
+// requests (production goes through Server.Drain, which orders this
+// correctly).
 func (rt *Router) Close() { rt.prober.close() }
 
 // RouterHealth is the JSON body of the router's /healthz?v=1: the router's
 // own readiness plus its view of every replica.
 type RouterHealth struct {
-	Status         string                   `json:"status"` // "ok" or "draining"
-	Draining       bool                     `json:"draining"`
-	UptimeSec      float64                  `json:"uptimeSec"`
+	service.Readiness
 	InFlight       int                      `json:"inFlight"`
 	KeyMemoEntries int                      `json:"keyMemoEntries"`
 	Replicas       map[string]ReplicaHealth `json:"replicas"`
 }
 
-// Health reports the router's current health snapshot.
-func (rt *Router) Health() RouterHealth {
-	h := RouterHealth{
-		Status:         "ok",
-		Draining:       rt.draining.Load(),
-		UptimeSec:      time.Since(rt.started).Seconds(),
-		InFlight:       len(rt.inflight),
-		KeyMemoEntries: rt.keys.Len(),
-		Replicas:       rt.prober.snapshot(),
-	}
-	if h.Draining {
-		h.Status = "draining"
-	}
-	return h
-}
+var (
+	errAtCapacity     = service.StatusError(http.StatusTooManyRequests, "router at capacity")
+	errNoHealthy      = service.StatusError(http.StatusServiceUnavailable, "no healthy replica")
+	errReplicaTimeout = service.StatusError(http.StatusGatewayTimeout, "timed out waiting for replica")
+)
 
-// Handler returns the router's HTTP mux: /v1/batch (split and fanned out),
-// every other /v1/* endpoint (proxied whole to the key's owner), and
-// /healthz with the same bare/enriched contract the replicas expose.
-func (rt *Router) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", rt.serveHealth)
-	mux.HandleFunc("/v1/batch", rt.serveBatch)
-	mux.HandleFunc("/v1/", rt.serveProxy)
-	return mux
-}
-
-func (rt *Router) serveHealth(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("v") == "1" {
-		h := rt.Health()
-		code := http.StatusOK
-		if h.Draining {
-			code = http.StatusServiceUnavailable
+// bounded caps the concurrently proxied requests of a route: at
+// MaxInFlight the router answers 429 at once, mirroring the replicas'
+// admission taxonomy.
+func (rt *Router) bounded(serve service.Route) service.Route {
+	return func(w http.ResponseWriter, r *http.Request, body []byte) error {
+		select {
+		case rt.inflight <- struct{}{}:
+		default:
+			return errAtCapacity
 		}
-		writeJSON(w, code, h)
-		return
-	}
-	if rt.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: "draining"})
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
-// admit runs the shared request prologue: counting, method check, drain
-// check, bounded admission, body read. It returns the body and a release
-// func, or ok=false after having written the response. finish must be
-// called with the final status exactly once when ok.
-func (rt *Router) admit(w http.ResponseWriter, r *http.Request) (body []byte, release func(), ok bool) {
-	rt.total.Inc()
-	if r.Method != http.MethodPost {
-		rt.errs.Inc()
-		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "POST only"})
-		return nil, nil, false
-	}
-	if rt.draining.Load() {
-		rt.rejected.Inc()
-		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: "draining"})
-		return nil, nil, false
-	}
-	select {
-	case rt.inflight <- struct{}{}:
-	default:
-		rt.rejected.Inc()
-		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusTooManyRequests, errorBody{Error: "router at capacity"})
-		return nil, nil, false
-	}
-	rt.inflightGauge.Set(int64(len(rt.inflight)))
-	release = func() {
-		<-rt.inflight
 		rt.inflightGauge.Set(int64(len(rt.inflight)))
+		defer func() {
+			<-rt.inflight
+			rt.inflightGauge.Set(int64(len(rt.inflight)))
+		}()
+		return serve(w, r, body)
 	}
-	// The replicas' own body read: an oversized body is rejected here with
-	// the bytes a replica would answer.
-	body, err := service.ReadBody(r.Body)
-	if err != nil {
-		release()
-		rt.errs.Inc()
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
-		return nil, nil, false
-	}
-	return body, release, true
 }
 
-// finish settles the requests == ok + errors + rejected invariant for a
-// proxied response: 200 is ok, the admission statuses (429/503) count as
-// rejected wherever they were produced, everything else is an error.
-func (rt *Router) finish(status int) {
+// replicaError answers a request for which hedgedDo found no replica
+// response to relay: 504 once the request's deadline passed, 503 when no
+// replica is reachable, otherwise 502.
+func (rt *Router) replicaError(err error) error {
 	switch {
-	case status == http.StatusOK:
-		rt.ok.Inc()
-	case status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable:
-		rt.rejected.Inc()
-	default:
-		rt.errs.Inc()
+	case errors.Is(err, context.DeadlineExceeded):
+		return errReplicaTimeout
+	case errors.Is(err, errNoReplica):
+		rt.noReplica.Inc()
+		return errNoHealthy
 	}
+	return service.StatusError(http.StatusBadGateway, err.Error())
 }
 
 // serveProxy handles every single-spec endpoint: derive the canonical key
 // (memoized), pick the owner and its hedge successors, relay the winning
 // replica's response verbatim — status, content type and body bytes are the
-// replica's own, so a routed response is byte-identical to a direct one.
-func (rt *Router) serveProxy(w http.ResponseWriter, r *http.Request) {
-	sw := rt.latency.Start()
-	defer sw.Stop()
-	body, release, ok := rt.admit(w, r)
-	if !ok {
-		return
-	}
-	defer release()
-
+// replica's own, so a routed response is byte-identical to a direct one,
+// and the request is counted by the replica's status.
+func (rt *Router) serveProxy(w http.ResponseWriter, r *http.Request, body []byte) error {
 	key, err := rt.keys.Key(r.URL.Path, body)
 	if err != nil {
-		rt.errs.Inc()
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
-		return
+		return err
 	}
-	cands := rt.candidates(key)
-	if len(cands) == 0 {
-		rt.noReplica.Inc()
-		rt.rejected.Inc()
-		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: "no healthy replica"})
-		return
-	}
-
 	ctx, cancel := context.WithTimeout(r.Context(), rt.cfg.RequestTimeout)
 	defer cancel()
-	resp, done, err := rt.hedgedDo(ctx, r.URL.Path, r.URL.RawQuery, body, cands)
+	resp, done, err := rt.hedgedDo(ctx, r.URL.Path, r.URL.RawQuery, body, rt.candidates(key))
 	if err != nil {
-		switch {
-		case errors.Is(err, context.DeadlineExceeded):
-			rt.errs.Inc()
-			writeJSON(w, http.StatusGatewayTimeout, errorBody{Error: "timed out waiting for replica"})
-		case errors.Is(err, errNoReplica):
-			rt.noReplica.Inc()
-			rt.rejected.Inc()
-			writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: "no healthy replica"})
-		default:
-			rt.errs.Inc()
-			writeJSON(w, http.StatusBadGateway, errorBody{Error: err.Error()})
-		}
-		return
+		return rt.replicaError(err)
 	}
 	defer done()
-	rt.finish(resp.StatusCode)
 	relayResponse(w, resp)
+	return service.Relayed(resp.StatusCode)
 }
 
 // relayResponse copies a replica response to the client, flushing after
@@ -376,6 +295,9 @@ type attempt struct {
 // as an error. The returned func releases the winning attempt (close body
 // first).
 func (rt *Router) hedgedDo(ctx context.Context, path, rawQuery string, body []byte, cands []string) (*http.Response, context.CancelFunc, error) {
+	if len(cands) == 0 {
+		return nil, nil, errNoReplica
+	}
 	results := make(chan attempt, len(cands))
 	launched, pending := 0, 0
 	launch := func(hedge bool) {
@@ -481,75 +403,4 @@ func drainAttempts(results chan attempt, pending int) {
 			a.cancel()
 		}
 	}
-}
-
-// errorBody mirrors the replicas' JSON error envelope.
-type errorBody struct {
-	Error string `json:"error"`
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	data, err := json.Marshal(v)
-	if err != nil {
-		return
-	}
-	data = append(data, '\n')
-	w.Write(data)
-}
-
-// Server is a Router bound to a listener, with the same drain contract the
-// replica server has: flip draining, stop accepting, finish in-flight.
-type Server struct {
-	Router *Router
-	http   *http.Server
-	addr   string
-	done   chan error
-}
-
-// Serve binds addr (":0" picks a free port) and serves the router in a
-// background goroutine. Stop with Drain.
-func Serve(addr string, rt *Router) (*Server, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	sv := &Server{
-		Router: rt,
-		http:   &http.Server{Handler: rt.Handler()},
-		addr:   ln.Addr().String(),
-		done:   make(chan error, 1),
-	}
-	go func() {
-		err := sv.http.Serve(ln)
-		if err == http.ErrServerClosed {
-			err = nil
-		}
-		sv.done <- err
-	}()
-	return sv, nil
-}
-
-// Addr returns the bound listen address.
-func (sv *Server) Addr() string { return sv.addr }
-
-// Drain gracefully stops the router: new requests are answered 503 and
-// /healthz fails, the listener closes, in-flight proxied requests run to
-// completion (each finishes against its replica), then the prober stops.
-// The backends are not touched — a router drain is invisible to them.
-func (sv *Server) Drain(ctx context.Context) error {
-	sv.Router.draining.Store(true)
-	err := sv.http.Shutdown(ctx)
-	if err != nil {
-		sv.http.Close()
-	}
-	sv.Router.Close()
-	if serveErr := <-sv.done; serveErr != nil && err == nil {
-		err = serveErr
-	}
-	if err != nil {
-		return fmt.Errorf("cluster: drain: %w", err)
-	}
-	return nil
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -31,38 +30,18 @@ type batchGroup struct {
 // key, the per-replica sub-batches fan out concurrently, and the item
 // records come back spliced into one envelope in the original combined
 // order — byte-identical to what a single backend would have served,
-// because records, summary, and error rendering all reuse the service's own
-// exported renderers.
-func (rt *Router) serveBatch(w http.ResponseWriter, r *http.Request) {
-	sw := rt.latency.Start()
-	defer sw.Stop()
-	body, release, ok := rt.admit(w, r)
-	if !ok {
-		return
-	}
-	defer release()
-
+// because service.WriteBatch frames them and renders the planning errors
+// exactly as a backend does.
+func (rt *Router) serveBatch(w http.ResponseWriter, r *http.Request, body []byte) error {
+	// Same batch-level taxonomy as the backend: an over-cap batch is
+	// rejected whole with 429, anything else malformed is a 400.
 	exp, err := service.ExpandBatch(body, rt.cfg.MaxBatchItems)
 	if err != nil {
-		// Same batch-level taxonomy as the backend: an over-cap batch is
-		// rejected whole with 429, anything else malformed is a 400.
-		if errors.Is(err, service.ErrOverload) {
-			rt.rejected.Inc()
-			w.Header().Set("Retry-After", "1")
-			writeJSON(w, http.StatusTooManyRequests, errorBody{Error: err.Error()})
-			return
-		}
-		rt.errs.Inc()
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
-		return
+		return err
 	}
-
-	groups, gerr := rt.groupItems(exp)
-	if gerr != nil {
-		rt.noReplica.Inc()
-		rt.rejected.Inc()
-		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: "no healthy replica"})
-		return
+	groups, err := rt.groupItems(exp)
+	if err != nil {
+		return rt.replicaError(err)
 	}
 
 	ctx, cancel := context.WithTimeout(r.Context(), rt.cfg.RequestTimeout)
@@ -106,45 +85,24 @@ func (rt *Router) serveBatch(w http.ResponseWriter, r *http.Request) {
 	for gi := range groups {
 		res, g := &results[gi], &groups[gi]
 		if res.err != nil {
-			switch {
-			case errors.Is(res.err, context.DeadlineExceeded):
-				rt.errs.Inc()
-				writeJSON(w, http.StatusGatewayTimeout, errorBody{Error: "timed out waiting for replica"})
-			case errors.Is(res.err, errNoReplica):
-				rt.noReplica.Inc()
-				rt.rejected.Inc()
-				writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: "no healthy replica"})
-			default:
-				rt.errs.Inc()
-				writeJSON(w, http.StatusBadGateway, errorBody{Error: res.err.Error()})
-			}
-			return
+			return rt.replicaError(res.err)
 		}
 		if res.status != http.StatusOK {
 			// Relay the replica's own failure verbatim (e.g. every candidate
 			// overloaded → its 429 body and Retry-After).
-			rt.finish(res.status)
 			if res.ra != "" {
 				w.Header().Set("Retry-After", res.ra)
 			}
 			w.Header().Set("Content-Type", "application/json")
 			w.WriteHeader(res.status)
 			w.Write(res.body)
-			return
+			return service.Relayed(res.status)
 		}
 		if err := spliceGroup(records, oks, g, res.body); err != nil {
-			rt.errs.Inc()
-			writeJSON(w, http.StatusBadGateway, errorBody{Error: err.Error()})
-			return
+			return service.StatusError(http.StatusBadGateway, err.Error())
 		}
 	}
-
-	rt.finish(http.StatusOK)
-	if r.URL.Query().Get("stream") == "1" {
-		rt.writeBatchStream(w, exp, records, oks)
-		return
-	}
-	rt.writeBatchEnvelope(w, exp, records, oks)
+	return service.WriteBatch(w, r, exp, records, oks)
 }
 
 // groupItems assigns every valid item to its owning replica (the first
@@ -161,7 +119,7 @@ func (rt *Router) groupItems(exp *service.BatchExpansion) ([]batchGroup, error) 
 		}
 		cands := rt.candidates(it.Key)
 		if len(cands) == 0 {
-			return nil, fmt.Errorf("cluster: no healthy replica")
+			return nil, errNoReplica
 		}
 		g, ok := byReplica[cands[0]]
 		if !ok {
@@ -266,81 +224,4 @@ func truncate(b []byte, n int) string {
 		return string(b)
 	}
 	return string(b[:n]) + "..."
-}
-
-// writeBatchEnvelope assembles the aggregated batch response: remote
-// records verbatim (reindexed), local planning errors rendered with the
-// service's own record renderer, the summary with the service's own
-// summary renderer — the exact bytes one backend would have served.
-func (rt *Router) writeBatchEnvelope(w http.ResponseWriter, exp *service.BatchExpansion, records [][]byte, oks []bool) {
-	var out bytes.Buffer
-	out.WriteString(`{"items":[`)
-	okN, errN := 0, 0
-	var rec []byte
-	for i := range exp.Items {
-		if i > 0 {
-			out.WriteByte(',')
-		}
-		if it := &exp.Items[i]; it.Err != nil {
-			rec = service.AppendBatchItemRecord(rec[:0], i, nil, it.Err)
-			out.Write(rec)
-			errN++
-			continue
-		}
-		out.Write(records[i])
-		if oks[i] {
-			okN++
-		} else {
-			errN++
-		}
-	}
-	out.WriteString(`],"summary":`)
-	rec = service.AppendBatchSummary(rec[:0], len(exp.Items), okN, errN)
-	out.Write(rec)
-	out.WriteString("}\n")
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	w.Write(out.Bytes())
-}
-
-// writeBatchStream emits the assembled batch as NDJSON with the same line
-// shapes as a backend's ?stream=1: one record line per item in combined
-// order, then the {"summary":...} trailer. The router buffers the split
-// anyway (records arrive per replica, not in combined order), so the
-// stream's value here is the framing contract, not incrementality.
-func (rt *Router) writeBatchStream(w http.ResponseWriter, exp *service.BatchExpansion, records [][]byte, oks []bool) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	fl, _ := w.(http.Flusher)
-	okN, errN := 0, 0
-	var rec []byte
-	for i := range exp.Items {
-		if it := &exp.Items[i]; it.Err != nil {
-			rec = service.AppendBatchItemRecord(rec[:0], i, nil, it.Err)
-			errN++
-		} else {
-			rec = append(rec[:0], records[i]...)
-			if oks[i] {
-				okN++
-			} else {
-				errN++
-			}
-		}
-		rec = append(rec, '\n')
-		if _, err := w.Write(rec); err != nil {
-			return
-		}
-		if fl != nil {
-			fl.Flush()
-		}
-	}
-	rec = append(rec[:0], `{"summary":`...)
-	rec = service.AppendBatchSummary(rec, len(exp.Items), okN, errN)
-	rec = append(rec, '}', '\n')
-	if _, err := w.Write(rec); err != nil {
-		return
-	}
-	if fl != nil {
-		fl.Flush()
-	}
 }

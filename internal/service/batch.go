@@ -10,6 +10,7 @@ import (
 	"sync"
 
 	"repro/internal/loopir"
+	"repro/internal/obs"
 )
 
 // BatchRequest is the /v1/batch body: many computations in one request.
@@ -217,10 +218,9 @@ func expandCandidates(exp *BatchExpansion, c *BatchCandidates) error {
 }
 
 // serveBatch serves /v1/batch: the planned batch is admitted atomically,
-// then answered either as one aggregated JSON envelope or — with
-// ?stream=1 — as one NDJSON record per item plus a summary line. Per-item
-// outcomes are counted on service.batch.items{,.ok,.errors}; the request
-// itself counts once, like every other route.
+// then answered through writeBatch. Per-item outcomes are counted on
+// service.batch.items{,.ok,.errors}; the request itself counts once, like
+// every other route.
 func (s *Service) serveBatch(w http.ResponseWriter, r *http.Request, body []byte) error {
 	plan := s.planBatch(body)
 	if plan.err != nil {
@@ -234,20 +234,67 @@ func (s *Service) serveBatch(w http.ResponseWriter, r *http.Request, body []byte
 	s.batchItems.Add(int64(len(plan.items)))
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
-	if r.URL.Query().Get("stream") == "1" {
-		return s.serveBatchStream(ctx, w, plan, sc)
-	}
-	ok, errs := renderBatchEnvelope(plan, sc, func(i int, _ *itemPlan) ([]byte, error) {
+	ok, errs, err := writeBatch(w, r, s.streamFlush, sc, len(plan.items), plan.records(func(i int) ([]byte, error) {
 		return entryResult(ctx, sc.entries[i])
-	})
+	}))
 	s.batchItemsOK.Add(int64(ok))
 	s.batchItemsErr.Add(int64(errs))
-	// Partial success is a 200: the per-item records carry the taxonomy
-	// (status per failed item), and the summary carries the counts.
+	return err
+}
+
+// WriteBatch answers a /v1/batch request from its expansion and the item
+// records replicas rendered — records[i] and oks[i] for every item without
+// a planning error, already numbered i — rendering the planning errors
+// itself: the bytes one replica serves for the same body. The cluster
+// router answers split batches through it.
+func WriteBatch(w http.ResponseWriter, r *http.Request, exp *BatchExpansion, records [][]byte, oks []bool) error {
+	sc := getBatchScratch()
+	defer putBatchScratch(sc)
+	_, _, err := writeBatch(w, r, nil, sc, len(exp.Items), func(dst []byte, i int) ([]byte, bool) {
+		if err := exp.Items[i].Err; err != nil {
+			return appendItemRecord(dst, i, nil, err), false
+		}
+		return append(dst, records[i]...), oks[i]
+	})
+	return err
+}
+
+// batchRecord appends item i's record to dst and reports whether the item
+// succeeded; both batch framings pull their records through one.
+type batchRecord func(dst []byte, i int) ([]byte, bool)
+
+// records renders the plan's items as batch records: a planning error as
+// its error record, every other item from get.
+func (plan *batchPlan) records(get func(i int) ([]byte, error)) batchRecord {
+	return func(dst []byte, i int) ([]byte, bool) {
+		var data []byte
+		err := plan.items[i].err
+		if err == nil {
+			data, err = get(i)
+		}
+		return appendItemRecord(dst, i, data, err), err == nil
+	}
+}
+
+// writeBatch answers a batch of n records as a 200: the aggregated
+// envelope, or with ?stream=1 its NDJSON framing, flushes timed on flush.
+// Partial success is a 200: the records carry the per-item taxonomy
+// (status per failed item) and the summary the counts, which it returns
+// with errStreamFailed once a stream's client stopped reading.
+func writeBatch(w http.ResponseWriter, r *http.Request, flush *obs.Timer, sc *batchScratch, n int, rec batchRecord) (ok, errs int, err error) {
+	if r.URL.Query().Get("stream") == "1" {
+		nw := startNDJSON(w, flush)
+		ok, errs = streamBatch(&nw, sc, n, rec)
+		if nw.failed {
+			err = errStreamFailed
+		}
+		return ok, errs, err
+	}
+	ok, errs = renderBatchEnvelope(sc, n, rec)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	w.Write(sc.out.Bytes())
-	return nil
+	return ok, errs, nil
 }
 
 // batchScratch is the pooled per-request working set of the batch path:
@@ -353,20 +400,6 @@ func appendItemRecord(dst []byte, idx int, data []byte, err error) []byte {
 	return append(dst, '}')
 }
 
-// AppendBatchItemRecord renders one per-item batch record into dst exactly
-// as the batch endpoint would: the exported form of appendItemRecord, used
-// by the cluster router to render item records it resolves locally
-// (planning errors) byte-identically to a single backend's rendering.
-func AppendBatchItemRecord(dst []byte, idx int, response []byte, err error) []byte {
-	return appendItemRecord(dst, idx, response, err)
-}
-
-// AppendBatchSummary renders the batch summary object into dst exactly as
-// the batch endpoint would, for the cluster router's envelope reassembly.
-func AppendBatchSummary(dst []byte, items, ok, errs int) []byte {
-	return appendBatchSummary(dst, items, ok, errs)
-}
-
 // appendBatchSummary renders the terminal summary object.
 func appendBatchSummary(dst []byte, items, ok, errs int) []byte {
 	dst = append(dst, `{"items":`...)
@@ -379,34 +412,28 @@ func appendBatchSummary(dst []byte, items, ok, errs int) []byte {
 }
 
 // renderBatchEnvelope builds the aggregated (non-streaming) batch response
-// into sc.out, pulling each item's result from get. Item order is request
-// order regardless of completion order, so the envelope is deterministic
-// at any worker count:
+// of n records into sc.out. Item order is request order regardless of
+// completion order, so the envelope is deterministic at any worker count:
 //
 //	{"items":[<record>,...],"summary":{"items":N,"ok":K,"errors":E}}
-func renderBatchEnvelope(plan *batchPlan, sc *batchScratch, get func(i int, it *itemPlan) ([]byte, error)) (ok, errs int) {
+func renderBatchEnvelope(sc *batchScratch, n int, rec batchRecord) (ok, errs int) {
 	sc.out.Reset()
 	sc.out.WriteString(`{"items":[`)
-	for i := range plan.items {
-		it := &plan.items[i]
-		var data []byte
-		ierr := it.err
-		if ierr == nil {
-			data, ierr = get(i, it)
-		}
+	for i := 0; i < n; i++ {
 		if i > 0 {
 			sc.out.WriteByte(',')
 		}
-		sc.rec = appendItemRecord(sc.rec[:0], i, data, ierr)
+		var good bool
+		sc.rec, good = rec(sc.rec[:0], i)
 		sc.out.Write(sc.rec)
-		if ierr == nil {
+		if good {
 			ok++
 		} else {
 			errs++
 		}
 	}
 	sc.out.WriteString(`],"summary":`)
-	sc.rec = appendBatchSummary(sc.rec[:0], len(plan.items), ok, errs)
+	sc.rec = appendBatchSummary(sc.rec[:0], n, ok, errs)
 	sc.out.Write(sc.rec)
 	sc.out.WriteString("}\n")
 	return ok, errs
@@ -424,8 +451,8 @@ func (s *Service) computeBatchDirect(ctx context.Context, body []byte) ([]byte, 
 	}
 	sc := getBatchScratch()
 	defer putBatchScratch(sc)
-	renderBatchEnvelope(plan, sc, func(_ int, it *itemPlan) ([]byte, error) {
-		return it.compute(s, ctx, nil)
-	})
+	renderBatchEnvelope(sc, len(plan.items), plan.records(func(i int) ([]byte, error) {
+		return plan.items[i].compute(s, ctx, nil)
+	}))
 	return append([]byte(nil), sc.out.Bytes()...), nil
 }

@@ -314,9 +314,9 @@ func TestBatchWarmAllocs(t *testing.T) {
 		if err := svc.batchRun(plan, sc, false); err != nil {
 			panic(err)
 		}
-		ok, errs := renderBatchEnvelope(plan, sc, func(i int, _ *itemPlan) ([]byte, error) {
+		ok, errs := renderBatchEnvelope(sc, len(plan.items), plan.records(func(i int) ([]byte, error) {
 			return entryResult(ctx, sc.entries[i])
-		})
+		}))
 		if ok != items || errs != 0 {
 			panic(fmt.Sprintf("ok=%d errs=%d", ok, errs))
 		}

@@ -203,7 +203,7 @@ func TestHealthz(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("healthz before drain: %d", w.Code)
 	}
-	svc.draining.Store(true)
+	svc.front.SetDraining(true)
 	w = httptest.NewRecorder()
 	h.ServeHTTP(w, req)
 	if w.Code != http.StatusServiceUnavailable {

@@ -150,7 +150,7 @@ func TestHealthzEnriched(t *testing.T) {
 		t.Errorf("unexpected health snapshot: %+v", h)
 	}
 
-	svc.draining.Store(true)
+	svc.front.SetDraining(true)
 	code, body = get(ts.URL + "/healthz")
 	if code != 503 || !strings.Contains(body, "draining") {
 		t.Fatalf("bare healthz while draining changed: %d %q", code, body)

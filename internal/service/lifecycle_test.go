@@ -72,7 +72,7 @@ func TestLifecycle(t *testing.T) {
 				send("GET", http.MethodGet, "", http.StatusMethodNotAllowed)
 				send("malformed JSON", http.MethodPost, `{"kernel":`, http.StatusBadRequest)
 				send("valid POST", http.MethodPost, rt.body, wantValid)
-				svc.draining.Store(true)
+				svc.front.SetDraining(true)
 				send("POST while draining", http.MethodPost, rt.body, http.StatusServiceUnavailable)
 			})
 		}

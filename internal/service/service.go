@@ -25,28 +25,27 @@
 //     are answered 503 while in-flight ones run to completion, so a
 //     SIGTERM loses no accepted work.
 //
-// Every route runs one request lifecycle (handle), which maintains the
-// metric invariant
+// Every route runs the request lifecycle of the front door (Front, shared
+// with the cluster router), which maintains the metric invariant
 //
 //	service.<ep>.requests == .ok + .errors + .rejected
 //
 // that the lifecycle test, the fuzz target and the drain storm (under the
-// race detector) assert. Cache
-// counters follow the determinism stance of flightCache: misses and hits
-// are deterministic for a fixed request script (capacity permitting);
-// coalesced is the timing-dependent subset of hits.
+// race detector) assert. Cache counters follow the determinism stance of
+// flightCache: misses and hits are deterministic for a fixed request script
+// (capacity permitting); coalesced is the timing-dependent subset of hits.
 package service
 
 import (
 	"context"
 	"runtime"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cachesim"
 	"repro/internal/core"
 	"repro/internal/loopir"
 	"repro/internal/obs"
+	"repro/internal/trace"
 )
 
 // Config sizes the service. The zero value of every field selects a
@@ -66,10 +65,11 @@ type Config struct {
 	// coalesced result; 0 means 30s. An expired wait answers 504.
 	RequestTimeout time.Duration
 	// MaxTraceLen rejects /v1/simulate requests whose reference trace
-	// exceeds this many accesses; 0 means 1<<28. It gates the exact engine
-	// only: the sampled engine walks the trace without simulator state per
-	// access and gets the larger MaxSampledTraceLen budget, and the
-	// analytic engine never generates a trace at all.
+	// exceeds this many accesses; 0 means trace.DefaultBudget (1<<28). It
+	// gates the exact engine only: the sampled engine walks the trace
+	// without simulator state per access and gets the larger
+	// MaxSampledTraceLen budget, and the analytic engine never generates a
+	// trace at all.
 	MaxTraceLen int64
 	// MaxSampledTraceLen is MaxTraceLen's counterpart for engine=sampled;
 	// 0 means 32 × MaxTraceLen.
@@ -101,7 +101,7 @@ func (c Config) withDefaults() Config {
 		c.RequestTimeout = 30 * time.Second
 	}
 	if c.MaxTraceLen <= 0 {
-		c.MaxTraceLen = 1 << 28
+		c.MaxTraceLen = trace.DefaultBudget
 	}
 	if c.MaxSampledTraceLen <= 0 {
 		c.MaxSampledTraceLen = 32 * c.MaxTraceLen
@@ -125,14 +125,11 @@ type Service struct {
 	// batch plans, so a repeated batch costs one map probe instead of a
 	// decode plus N plannings.
 	batchPlans *memoLRU[*batchPlan]
-	draining   atomic.Bool
-	started    time.Time
+	front      *Front
 
-	total *obs.Counter // "service.requests"
-	eps   map[string]*epStats
 	// batchItems count per-item outcomes inside /v1/batch requests
 	// ("service.batch.items{,.ok,.errors}"); the request-level invariant
-	// stays on the "batch" epStats.
+	// stays on the batch route's RouteStats.
 	batchItems, batchItemsOK, batchItemsErr *obs.Counter
 	// streamFlush times each NDJSON record flush ("service.stream.flush").
 	streamFlush *obs.Timer
@@ -140,12 +137,6 @@ type Service struct {
 	// ("service.simulate.engine.<e>"): computations, not requests — cache
 	// hits and coalesced waiters reuse the leader's computation.
 	engines map[cachesim.Engine]*obs.Counter
-}
-
-// epStats is one endpoint's pre-resolved instruments.
-type epStats struct {
-	requests, ok, errors, rejected *obs.Counter
-	latency                        *obs.Timer
 }
 
 // New creates a service. The worker pool starts immediately; a service
@@ -161,28 +152,21 @@ func New(cfg Config) *Service {
 		analyses:      newFlightCache[*core.Analysis](cfg.AnalysisEntries, m, "service.analyses"),
 		plans:         newMemoLRU[*planned](planCacheCap, m, "service.plans"),
 		batchPlans:    newMemoLRU[*batchPlan](batchPlanCacheCap, m, "service.batchplans"),
-		total:         m.Counter("service.requests"),
-		eps:           map[string]*epStats{},
+		front:         NewFront(m.Counter("service.requests")),
 		batchItems:    m.Counter("service.batch.items"),
 		batchItemsOK:  m.Counter("service.batch.items.ok"),
 		batchItemsErr: m.Counter("service.batch.items.errors"),
 		streamFlush:   m.Timer("service.stream.flush"),
-		started:       time.Now(),
 	}
 	s.pool = newWorkPool(cfg.Workers, cfg.QueueDepth, m.Gauge("service.queue.depth"))
-	names := []string{"batch"}
-	for _, ep := range endpoints {
-		names = append(names, ep.name)
+	for path, ep := range endpoints {
+		s.front.Handle(path, NewRouteStats(m, "service."+ep.name), s.serveEndpoint(path, ep))
 	}
-	for _, name := range names {
-		s.eps[name] = &epStats{
-			requests: m.Counter("service." + name + ".requests"),
-			ok:       m.Counter("service." + name + ".ok"),
-			errors:   m.Counter("service." + name + ".errors"),
-			rejected: m.Counter("service." + name + ".rejected"),
-			latency:  m.Timer("service." + name + ".latency"),
-		}
-	}
+	s.front.Handle(batchPath, NewRouteStats(m, "service.batch"), s.serveBatch)
+	s.front.HandleHealth(func() (any, bool) {
+		h := s.Health()
+		return h, h.Draining
+	})
 	s.engines = map[cachesim.Engine]*obs.Counter{}
 	for _, eng := range cachesim.Engines() {
 		s.engines[eng] = m.Counter("service.simulate.engine." + string(eng))
@@ -194,37 +178,29 @@ func New(cfg Config) *Service {
 // no longer be receiving requests (tests use httptest.Server.Close first;
 // production goes through Server.Drain, which orders this correctly).
 func (s *Service) Close() {
-	s.draining.Store(true)
+	s.front.SetDraining(true)
 	s.pool.close()
 }
 
 // HealthStatus is the JSON body of /healthz?v=1: the readiness signal
-// enriched with the load facts a cluster router's prober wants — queue
-// depth (accepted but unstarted work), response-cache population, the
-// draining flag and uptime. The bare /healthz answer (200/503 with the
+// (status, draining flag, uptime) enriched with the load facts a cluster
+// router's prober wants — queue depth (accepted but unstarted work) and
+// response-cache population. The bare /healthz answer (200/503 with the
 // original one-field bodies) is unchanged; the enrichment is opt-in so
 // existing probes and goldens keep their bytes.
 type HealthStatus struct {
-	Status             string  `json:"status"` // "ok" or "draining"
-	Draining           bool    `json:"draining"`
-	UptimeSec          float64 `json:"uptimeSec"`
-	QueueDepth         int64   `json:"queueDepth"`
-	FlightCacheEntries int64   `json:"flightCacheEntries"`
+	Readiness
+	QueueDepth         int64 `json:"queueDepth"`
+	FlightCacheEntries int64 `json:"flightCacheEntries"`
 }
 
 // Health reports the service's current health snapshot.
 func (s *Service) Health() HealthStatus {
-	h := HealthStatus{
-		Status:             "ok",
-		Draining:           s.draining.Load(),
-		UptimeSec:          time.Since(s.started).Seconds(),
+	return HealthStatus{
+		Readiness:          s.front.Readiness(),
 		QueueDepth:         s.pool.depth.Load(),
 		FlightCacheEntries: int64(s.resp.len()),
 	}
-	if h.Draining {
-		h.Status = "draining"
-	}
-	return h
 }
 
 // getAnalysis returns the analyzed model for a canonical nest source,

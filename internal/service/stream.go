@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"net/http"
+
+	"repro/internal/obs"
 )
 
 // ndjsonContentType is the media type of every streamed response: one JSON
@@ -16,23 +18,23 @@ const ndjsonContentType = "application/x-ndjson"
 // failed write it drops the rest, so the caller can keep accounting for
 // the work it streams.
 type ndjsonWriter struct {
-	s      *Service
 	w      http.ResponseWriter
 	fl     http.Flusher
+	flush  *obs.Timer
 	failed bool
 }
 
-func (s *Service) startNDJSON(w http.ResponseWriter) ndjsonWriter {
+func startNDJSON(w http.ResponseWriter, flush *obs.Timer) ndjsonWriter {
 	w.Header().Set("Content-Type", ndjsonContentType)
 	w.WriteHeader(http.StatusOK)
 	fl, _ := w.(http.Flusher)
-	return ndjsonWriter{s: s, w: w, fl: fl}
+	return ndjsonWriter{w: w, fl: fl, flush: flush}
 }
 
-// write writes one whole line and flushes it, timing each flush
-// ("service.stream.flush"). The explicit flush points are what make the
-// stream incremental: without them the records would sit in the server's
-// write buffer until the response ended.
+// write writes one whole line and flushes it, timing each flush on the
+// flush timer (a replica's "service.stream.flush"). The explicit flush
+// points are what make the stream incremental: without them the records
+// would sit in the server's write buffer until the response ended.
 func (nw *ndjsonWriter) write(line []byte) {
 	if nw.failed {
 		return
@@ -42,7 +44,7 @@ func (nw *ndjsonWriter) write(line []byte) {
 		return
 	}
 	if nw.fl != nil {
-		sw := nw.s.streamFlush.Start()
+		sw := nw.flush.Start()
 		nw.fl.Flush()
 		sw.Stop()
 	}
@@ -98,7 +100,7 @@ func (s *Service) serveSearchStream(w http.ResponseWriter, r *http.Request, comp
 	}) {
 		return ErrOverload
 	}
-	nw := s.startNDJSON(w)
+	nw := startNDJSON(w, s.streamFlush)
 	for rec := range records {
 		nw.writeRecord(rec)
 	}
@@ -115,37 +117,26 @@ func (s *Service) serveSearchStream(w http.ResponseWriter, r *http.Request, comp
 	return nil
 }
 
-// serveBatchStream writes the batch result as NDJSON: item records in
-// request order as their results land, each line flushed whole, then the
-// summary trailer. A request timeout mid-stream turns the remaining items
-// into per-item 504 records — the stream still ends with a well-formed
-// trailer, never a truncated line. A failed client write stops output but
-// still accounts every item (leaders complete on the pool regardless).
-func (s *Service) serveBatchStream(ctx context.Context, w http.ResponseWriter, plan *batchPlan, sc *batchScratch) error {
-	nw := s.startNDJSON(w)
-	ok, errs := 0, 0
-	for i := range plan.items {
-		it := &plan.items[i]
-		var data []byte
-		ierr := it.err
-		if ierr == nil {
-			data, ierr = entryResult(ctx, sc.entries[i])
-		}
-		if ierr == nil {
+// streamBatch writes n batch records as NDJSON: one line per record in
+// request order, each written and flushed whole as its result lands, then
+// the summary trailer. A request timeout mid-stream turns the remaining
+// items into per-item 504 records — the stream still ends with a
+// well-formed trailer, never a truncated line. A failed client write stops
+// output but every item is still counted.
+func streamBatch(nw *ndjsonWriter, sc *batchScratch, n int, rec batchRecord) (ok, errs int) {
+	for i := 0; i < n; i++ {
+		var good bool
+		sc.rec, good = rec(sc.rec[:0], i)
+		if good {
 			ok++
 		} else {
 			errs++
 		}
-		sc.rec = append(appendItemRecord(sc.rec[:0], i, data, ierr), '\n')
+		sc.rec = append(sc.rec, '\n')
 		nw.write(sc.rec)
 	}
-	sc.rec = appendBatchSummary(append(sc.rec[:0], `{"summary":`...), len(plan.items), ok, errs)
+	sc.rec = appendBatchSummary(append(sc.rec[:0], `{"summary":`...), n, ok, errs)
 	sc.rec = append(sc.rec, '}', '\n')
 	nw.write(sc.rec)
-	s.batchItemsOK.Add(int64(ok))
-	s.batchItemsErr.Add(int64(errs))
-	if nw.failed {
-		return errStreamFailed
-	}
-	return nil
+	return ok, errs
 }

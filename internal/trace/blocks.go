@@ -17,6 +17,12 @@ type EmitBlock func(sites []int32, addrs []int64)
 // call to nothing and small enough to stay cache- and allocation-friendly.
 const DefaultBlockSize = 1 << 16
 
+// DefaultBudget is the default bound, in elements, on a simulated trace's
+// length and address space: analysisd's MaxTraceLen and tracesim's
+// address-space check. The trace-walking simulators size their state per
+// address, so the bound is also what keeps their memory in reach.
+const DefaultBudget = 1 << 28
+
 // blockRun carries the per-invocation state of one RunBlocks traversal: the
 // fill buffers and, per leaf loop, the scratch slice of current reference
 // addresses. Keeping all mutable state here (and in the vals slice) makes a

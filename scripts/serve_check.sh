@@ -3,14 +3,16 @@
 # port, wait for readiness, exercise one request per endpoint, send SIGTERM,
 # and require a clean drain — then the same for the cluster tier: an
 # analysisrouter in front of two replicas, routed requests, the
-# all-backends-down 503, and a clean router drain. CI runs this after the
-# test suite.
+# all-backends-down 503, and a clean router drain. Every daemon writes a
+# RunReport on exit, whose request counters must balance. CI runs this
+# after the test suite.
 set -eu
 
 log=$(mktemp)
 r1log=$(mktemp); r2log=$(mktemp); rtlog=$(mktemp)
+reports=$(mktemp -d)
 pid=""; r1pid=""; r2pid=""; rtpid=""
-trap 'rm -f "$log" "$r1log" "$r2log" "$rtlog"; kill $pid $r1pid $r2pid $rtpid 2>/dev/null || true' EXIT
+trap 'rm -rf "$log" "$r1log" "$r2log" "$rtlog" "$reports"; kill $pid $r1pid $r2pid $rtpid 2>/dev/null || true' EXIT
 
 # wait_listen LOGFILE PREFIX PID: poll LOGFILE for "PREFIX ADDR" and print
 # the bound address.
@@ -26,10 +28,25 @@ wait_listen() {
     echo "$wl_addr"
 }
 
+# check_balance REPORT [COUNTER]: in a daemon's RunReport, every
+# service.<ep>.requests equals its ok + errors + rejected,
+# service.requests is the sum of the per-endpoint requests, router.requests
+# equals router.ok + errors + rejected, and COUNTER, when given, saw
+# traffic (a replica may own none of the few routed keys).
+check_balance() {
+    jq -e --arg seen "${2:-}" '.counters as $c
+        | [$c | keys[] | select(test("^service\\.[a-z]+\\.requests$")) | rtrimstr(".requests")] as $eps
+        | all($eps[]; $c[. + ".requests"] == $c[. + ".ok"] + $c[. + ".errors"] + $c[. + ".rejected"])
+          and ($c["service.requests"] // 0) == ([$eps[] | $c[. + ".requests"]] | add // 0)
+          and ($c["router.requests"] // 0) == ($c["router.ok"] // 0) + ($c["router.errors"] // 0) + ($c["router.rejected"] // 0)
+          and ($seen == "" or ($c[$seen] // 0) > 0)' "$1" >/dev/null || {
+        echo "serve_check: request counters do not balance in $1:"; jq .counters "$1"; exit 1; }
+}
+
 go build -o /tmp/analysisd ./cmd/analysisd
 # -max-batch 4 so the oversized-batch rejection below is reachable with a
 # small request.
-/tmp/analysisd -addr 127.0.0.1:0 -max-batch 4 >"$log" 2>&1 &
+/tmp/analysisd -addr 127.0.0.1:0 -max-batch 4 -report "$reports/analysisd.json" >"$log" 2>&1 &
 pid=$!
 
 # Wait for the listen line and extract the bound address.
@@ -112,22 +129,23 @@ kill -TERM "$pid"
 wait "$pid" || { echo "serve_check: non-zero exit after SIGTERM"; cat "$log"; exit 1; }
 grep -q "drained cleanly" "$log" || { echo "serve_check: no clean-drain line"; cat "$log"; exit 1; }
 pid=""
+check_balance "$reports/analysisd.json" service.requests
 
 echo "serve_check: OK ($base)"
 
 # --- Cluster tier: analysisrouter in front of two replicas. ---
 
 go build -o /tmp/analysisrouter ./cmd/analysisrouter
-/tmp/analysisd -addr 127.0.0.1:0 >"$r1log" 2>&1 &
+/tmp/analysisd -addr 127.0.0.1:0 -report "$reports/r1.json" >"$r1log" 2>&1 &
 r1pid=$!
-/tmp/analysisd -addr 127.0.0.1:0 >"$r2log" 2>&1 &
+/tmp/analysisd -addr 127.0.0.1:0 -report "$reports/r2.json" >"$r2log" 2>&1 &
 r2pid=$!
 r1addr=$(wait_listen "$r1log" "analysisd listening on" "$r1pid")
 r2addr=$(wait_listen "$r2log" "analysisd listening on" "$r2pid")
 
 /tmp/analysisrouter -addr 127.0.0.1:0 \
     -replicas "http://$r1addr,http://$r2addr" \
-    -probe-interval 100ms -hedge 50ms >"$rtlog" 2>&1 &
+    -probe-interval 100ms -hedge 50ms -report "$reports/router.json" >"$rtlog" 2>&1 &
 rtpid=$!
 rtaddr=$(wait_listen "$rtlog" "analysisrouter listening on" "$rtpid")
 base="http://$rtaddr"
@@ -158,6 +176,8 @@ kill -TERM "$r1pid" "$r2pid"
 wait "$r1pid" || { echo "serve_check: replica 1 non-zero exit"; cat "$r1log"; exit 1; }
 wait "$r2pid" || { echo "serve_check: replica 2 non-zero exit"; cat "$r2log"; exit 1; }
 r1pid=""; r2pid=""
+check_balance "$reports/r1.json"
+check_balance "$reports/r2.json"
 code=$(curl -s -o /dev/null -w '%{http_code}' -X POST -d '{"kernel":"matmul","n":16,"tiles":[4,4,4],"cacheKB":4}' "$base/v1/predict")
 [ "$code" = "503" ] || { echo "serve_check: router with no backends -> $code (want 503)"; exit 1; }
 
@@ -166,5 +186,6 @@ kill -TERM "$rtpid"
 wait "$rtpid" || { echo "serve_check: router non-zero exit after SIGTERM"; cat "$rtlog"; exit 1; }
 grep -q "analysisrouter: drained cleanly" "$rtlog" || { echo "serve_check: no router clean-drain line"; cat "$rtlog"; exit 1; }
 rtpid=""
+check_balance "$reports/router.json" router.requests
 
 echo "serve_check: cluster OK ($base)"
