@@ -41,15 +41,20 @@ race:
 # the service boundary (mutated bodies on every route answer inside the
 # 200/400/429/503/504 taxonomy, never panic, and balance the counters), and
 # the stored-trace reader (corrupt files end in an error or in blocks whose
-# sites and addresses lie inside the header's bounds).
+# sites and addresses lie inside the header's bounds). FUZZ_SMOKE turns
+# input minimization off: minimizing one new input can outlast the whole
+# window (FuzzReadTrace sat at 0 execs/s from 6 s on), and a smoke ends
+# before the minimized input is kept, so every run would repeat it.
+FUZZ_SMOKE = -fuzztime 10s -fuzzminimizetime 0
+
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzAnalyzeNoPanic$$' -fuzztime 10s ./internal/tilesearch
-	$(GO) test -run '^$$' -fuzz '^FuzzAnalyticVsExact$$' -fuzztime 10s ./internal/validate
-	$(GO) test -run '^$$' -fuzz '^FuzzSampledBounds$$' -fuzztime 10s ./internal/validate
-	$(GO) test -run '^$$' -fuzz '^FuzzAssocBlockVsScalar$$' -fuzztime 10s ./internal/cachesim
-	$(GO) test -run '^$$' -fuzz '^FuzzPlanLegality$$' -fuzztime 10s ./internal/loopir
-	$(GO) test -run '^$$' -fuzz '^FuzzHandler$$' -fuzztime 10s ./internal/service
-	$(GO) test -run '^$$' -fuzz '^FuzzReadTrace$$' -fuzztime 10s ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzAnalyzeNoPanic$$' $(FUZZ_SMOKE) ./internal/tilesearch
+	$(GO) test -run '^$$' -fuzz '^FuzzAnalyticVsExact$$' $(FUZZ_SMOKE) ./internal/validate
+	$(GO) test -run '^$$' -fuzz '^FuzzSampledBounds$$' $(FUZZ_SMOKE) ./internal/validate
+	$(GO) test -run '^$$' -fuzz '^FuzzAssocBlockVsScalar$$' $(FUZZ_SMOKE) ./internal/cachesim
+	$(GO) test -run '^$$' -fuzz '^FuzzPlanLegality$$' $(FUZZ_SMOKE) ./internal/loopir
+	$(GO) test -run '^$$' -fuzz '^FuzzHandler$$' $(FUZZ_SMOKE) ./internal/service
+	$(GO) test -run '^$$' -fuzz '^FuzzReadTrace$$' $(FUZZ_SMOKE) ./internal/trace
 
 check: fmt vet deadcode race fuzz-smoke
 

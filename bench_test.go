@@ -167,7 +167,7 @@ func BenchmarkTable3SimulatedScaled(b *testing.B) {
 // search for the two-index transform with a 64 KB cache.
 func BenchmarkTable4TileSearch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunTable4([]int64{256})
+		res, err := experiments.RunTable4([]int64{256}, 1, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -184,7 +184,7 @@ func BenchmarkTable4TileSearch(b *testing.B) {
 // reports parity, measuring dispatch overhead instead). The cache-hit-%
 // metric is the component-evaluation cache's share of avoided work.
 func BenchmarkExhaustiveParallel(b *testing.B) {
-	a, err := experiments.TwoIndexAnalysis()
+	a, err := experiments.AnalyzedKernel("twoindex", nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func BenchmarkExhaustiveParallel(b *testing.B) {
 // BenchmarkSearchParallel measures the pruned §6 search at several worker
 // counts on the same 4-dimensional problem.
 func BenchmarkSearchParallel(b *testing.B) {
-	a, err := experiments.TwoIndexAnalysis()
+	a, err := experiments.AnalyzedKernel("twoindex", nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -339,7 +339,7 @@ func BenchmarkAnalyzeTwoIndex(b *testing.B) {
 // BenchmarkPredictMisses measures one model evaluation (the inner loop of
 // the tile search).
 func BenchmarkPredictMisses(b *testing.B) {
-	a, err := experiments.TwoIndexAnalysis()
+	a, err := experiments.AnalyzedKernel("twoindex", nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -361,7 +361,7 @@ func BenchmarkPredictMisses(b *testing.B) {
 // their compiled programs, and both bindings of N=64 with 8×8×8 tiles: an
 // Env for the tree walk and a slot frame for the programs.
 func matmulExprs(b *testing.B) ([]*expr.Expr, []*expr.Program, expr.Env, *expr.Frame) {
-	a, err := experiments.MatmulAnalysis()
+	a, err := experiments.AnalyzedKernel("matmul", nil)
 	if err != nil {
 		b.Fatal(err)
 	}

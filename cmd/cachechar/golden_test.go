@@ -54,7 +54,6 @@ func TestGoldenAdhocText(t *testing.T) {
 		n:        64,
 		tiles:    "8,8,8",
 		cacheKB:  "4",
-		jobs:     1,
 		simulate: true,
 	}
 	if err := run(&buf, o); err != nil {
@@ -73,7 +72,6 @@ func TestGoldenAdhocDirectMappedText(t *testing.T) {
 		n:         64,
 		tiles:     "8,8,8",
 		cacheKB:   "4",
-		jobs:      1,
 		ways:      1,
 		lineElems: 4,
 	}
@@ -83,7 +81,7 @@ func TestGoldenAdhocDirectMappedText(t *testing.T) {
 	golden(t, "adhoc_matmul_n64_dm.txt", buf.Bytes())
 }
 
-// TestGoldenSweepText pins the multi-capacity sweep table at -j 1.
+// TestGoldenSweepText pins the multi-capacity sweep table.
 func TestGoldenSweepText(t *testing.T) {
 	var buf bytes.Buffer
 	o := options{
@@ -91,7 +89,6 @@ func TestGoldenSweepText(t *testing.T) {
 		n:       64,
 		tiles:   "8,8,8",
 		cacheKB: "2,4,8",
-		jobs:    1,
 	}
 	if err := run(&buf, o); err != nil {
 		t.Fatal(err)
@@ -110,7 +107,6 @@ func TestGoldenRunReport(t *testing.T) {
 		n:          64,
 		tiles:      "8,8,8",
 		cacheKB:    "4",
-		jobs:       1,
 		simulate:   true,
 		reportPath: reportPath,
 		args: []string{"-kernel", "matmul", "-n", "64", "-tiles", "8,8,8",

@@ -11,17 +11,17 @@
 //	cachechar -kernel twoindex -dump-tree
 //	cachechar -kernel matmul -n 256 -tiles 32,64,32 -cache-kb 16 -simulate
 //	cachechar -kernel fourindex -n 32 -cache-kb 64 -inventory
-//	cachechar -kernel matmul -n 256 -tiles 32,64,32 -cache-kb 8,16,32,64 -j 4
+//	cachechar -kernel matmul -n 256 -tiles 32,64,32 -cache-kb 8,16,32,64
 //	cachechar -file mynest.loop -D N=256 -D TI=32 -cache-kb 64 -validate
 //	cachechar -kernel matmul -n 128 -tiles 16,16,16 -simulate -report run.json
 //
-// -cache-kb accepts a comma-separated list of capacities; predictions for a
-// list are evaluated concurrently (-j workers), one frame query per
-// capacity. The -file format is documented in internal/loopir/parse.go;
-// bind its symbols with repeated -D name=value flags. -report writes a
-// RunReport JSON artifact (analyze stage timings, evalcache.* and simulator
-// counters — see README.md, Observability); -debug-addr serves /metrics,
-// /debug/vars and /debug/pprof for the duration of the run.
+// -cache-kb accepts a comma-separated list of capacities, predicted by one
+// frame query per capacity on one frame. The -file format is documented in
+// internal/loopir/parse.go; bind its symbols with repeated -D name=value
+// flags. -report writes a RunReport JSON artifact (analyze stage timings,
+// evalcache.* and simulator counters — see README.md, Observability);
+// -debug-addr serves /metrics, /debug/vars and /debug/pprof for the
+// duration of the run.
 package main
 
 import (
@@ -29,11 +29,7 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"sort"
-	"strconv"
-	"strings"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/experiments"
@@ -63,7 +59,6 @@ type options struct {
 	n          int64
 	tiles      string
 	cacheKB    string
-	jobs       int
 	lineElems  int64
 	ways       int64
 	defines    []string
@@ -86,7 +81,6 @@ func main() {
 	flag.Int64Var(&o.n, "n", 256, "loop bound for built-in kernels")
 	flag.StringVar(&o.tiles, "tiles", "", "comma-separated tile sizes")
 	flag.StringVar(&o.cacheKB, "cache-kb", "64", "cache size(s) in KB of doubles, comma-separated")
-	flag.IntVar(&o.jobs, "j", runtime.GOMAXPROCS(0), "parallel evaluation workers for capacity sweeps")
 	flag.Int64Var(&o.lineElems, "line", 0, "also predict with the spatial model at this line size (elements)")
 	flag.Int64Var(&o.ways, "ways", 0, "also predict with the conflict-aware model at this associativity (-line is the line size; 0 = skip)")
 	flag.StringVar(&o.reportPath, "report", "", "write a RunReport JSON artifact to this path")
@@ -101,53 +95,15 @@ func main() {
 	}
 }
 
-func parseCacheKBs(s string) ([]int64, error) {
-	var out []int64
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		kb, err := strconv.ParseInt(part, 10, 64)
-		if err != nil || kb <= 0 {
-			return nil, fmt.Errorf("bad -cache-kb value %q", part)
-		}
-		out = append(out, kb)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("empty -cache-kb list")
-	}
-	return out, nil
+func run(w io.Writer, o options) error {
+	return obs.RunTool(w, "cachechar", o.args, o.reportPath, o.debugAddr, func(r *obs.ToolRun) error {
+		return characterize(w, o, r)
+	})
 }
 
-func run(w io.Writer, o options) error {
-	var m *obs.Metrics
-	var rep *obs.RunReport
-	if o.reportPath != "" || o.debugAddr != "" {
-		m = obs.New()
-	}
-	if o.reportPath != "" {
-		rep = obs.NewRunReport("cachechar", o.args)
-	}
-	if o.debugAddr != "" {
-		srv, err := obs.StartDebugServer(o.debugAddr, m)
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-		fmt.Fprintf(w, "debug server listening on %s\n", srv.Addr)
-	}
-	finish := func() error {
-		if rep == nil {
-			return nil
-		}
-		rep.AddMetrics(m)
-		if err := rep.WriteFile(o.reportPath); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "report written to %s\n", o.reportPath)
-		return nil
-	}
+// characterize is one invocation's work; r carries its observability.
+func characterize(w io.Writer, o options, r *obs.ToolRun) error {
+	m := r.Metrics
 	analyze := func(nest *loopir.Nest) (*core.Analysis, error) {
 		opts := core.DefaultOptions()
 		opts.Obs = m
@@ -166,7 +122,7 @@ func run(w io.Writer, o options) error {
 		}
 		fmt.Fprintln(w, "Table 1: iteration-space partitions and symbolic stack distances")
 		fmt.Fprint(w, a.Table())
-		return finish()
+		return nil
 	case 2:
 		rows, err := experiments.RunTable2(o.simulate)
 		if err != nil {
@@ -174,7 +130,7 @@ func run(w io.Writer, o options) error {
 		}
 		fmt.Fprint(w, experiments.FormatMissRows(
 			"Table 2: cache miss prediction for the tiled two-index transform", rows))
-		return finish()
+		return nil
 	case 3:
 		rows, err := experiments.RunTable3(o.simulate)
 		if err != nil {
@@ -182,14 +138,14 @@ func run(w io.Writer, o options) error {
 		}
 		fmt.Fprint(w, experiments.FormatMissRows(
 			"Table 3: cache miss prediction for tiled matrix multiplication", rows))
-		return finish()
+		return nil
 	case 0:
 		// ad-hoc mode below
 	default:
 		return fmt.Errorf("unknown table %d (want 1, 2 or 3)", o.table)
 	}
 
-	kbs, err := parseCacheKBs(o.cacheKB)
+	kbs, err := experiments.ParseCacheKB(o.cacheKB)
 	if err != nil {
 		return err
 	}
@@ -220,7 +176,7 @@ func run(w io.Writer, o options) error {
 	}
 	if o.dump {
 		fmt.Fprint(w, loopir.Unparse(nest))
-		return finish()
+		return nil
 	}
 	a, err := analyze(nest)
 	if err != nil {
@@ -233,10 +189,10 @@ func run(w io.Writer, o options) error {
 				return err
 			}
 			fmt.Fprintln(w, string(data))
-			return finish()
+			return nil
 		}
 		fmt.Fprint(w, a.Table())
-		return finish()
+		return nil
 	}
 	if o.doVal {
 		cmps, err := validate.RunObserved(a, env, caps, m)
@@ -247,7 +203,7 @@ func run(w io.Writer, o options) error {
 		if err := validate.CheckCompulsory(cmps); err != nil {
 			return err
 		}
-		return finish()
+		return nil
 	}
 	if len(caps) > 1 {
 		if o.jsonOut {
@@ -259,10 +215,7 @@ func run(w io.Writer, o options) error {
 		if o.ways > 0 {
 			return fmt.Errorf("-ways supports a single -cache-kb value")
 		}
-		if err := capacitySweep(w, a, nest, env, kbs, caps, o.jobs, o.simulate, m); err != nil {
-			return err
-		}
-		return finish()
+		return capacitySweep(w, a, nest, env, kbs, caps, o.simulate, m)
 	}
 
 	cache := caps[0]
@@ -276,7 +229,7 @@ func run(w io.Writer, o options) error {
 			return err
 		}
 		fmt.Fprintln(w, string(data))
-		return finish()
+		return nil
 	}
 	fmt.Fprintf(w, "nest %s  env %v  cache %d KB (%d elements)\n", nest.Name, env, kbs[0], cache)
 	fmt.Fprintf(w, "accesses  %d\n", rep2.Accesses)
@@ -320,50 +273,24 @@ func run(w io.Writer, o options) error {
 		fmt.Fprintf(w, "simulated %d misses (rel err %.3f%%)\n",
 			cmps[0].SimulatedTotal, 100*cmps[0].RelErr())
 	}
-	if rep != nil {
-		rep.SetExtra("nest", nest.Name)
-		rep.SetExtra("cacheKB", kbs[0])
-		rep.SetExtra("predictedMisses", rep2.Total)
-		rep.SetExtra("accesses", rep2.Accesses)
-	}
-	return finish()
+	r.SetExtra("nest", nest.Name)
+	r.SetExtra("cacheKB", kbs[0])
+	r.SetExtra("predictedMisses", rep2.Total)
+	r.SetExtra("accesses", rep2.Accesses)
+	return nil
 }
 
-// capacitySweep predicts misses at every capacity concurrently, one frame
-// query per capacity. Every query evaluates every component at the same
+// capacitySweep predicts misses at every capacity, one frame query per
+// capacity on one frame. Every query evaluates every component at the same
 // bindings, so the sweep's component evaluations repeat len(Components)
 // distinct ones len(caps) times; it reports them as a tile search does.
 func capacitySweep(w io.Writer, a *core.Analysis, nest *loopir.Nest, env expr.Env,
-	kbs, caps []int64, jobs int, simulate bool, m *obs.Metrics) error {
-	if jobs < 1 {
-		jobs = 1
-	}
+	kbs, caps []int64, simulate bool, m *obs.Metrics) error {
+	f := a.SymTab().FrameOf(env)
 	reps := make([]*core.MissReport, len(caps))
-	errs := make([]error, len(caps))
-	var next int
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for wkr := 0; wkr < jobs; wkr++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Frames are single-goroutine scratch; each worker binds its own.
-			f := a.SymTab().FrameOf(env)
-			for {
-				mu.Lock()
-				i := next
-				next++
-				mu.Unlock()
-				if i >= len(caps) {
-					return
-				}
-				reps[i], errs[i] = a.PredictMissesFrameConfig(f, core.CacheConfig{CapacityElems: caps[i]})
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
+	for i, c := range caps {
+		var err error
+		if reps[i], err = a.PredictMissesFrameConfig(f, core.CacheConfig{CapacityElems: c}); err != nil {
 			return err
 		}
 	}
@@ -378,7 +305,7 @@ func capacitySweep(w io.Writer, a *core.Analysis, nest *loopir.Nest, env expr.En
 			sims[c.CacheElems] = c.SimulatedTotal
 		}
 	}
-	fmt.Fprintf(w, "nest %s  env %v  (%d workers)\n", nest.Name, env, jobs)
+	fmt.Fprintf(w, "nest %s  env %v\n", nest.Name, env)
 	fmt.Fprintf(w, "accesses  %d\n", reps[0].Accesses)
 	header := fmt.Sprintf("%-10s %-12s %-14s %-10s", "cache-kb", "elements", "predicted", "miss-%")
 	if simulate {

@@ -14,7 +14,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/experiments"
@@ -81,15 +80,15 @@ func run(w *os.File, simulate bool) error {
 	// Table 4.
 	fmt.Fprintln(w, "## Table 4 — tile selection, known vs unknown bounds")
 	fmt.Fprintln(w)
-	t4, err := experiments.RunTable4([]int64{32, 64, 128, 256, 512, 1024})
+	t4, err := experiments.RunTable4([]int64{32, 64, 128, 256, 512, 1024}, 1, nil)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintln(w, "```")
 	fmt.Fprintf(w, "%-8s %-32s %-32s\n", "N", "known bounds", "unknown bounds")
-	unk := tilesString(t4.UnknownBest)
+	unk := experiments.FormatTiles(t4.UnknownBest)
 	for _, row := range t4.Rows {
-		fmt.Fprintf(w, "%-8d %-32s %-32s\n", row.N, tilesString(row.KnownBest), unk)
+		fmt.Fprintf(w, "%-8d %-32s %-32s\n", row.N, experiments.FormatTiles(row.KnownBest), unk)
 	}
 	fmt.Fprintln(w, "```")
 	fmt.Fprintln(w)
@@ -141,20 +140,4 @@ func run(w *os.File, simulate bool) error {
 		fmt.Fprintln(w)
 	}
 	return nil
-}
-
-func tilesString(t map[string]int64) string {
-	keys := make([]string, 0, len(t))
-	for k := range t {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := "("
-	for i, k := range keys {
-		if i > 0 {
-			out += ","
-		}
-		out += fmt.Sprintf("%s=%d", k, t[k])
-	}
-	return out + ")"
 }

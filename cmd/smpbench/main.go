@@ -15,7 +15,7 @@
 //	smpbench -n 1024        # Figure 10
 //	smpbench -n 2048        # Figure 11
 //	smpbench -n 512 -run    # include real goroutine execution
-//	smpbench -sim -sim-n 256 -j 8   # exact sharded per-processor simulation
+//	smpbench -sim -sim-n 256   # exact per-processor simulation
 package main
 
 import (
@@ -32,14 +32,6 @@ import (
 	"repro/internal/smp"
 )
 
-func toEnv(m map[string]int64) expr.Env {
-	out := expr.Env{}
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
-
 func main() {
 	var (
 		n         = flag.Int64("n", 1024, "loop range (1024 = Fig. 10, 2048 = Fig. 11)")
@@ -47,45 +39,22 @@ func main() {
 		speedup   = flag.Bool("speedup", false, "print the speedup/efficiency table for the predicted tile")
 		report    = flag.String("report", "", "write a RunReport JSON artifact to this path")
 		debugAddr = flag.String("debug-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address")
-		sim       = flag.Bool("sim", false, "also run the exact sharded per-processor simulation figure")
+		sim       = flag.Bool("sim", false, "also run the exact per-processor simulation figure")
 		simN      = flag.Int64("sim-n", 256, "loop range for the -sim figure (full N is too slow to simulate)")
-		par       = flag.Int("j", -1, "worker pool width for -sim shards (-1 = GOMAXPROCS)")
 	)
 	flag.Parse()
-	if err := mainE(os.Stdout, os.Args[1:], *n, *run, *speedup, *report, *debugAddr, *sim, *simN, *par); err != nil {
+	err := obs.RunTool(os.Stdout, "smpbench", os.Args[1:], *report, *debugAddr, func(r *obs.ToolRun) error {
+		return mainE(os.Stdout, r, *n, *run, *speedup, *sim, *simN)
+	})
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "smpbench:", err)
 		os.Exit(1)
 	}
 }
 
-func mainE(w io.Writer, args []string, n int64, run, speedup bool, reportPath, debugAddr string, sim bool, simN int64, par int) error {
-	var m *obs.Metrics
-	var rep *obs.RunReport
-	if reportPath != "" || debugAddr != "" {
-		m = obs.New()
-	}
-	if reportPath != "" {
-		rep = obs.NewRunReport("smpbench", args)
-	}
-	if debugAddr != "" {
-		srv, err := obs.StartDebugServer(debugAddr, m)
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-		fmt.Fprintf(w, "debug server listening on %s\n", srv.Addr)
-	}
-	finish := func() error {
-		if rep == nil {
-			return nil
-		}
-		rep.AddMetrics(m)
-		if err := rep.WriteFile(reportPath); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "report written to %s\n", reportPath)
-		return nil
-	}
+// mainE is one invocation's work; r carries its observability.
+func mainE(w io.Writer, r *obs.ToolRun, n int64, run, speedup, sim bool, simN int64) error {
+	m := r.Metrics
 	fig := "Figure 10"
 	if n == 2048 {
 		fig = "Figure 11"
@@ -100,11 +69,9 @@ func mainE(w io.Writer, args []string, n int64, run, speedup bool, reportPath, d
 	}
 	fmt.Fprint(w, experiments.FormatFigure(
 		fmt.Sprintf("%s: two-index transform, loop range %d, 64 KB cache, model time", fig, n), pts))
-	if rep != nil {
-		rep.SetExtra("n", n)
-		rep.SetExtra("figure", fig)
-		rep.SetExtra("points", len(pts))
-	}
+	r.SetExtra("n", n)
+	r.SetExtra("figure", fig)
+	r.SetExtra("points", len(pts))
 
 	if speedup {
 		a, err := experiments.AnalyzedKernel("twoindex", m)
@@ -112,18 +79,14 @@ func mainE(w io.Writer, args []string, n int64, run, speedup bool, reportPath, d
 			return err
 		}
 		model := smp.DefaultCostModel()
-		env := map[string]int64{
+		env := expr.Env{
 			"NI": n, "NJ": n, "NM": n, "NN": n,
 			"TI": 64, "TJ": 16, "TM": 16, "TN": 64,
-		}
-		eenv := make(map[string]int64, len(env))
-		for k, v := range env {
-			eenv[k] = v
 		}
 		var preds []*smp.Prediction
 		for _, p := range []int64{1, 2, 4, 8, 16} {
 			cfg := smp.Config{Procs: p, SplitSymbol: "NN", CacheElems: 8192, Model: model}
-			pred, err := smp.Predict(a, toEnv(eenv), cfg)
+			pred, err := smp.Predict(a, env, cfg)
 			if err != nil {
 				return err
 			}
@@ -136,22 +99,20 @@ func mainE(w io.Writer, args []string, n int64, run, speedup bool, reportPath, d
 
 	if sim {
 		simSW := m.Timer("smpbench.sim_figure").Start()
-		spts, err := experiments.RunFigureSimulatedParallel(simN, []int64{1, 2, 4, 8}, par, m)
+		spts, err := experiments.RunFigureSimulated(simN, []int64{1, 2, 4, 8}, m)
 		simSW.Stop()
 		if err != nil {
 			return err
 		}
 		fmt.Fprintln(w)
 		fmt.Fprint(w, experiments.FormatFigure(
-			fmt.Sprintf("exact sharded simulation: loop range %d, 64 KB private caches, pool width %d", simN, par), spts))
-		if rep != nil {
-			rep.SetExtra("sim_n", simN)
-			rep.SetExtra("sim_points", len(spts))
-		}
+			fmt.Sprintf("exact simulation: loop range %d, 64 KB private caches", simN), spts))
+		r.SetExtra("sim_n", simN)
+		r.SetExtra("sim_points", len(spts))
 	}
 
 	if !run {
-		return finish()
+		return nil
 	}
 	fmt.Fprintln(w, "\nnative goroutine execution (wall clock):")
 	a := kernels.NewMatrix(int(n), int(n))
@@ -168,5 +129,5 @@ func mainE(w io.Writer, args []string, n int64, run, speedup bool, reportPath, d
 		}
 		fmt.Fprintf(w, "  P=%d tiles=(64,16,16,64): %v\n", procs, time.Since(start))
 	}
-	return finish()
+	return nil
 }

@@ -39,9 +39,7 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"sort"
 
-	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/expr"
 	"repro/internal/obs"
@@ -100,15 +98,7 @@ func runJoint(w io.Writer, kernel string, n, cacheKB int64, jobs int, ways, line
 	if err != nil {
 		return err
 	}
-	geom := ""
-	if ways > 0 {
-		l := line
-		if l <= 0 {
-			l = 1
-		}
-		geom = fmt.Sprintf(" (%d-way, %d-element lines)", ways, l)
-	}
-	fmt.Fprintf(w, "joint plan search: kernel %s, N=%d, cache %d KB%s, %d workers\n", kernel, n, cacheKB, geom, jobs)
+	fmt.Fprintf(w, "joint plan search: kernel %s, N=%d, cache %d KB%s, %d workers\n", kernel, n, cacheKB, geometry(ways, line), jobs)
 	fmt.Fprintf(w, "variants scored: %d (%d skipped), %d tile candidates\n", len(pr.Variants), pr.Skipped, pr.Evaluated)
 	for i, v := range pr.Variants {
 		mark := ' '
@@ -117,7 +107,7 @@ func runJoint(w io.Writer, kernel string, n, cacheKB int64, jobs int, ways, line
 		}
 		tiles := ""
 		if len(v.Result.Best.Tiles) > 0 {
-			tiles = " tiles " + renderTiles(v.Result.Best.Tiles)
+			tiles = " tiles " + experiments.FormatTiles(v.Result.Best.Tiles)
 		}
 		fmt.Fprintf(w, "%c [%d] %-40s misses %d%s\n", mark, i, v.Plan.String(), v.Result.Best.Misses, tiles)
 	}
@@ -132,76 +122,37 @@ func runJoint(w io.Writer, kernel string, n, cacheKB int64, jobs int, ways, line
 // reports stay stable).
 func run(w io.Writer, args []string, table4 bool, kernel string, n, cacheKB int64, jobs int,
 	exhaustive bool, ways, line int64, reportPath, debugAddr string) error {
-	// Observability is active whenever anything consumes it; a nil registry
-	// disables every instrument downstream.
-	var m *obs.Metrics
-	var tr *obs.Trace
-	var rep *obs.RunReport
-	if reportPath != "" || debugAddr != "" {
-		m = obs.New()
-		tr = obs.NewTrace()
-	}
-	if reportPath != "" {
-		rep = obs.NewRunReport("tilesearch", args)
-	}
-	if debugAddr != "" {
-		srv, err := obs.StartDebugServer(debugAddr, m)
-		if err != nil {
-			return err
+	return obs.RunTool(w, "tilesearch", args, reportPath, debugAddr, func(r *obs.ToolRun) error {
+		if table4 {
+			return runTable4(w, jobs, r.Metrics)
 		}
-		defer srv.Close()
-		fmt.Fprintf(w, "debug server listening on %s\n", srv.Addr)
-	}
-	finish := func() error {
-		if rep == nil {
-			return nil
-		}
-		rep.AddMetrics(m)
-		rep.AddTrace(tr)
-		if err := rep.WriteFile(reportPath); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "report written to %s\n", reportPath)
-		return nil
-	}
+		return search(w, r, kernel, n, cacheKB, jobs, exhaustive, ways, line)
+	})
+}
 
-	if table4 {
-		res, err := experiments.RunTable4Observed([]int64{32, 64, 128, 256, 512, 1024}, jobs, m)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, "Table 4: best tile sizes, two-index transform, 64 KB cache")
-		fmt.Fprintf(w, "%-8s %-28s %-28s\n", "N", "best with known bounds", "best with unknown bounds")
-		unk := renderTiles(res.UnknownBest)
-		for _, row := range res.Rows {
-			fmt.Fprintf(w, "%-8d %-28s %-28s\n", row.N, renderTiles(row.KnownBest), unk)
-		}
-		return finish()
-	}
-
-	var (
-		a    *core.Analysis
-		dims []tilesearch.Dim
-		base expr.Env
-		err  error
-	)
-	// With observability on, analyze fresh so the report carries this run's
-	// analyze.* stage timings; otherwise reuse the process-cached analyses.
-	if m != nil {
-		a, err = experiments.AnalyzedKernel(kernel, m)
-	} else {
-		switch kernel {
-		case "twoindex":
-			a, err = experiments.TwoIndexAnalysis()
-		case "matmul":
-			a, err = experiments.MatmulAnalysis()
-		default:
-			err = fmt.Errorf("unknown kernel %q", kernel)
-		}
-	}
+// runTable4 prints the Table 4 sweep.
+func runTable4(w io.Writer, jobs int, m *obs.Metrics) error {
+	res, err := experiments.RunTable4([]int64{32, 64, 128, 256, 512, 1024}, jobs, m)
 	if err != nil {
 		return err
 	}
+	fmt.Fprintln(w, "Table 4: best tile sizes, two-index transform, 64 KB cache")
+	fmt.Fprintf(w, "%-8s %-28s %-28s\n", "N", "best with known bounds", "best with unknown bounds")
+	unk := experiments.FormatTiles(res.UnknownBest)
+	for _, row := range res.Rows {
+		fmt.Fprintf(w, "%-8d %-28s %-28s\n", row.N, experiments.FormatTiles(row.KnownBest), unk)
+	}
+	return nil
+}
+
+// search runs one tile search and prints its result; r carries the run's
+// observability.
+func search(w io.Writer, r *obs.ToolRun, kernel string, n, cacheKB int64, jobs int,
+	exhaustive bool, ways, line int64) error {
+	var (
+		dims []tilesearch.Dim
+		base expr.Env
+	)
 	switch kernel {
 	case "twoindex":
 		dims = []tilesearch.Dim{{Symbol: "TI", Max: n}, {Symbol: "TJ", Max: n},
@@ -213,6 +164,10 @@ func run(w io.Writer, args []string, table4 bool, kernel string, n, cacheKB int6
 	default:
 		return fmt.Errorf("unknown kernel %q", kernel)
 	}
+	a, err := experiments.AnalyzedKernel(kernel, r.Metrics)
+	if err != nil {
+		return err
+	}
 	opt := tilesearch.Options{
 		Dims:        dims,
 		CacheElems:  experiments.KB(cacheKB),
@@ -221,8 +176,8 @@ func run(w io.Writer, args []string, table4 bool, kernel string, n, cacheKB int6
 		BaseEnv:     base,
 		DivisorOf:   n,
 		Parallelism: jobs,
-		Obs:         m,
-		Trace:       tr,
+		Obs:         r.Metrics,
+		Trace:       r.Trace,
 	}
 	var res *tilesearch.Result
 	if exhaustive {
@@ -238,15 +193,7 @@ func run(w io.Writer, args []string, table4 bool, kernel string, n, cacheKB int6
 	if exhaustive {
 		mode = "exhaustive"
 	}
-	geom := ""
-	if ways > 0 {
-		l := line
-		if l <= 0 {
-			l = 1
-		}
-		geom = fmt.Sprintf(" (%d-way, %d-element lines)", ways, l)
-	}
-	fmt.Fprintf(w, "kernel %s, N=%d, cache %d KB%s, %s, %d workers\n", kernel, n, cacheKB, geom, mode, jobs)
+	fmt.Fprintf(w, "kernel %s, N=%d, cache %d KB%s, %s, %d workers\n", kernel, n, cacheKB, geometry(ways, line), mode, jobs)
 	fmt.Fprintf(w, "best: %s\n", res.Best)
 	if len(res.Frontier) > 0 {
 		fmt.Fprintf(w, "frontier candidates (coarse phase):\n")
@@ -256,30 +203,24 @@ func run(w io.Writer, args []string, table4 bool, kernel string, n, cacheKB int6
 	}
 	fmt.Fprintf(w, "model evaluations: %d candidates, %d component evaluations (cache hit rate %.1f%%)\n",
 		res.Evaluated, res.Cache.Computed, 100*res.Cache.HitRate())
-	if rep != nil {
-		rep.SetExtra("kernel", kernel)
-		rep.SetExtra("n", n)
-		rep.SetExtra("cacheKB", cacheKB)
-		rep.SetExtra("mode", mode)
-		rep.SetExtra("bestTiles", res.Best.Tiles)
-		rep.SetExtra("bestMisses", res.Best.Misses)
-		rep.SetExtra("evaluated", res.Evaluated)
-	}
-	return finish()
+	r.SetExtra("kernel", kernel)
+	r.SetExtra("n", n)
+	r.SetExtra("cacheKB", cacheKB)
+	r.SetExtra("mode", mode)
+	r.SetExtra("bestTiles", res.Best.Tiles)
+	r.SetExtra("bestMisses", res.Best.Misses)
+	r.SetExtra("evaluated", res.Evaluated)
+	return nil
 }
 
-func renderTiles(t map[string]int64) string {
-	keys := make([]string, 0, len(t))
-	for k := range t {
-		keys = append(keys, k)
+// geometry describes a -ways geometry for a header line; the
+// fully-associative default prints nothing.
+func geometry(ways, line int64) string {
+	if ways <= 0 {
+		return ""
 	}
-	sort.Strings(keys)
-	out := "("
-	for i, k := range keys {
-		if i > 0 {
-			out += ","
-		}
-		out += fmt.Sprintf("%s=%d", k, t[k])
+	if line <= 0 {
+		line = 1
 	}
-	return out + ")"
+	return fmt.Sprintf(" (%d-way, %d-element lines)", ways, line)
 }

@@ -48,3 +48,32 @@ func TestSizeBounds(t *testing.T) {
 		t.Errorf("analytic engine over the budget: %v, %q", err, out)
 	}
 }
+
+// TestCacheKBList: -cache-kb follows cachechar's rules. Parts are trimmed
+// and empty ones skipped; a value of 0 or below, or a list left empty, is
+// an error. 0 and -1 used to print a miss line for a 0 or -1 KB cache.
+func TestCacheKBList(t *testing.T) {
+	kernel := []string{"-kernel", "matmul", "-n", "8", "-tiles", "4,4,4"}
+	for _, c := range []struct{ list, want string }{
+		{"0", `bad -cache-kb value "0"`},
+		{"-1", `bad -cache-kb value "-1"`},
+		{"0,-1", `bad -cache-kb value "0"`},
+		{"", "empty -cache-kb list"},
+		{" , ", "empty -cache-kb list"},
+		{"4,x", `bad -cache-kb value "x"`},
+	} {
+		for _, engine := range []string{"exact", "sampled", "analytic"} {
+			_, err := tracesim(t, append(kernel, "-cache-kb", c.list, "-engine", engine)...)
+			if err == nil || err.Error() != c.want {
+				t.Errorf("-cache-kb %q -engine %s: got %v, want %q", c.list, engine, err, c.want)
+			}
+		}
+	}
+	want, err := tracesim(t, append(kernel, "-cache-kb", "1,2")...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := tracesim(t, append(kernel, "-cache-kb", " 1, ,2,")...); err != nil || got != want {
+		t.Errorf("-cache-kb \" 1, ,2,\": %v\n%s\nwant\n%s", err, got, want)
+	}
+}

@@ -30,8 +30,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
-	"strings"
 
 	"repro/internal/cachesim"
 	"repro/internal/cachesim/analytic"
@@ -250,13 +248,13 @@ func run(w io.Writer, o options) error {
 		return nil
 	}
 
-	var watches []int64
-	for _, p := range strings.Split(o.cacheKB, ",") {
-		kb, err := strconv.ParseInt(strings.TrimSpace(p), 10, 64)
-		if err != nil {
-			return fmt.Errorf("bad cache size %q", p)
-		}
-		watches = append(watches, experiments.KB(kb))
+	kbs, err := experiments.ParseCacheKB(o.cacheKB)
+	if err != nil {
+		return err
+	}
+	watches := make([]int64, len(kbs))
+	for i, kb := range kbs {
+		watches[i] = experiments.KB(kb)
 	}
 
 	switch eng {

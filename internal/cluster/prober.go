@@ -50,13 +50,16 @@ type prober struct {
 	healthyGauge     *obs.Gauge
 }
 
+// probeTimeout bounds one health probe.
+const probeTimeout = 2 * time.Second
+
 // newProber creates a prober for the replica set; start launches the poll
 // loop after one synchronous round, so the router never routes on an empty
 // health picture.
-func newProber(replicas []string, interval, timeout time.Duration, m *obs.Metrics) *prober {
+func newProber(replicas []string, interval time.Duration, m *obs.Metrics) *prober {
 	p := &prober{
 		replicas:     replicas,
-		client:       &http.Client{Timeout: timeout},
+		client:       &http.Client{Timeout: probeTimeout},
 		interval:     interval,
 		state:        make(map[string]*ReplicaHealth, len(replicas)),
 		stop:         make(chan struct{}),

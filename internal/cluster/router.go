@@ -39,8 +39,6 @@ type Config struct {
 	RequestTimeout time.Duration
 	// ProbeInterval is the health-poll period; 0 means 500ms.
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one health probe; 0 means 2s.
-	ProbeTimeout time.Duration
 	// Obs receives the router instruments; nil disables instrumentation.
 	Obs *obs.Metrics
 }
@@ -66,9 +64,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = 500 * time.Millisecond
-	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = 2 * time.Second
 	}
 	return c
 }
@@ -127,7 +122,7 @@ func New(cfg Config) (*Router, error) {
 			Replicas:       rt.prober.snapshot(),
 		}, rd.Draining
 	})
-	rt.prober = newProber(ring.Replicas(), cfg.ProbeInterval, cfg.ProbeTimeout, m)
+	rt.prober = newProber(ring.Replicas(), cfg.ProbeInterval, m)
 	rt.prober.start()
 	return rt, nil
 }

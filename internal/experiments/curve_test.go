@@ -101,7 +101,7 @@ func FormatCurve(pts []CurvePoint, accesses int64) string {
 // exact success function on the tiled matmul — not just at the paper's
 // probed capacities.
 func TestMissCurveAgreementMatmul(t *testing.T) {
-	a, err := MatmulAnalysis()
+	a, err := AnalyzedKernel("matmul", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestMissCurveAgreementMatmul(t *testing.T) {
 }
 
 func TestMissCurveAgreementTwoIndex(t *testing.T) {
-	a, err := TwoIndexAnalysis()
+	a, err := AnalyzedKernel("twoindex", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,9 +11,9 @@ package experiments
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
-	"repro/internal/cachesim"
 	"repro/internal/core"
 	"repro/internal/expr"
 	"repro/internal/kernels"
@@ -21,7 +21,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/smp"
 	"repro/internal/tilesearch"
-	"repro/internal/trace"
+	"repro/internal/validate"
 )
 
 // ElemBytes is the size of one array element (double precision).
@@ -100,33 +100,9 @@ func Table3Configs() []Table3Config {
 	}
 }
 
-// analyzedTwoIndex and analyzedMatmul cache the analyses.
-var (
-	twoIndexAnalysis *core.Analysis
-	matmulAnalysis   *core.Analysis
-)
-
-// TwoIndexAnalysis returns the (cached) analysis of the tiled two-index
-// transform.
-func TwoIndexAnalysis() (*core.Analysis, error) {
-	if twoIndexAnalysis == nil {
-		nest, err := kernels.TiledTwoIndex(kernels.SymbolicTwoIndexBounds())
-		if err != nil {
-			return nil, err
-		}
-		twoIndexAnalysis, err = core.Analyze(nest)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return twoIndexAnalysis, nil
-}
-
-// AnalyzedKernel builds a fresh (uncached) full-model analysis of the named
-// symbolic kernel with observability attached. The cmd tools use it when
-// emitting run reports: the cached TwoIndexAnalysis/MatmulAnalysis variants
-// would skip the analyze stage entirely on a warm cache, leaving the
-// "analyze.*" timers empty for the run being reported.
+// AnalyzedKernel analyzes the named symbolic kernel ("twoindex" or
+// "matmul") with the full model, fresh on every call, recording the
+// analyze.* stage timers into m (nil disables).
 func AnalyzedKernel(kind string, m *obs.Metrics) (*core.Analysis, error) {
 	var (
 		nest *loopir.Nest
@@ -148,26 +124,11 @@ func AnalyzedKernel(kind string, m *obs.Metrics) (*core.Analysis, error) {
 	return core.AnalyzeWithOptions(nest, opts)
 }
 
-// MatmulAnalysis returns the (cached) analysis of the tiled matmul.
-func MatmulAnalysis() (*core.Analysis, error) {
-	if matmulAnalysis == nil {
-		nest, err := kernels.TiledMatmul()
-		if err != nil {
-			return nil, err
-		}
-		matmulAnalysis, err = core.Analyze(nest)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return matmulAnalysis, nil
-}
-
 // RunTable2 evaluates Table 2. With simulate=false only the analytical
 // predictions are computed (fast); with simulate=true the exact trace is
 // run through the stack simulator (minutes at the paper's sizes).
 func RunTable2(simulate bool) ([]MissRow, error) {
-	a, err := TwoIndexAnalysis()
+	a, err := AnalyzedKernel("twoindex", nil)
 	if err != nil {
 		return nil, err
 	}
@@ -193,7 +154,7 @@ func RunTable2(simulate bool) ([]MissRow, error) {
 
 // RunTable3 evaluates Table 3 (tiled matmul).
 func RunTable3(simulate bool) ([]MissRow, error) {
-	a, err := MatmulAnalysis()
+	a, err := AnalyzedKernel("matmul", nil)
 	if err != nil {
 		return nil, err
 	}
@@ -225,17 +186,11 @@ func missRow(a *core.Analysis, env expr.Env, cacheElems int64, simulate bool) (M
 	}
 	row.Predicted = rep.Total
 	if simulate {
-		p, err := trace.Compile(a.Nest, env)
+		res, err := validate.Simulate(a.Nest, env, []int64{cacheElems}, nil)
 		if err != nil {
 			return row, err
 		}
-		sim := cachesim.NewStackSim(p.Size, len(p.Sites), []int64{cacheElems})
-		p.RunBlocks(trace.DefaultBlockSize, sim.AccessBlock)
-		m, err := sim.Results().MissesFor(cacheElems)
-		if err != nil {
-			return row, err
-		}
-		row.Simulated = m
+		row.Simulated = res.Misses[0]
 	}
 	return row, nil
 }
@@ -253,32 +208,29 @@ type Table4Result struct {
 	Rows        []Table4Row
 }
 
+// FormatTiles renders a tile assignment as "(TI=64,TJ=16,...)", symbols in
+// sorted order.
+func FormatTiles(t map[string]int64) string {
+	keys := make([]string, 0, len(t))
+	for k := range t {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	parts := make([]string, len(keys))
+	for i, k := range keys {
+		parts[i] = fmt.Sprintf("%s=%d", k, t[k])
+	}
+	return "(" + strings.Join(parts, ",") + ")"
+}
+
 // RunTable4 reproduces Table 4: tile selection for the two-index transform
 // with a 64 KB cache, with known bounds N ∈ bounds and with unknown bounds
-// (scored on bound-free stack distances with a large surrogate).
-func RunTable4(bounds []int64) (*Table4Result, error) {
-	return RunTable4Parallel(bounds, 1)
-}
-
-// RunTable4Parallel is RunTable4 with the searches spread over the given
-// number of evaluation workers (see tilesearch.Options.Parallelism). The
-// result is identical at every parallelism level.
-func RunTable4Parallel(bounds []int64, parallelism int) (*Table4Result, error) {
-	return RunTable4Observed(bounds, parallelism, nil)
-}
-
-// RunTable4Observed is RunTable4Parallel with observability: every search
-// of the sweep records into m (nil disables, making this exactly
-// RunTable4Parallel). The analysis is built fresh when m is non-nil so the
-// analyze.* stage timers describe this run.
-func RunTable4Observed(bounds []int64, parallelism int, m *obs.Metrics) (*Table4Result, error) {
-	var a *core.Analysis
-	var err error
-	if m != nil {
-		a, err = AnalyzedKernel("twoindex", m)
-	} else {
-		a, err = TwoIndexAnalysis()
-	}
+// (scored on bound-free stack distances with a large surrogate). The
+// searches run on the given number of evaluation workers (see
+// tilesearch.Options.Parallelism), and the result is identical at every
+// level; the analysis and every search record into m (nil disables).
+func RunTable4(bounds []int64, parallelism int, m *obs.Metrics) (*Table4Result, error) {
+	a, err := AnalyzedKernel("twoindex", m)
 	if err != nil {
 		return nil, err
 	}
@@ -341,7 +293,7 @@ type FigurePoint struct {
 // equi-sized tiles {32, 64, 128, 256} and the model-predicted tile
 // (64, 16, 16, 128), across processor counts {1, 2, 4, 8}.
 func RunFigure(n int64) ([]FigurePoint, error) {
-	a, err := TwoIndexAnalysis()
+	a, err := AnalyzedKernel("twoindex", nil)
 	if err != nil {
 		return nil, err
 	}
@@ -376,25 +328,22 @@ func RunFigure(n int64) ([]FigurePoint, error) {
 	return out, nil
 }
 
-// RunFigureSimulatedParallel is the exact-simulation counterpart of
-// RunFigure at a reduced scale: per-processor misses come from the trace
-// simulator instead of the analytical model, which verifies that the
+// RunFigureSimulated is the exact-simulation counterpart of RunFigure at a
+// reduced scale: per-processor misses come from the trace simulator
+// (smp.Simulate) instead of the analytical model, which verifies that the
 // figure's orderings (which tile wins at each P) are properties of the
-// program, not artifacts of the model. Every processor's private cache is
-// simulated explicitly (smp.SimulateShards) on a worker pool of the given
-// parallelism; m receives the per-shard cachesim counter flushes. Points
-// whose n-tile exceeds the per-processor split bound n/P
+// program, not artifacts of the model. m receives each point's cachesim
+// counters. Points whose n-tile exceeds the per-processor split bound n/P
 // are skipped: the tiled kernel has no partial-tile clamping, so such a
 // combination would index past the arrays (at the paper's scales, n = 1024
 // and 2048, every figure point is valid).
-func RunFigureSimulatedParallel(n int64, procs []int64, parallelism int, m *obs.Metrics) ([]FigurePoint, error) {
+func RunFigureSimulated(n int64, procs []int64, m *obs.Metrics) ([]FigurePoint, error) {
 	nest, err := kernels.TiledTwoIndex(kernels.SymbolicTwoIndexBounds())
 	if err != nil {
 		return nil, err
 	}
 	model := smp.DefaultCostModel()
 	cfg := smp.Config{SplitSymbol: "NN", CacheElems: KB(64), Model: model}
-	opt := smp.ShardOptions{Parallelism: parallelism, Obs: m}
 	choices := []smp.TileChoice{
 		{Label: "equi-32", Tiles: map[string]int64{"TI": 32, "TJ": 32, "TM": 32, "TN": 32}},
 		{Label: "equi-64", Tiles: map[string]int64{"TI": 64, "TJ": 64, "TM": 64, "TN": 64}},
@@ -412,7 +361,7 @@ func RunFigureSimulatedParallel(n int64, procs []int64, parallelism int, m *obs.
 			}
 			c := cfg
 			c.Procs = p
-			pred, err := smp.SimulateShards(nest, env, c, opt)
+			pred, err := smp.Simulate(nest, env, c, m)
 			if err != nil {
 				return nil, err
 			}

@@ -1,10 +1,11 @@
 package experiments
 
 import (
-	"reflect"
 	"testing"
 
-	"repro/internal/obs"
+	"repro/internal/cachesim"
+	"repro/internal/kernels"
+	"repro/internal/trace"
 )
 
 func TestKB(t *testing.T) {
@@ -59,25 +60,41 @@ func TestTable2PredictionsNearPaper(t *testing.T) {
 	}
 }
 
-// TestTable2SimulatedSmall runs one scaled-down simulated row end to end.
+// TestTable2SimulatedRowSmall runs one scaled-down Table 2 row through
+// missRow with simulation on, and checks its simulated column against a
+// count taken here: the row's trace compiled and fed to a StackSim in
+// blocks of an odd size.
 func TestTable2SimulatedRowSmall(t *testing.T) {
-	a, err := TwoIndexAnalysis()
+	a, err := AnalyzedKernel("twoindex", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = a
-	rows, err := RunTable3(false)
+	env, err := kernels.TwoIndexEnvDims(32, 32, 32, 32, 16, 8, 8, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := FormatMissRows("Table 3", rows)
-	if len(out) == 0 {
-		t.Fatal("empty rendering")
+	const cache = 512
+	row, err := missRow(a, env, cache, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := trace.Compile(a.Nest, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim := cachesim.NewStackSim(p.Size, len(p.Sites), []int64{cache})
+	p.RunBlocks(777, sim.AccessBlock)
+	want := sim.Results().Misses[0]
+	if want <= 0 || row.Simulated != want {
+		t.Fatalf("simulated %d, want %d", row.Simulated, want)
+	}
+	if row.Predicted <= 0 {
+		t.Fatalf("predicted %d", row.Predicted)
 	}
 }
 
 func TestRunTable4SmallBounds(t *testing.T) {
-	res, err := RunTable4([]int64{64})
+	res, err := RunTable4([]int64{64}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +156,7 @@ func TestFigureOrderingSurvivesExactSimulation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulated figure is slow")
 	}
-	pts, err := RunFigureSimulatedParallel(128, []int64{1, 2}, 1, nil)
+	pts, err := RunFigureSimulated(128, []int64{1, 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,39 +176,5 @@ func TestFigureOrderingSurvivesExactSimulation(t *testing.T) {
 			t.Errorf("P=%d: predicted tile %.4fs worse than best equi %.4fs (simulated)",
 				procs, pred[procs], best[procs])
 		}
-	}
-}
-
-// TestRunFigureSimulatedParallelMatches pins the sharded-pool figure to be
-// identical at any pool width: at a scale where no point is skipped, the
-// points and the aggregated shard counter flushes must not vary with the
-// pool width. (smp's TestSimulateShardsMatchesSimulate pins the shards to
-// the symmetry-shortcut simulation itself.)
-func TestRunFigureSimulatedParallelMatches(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulated figure is slow")
-	}
-	procs := []int64{1, 2}
-	want, err := RunFigureSimulatedParallel(128, procs, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want) != 3*len(procs) {
-		t.Fatalf("%d points, want %d", len(want), 3*len(procs))
-	}
-	var counters []map[string]int64
-	for _, j := range []int{1, 8} {
-		m := obs.New()
-		got, err := RunFigureSimulatedParallel(128, procs, j, m)
-		if err != nil {
-			t.Fatalf("j=%d: %v", j, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("j=%d: sharded figure diverges\ngot  %+v\nwant %+v", j, got, want)
-		}
-		counters = append(counters, m.Counters())
-	}
-	if !reflect.DeepEqual(counters[0], counters[1]) {
-		t.Fatalf("shard counters vary with pool width:\nj=1 %v\nj=8 %v", counters[0], counters[1])
 	}
 }

@@ -176,3 +176,25 @@ func ParseTiles(s string) ([]int64, error) {
 	}
 	return out, nil
 }
+
+// ParseCacheKB parses a -cache-kb list of cache sizes in KB. Parts are
+// trimmed and empty ones skipped; a value that is not a positive integer,
+// or a list left empty, is an error.
+func ParseCacheKB(s string) ([]int64, error) {
+	var out []int64
+	for _, part := range strings.Split(s, ",") {
+		part = strings.TrimSpace(part)
+		if part == "" {
+			continue
+		}
+		kb, err := strconv.ParseInt(part, 10, 64)
+		if err != nil || kb <= 0 {
+			return nil, fmt.Errorf("bad -cache-kb value %q", part)
+		}
+		out = append(out, kb)
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("empty -cache-kb list")
+	}
+	return out, nil
+}

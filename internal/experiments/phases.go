@@ -20,7 +20,7 @@ type PhasePoint struct {
 // RunPhaseCurve sweeps uniform tile sizes (divisors of n) for the tiled
 // matmul at the given cache capacity.
 func RunPhaseCurve(n int64, cacheElems int64) ([]PhasePoint, error) {
-	a, err := MatmulAnalysis()
+	a, err := AnalyzedKernel("matmul", nil)
 	if err != nil {
 		return nil, err
 	}

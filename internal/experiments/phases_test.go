@@ -63,7 +63,7 @@ func TestPhaseCurveStructure(t *testing.T) {
 // change between consecutive divisor tile sizes), at a reduced size.
 func TestPhaseCurveMatchesSimulation(t *testing.T) {
 	const n, cache = 48, 256
-	a, err := MatmulAnalysis()
+	a, err := AnalyzedKernel("matmul", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -653,7 +653,7 @@ func (s *Service) computeSimulate(ctx context.Context, spec *loopir.Spec, watche
 	}
 	limit := s.cfg.MaxTraceLen
 	if eng == cachesim.EngineSampled {
-		limit = s.cfg.MaxSampledTraceLen
+		limit *= sampledTraceFactor
 	}
 	if length > limit {
 		return nil, fmt.Errorf("%w: trace length %d exceeds limit %d for engine %s", errBadRequest, length, limit, eng)

@@ -48,6 +48,10 @@ import (
 	"repro/internal/trace"
 )
 
+// sampledTraceFactor scales MaxTraceLen into engine=sampled's trace-length
+// budget.
+const sampledTraceFactor = 32
+
 // Config sizes the service. The zero value of every field selects a
 // sensible default.
 type Config struct {
@@ -67,13 +71,9 @@ type Config struct {
 	// MaxTraceLen rejects /v1/simulate requests whose reference trace
 	// exceeds this many accesses; 0 means trace.DefaultBudget (1<<28). It
 	// gates the exact engine only: the sampled engine walks the trace
-	// without simulator state per access and gets the larger
-	// MaxSampledTraceLen budget, and the analytic engine never generates a
-	// trace at all.
+	// without simulator state per access and gets sampledTraceFactor times
+	// the budget, and the analytic engine never generates a trace at all.
 	MaxTraceLen int64
-	// MaxSampledTraceLen is MaxTraceLen's counterpart for engine=sampled;
-	// 0 means 32 × MaxTraceLen.
-	MaxSampledTraceLen int64
 	// MaxBatchItems caps the item count of one /v1/batch request; 0 means
 	// 256. A batch above the cap is rejected whole with 429 — the same
 	// answer an atomically-unschedulable batch gets — so clients have one
@@ -102,9 +102,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxTraceLen <= 0 {
 		c.MaxTraceLen = trace.DefaultBudget
-	}
-	if c.MaxSampledTraceLen <= 0 {
-		c.MaxSampledTraceLen = 32 * c.MaxTraceLen
 	}
 	if c.MaxBatchItems <= 0 {
 		c.MaxBatchItems = 256

@@ -79,7 +79,7 @@ func TestMatmulRowPartitionPrediction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps, err := Simulate(nest, env, cfg)
+	ps, err := Simulate(nest, env, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,6 +26,8 @@ import (
 	"repro/internal/expr"
 	"repro/internal/kernels"
 	"repro/internal/loopir"
+	"repro/internal/obs"
+	"repro/internal/validate"
 )
 
 // CostModel converts flop and miss counts into time. Units are arbitrary
@@ -117,6 +119,28 @@ func Predict(a *core.Analysis, env expr.Env, cfg Config) (*Prediction, error) {
 	}
 	f := a.SymTab().FrameOf(penv)
 	return predictFrame(a, f, expr.Compile(Flops(a.Nest), a.SymTab()), cfg)
+}
+
+// Simulate is Predict with exact per-processor misses from the trace
+// simulator in place of the model. The partition is symmetric — every
+// processor runs the same subproblem, the split bound scaled by 1/P — so
+// one simulation gives every processor's misses: the per-processor count is
+// that simulation's and the bus total is P times it. m receives the
+// simulator's "cachesim.*" counters; nil disables recording.
+func Simulate(nest *loopir.Nest, env expr.Env, cfg Config, m *obs.Metrics) (*Prediction, error) {
+	penv, err := perProcEnv(env, cfg)
+	if err != nil {
+		return nil, err
+	}
+	res, err := validate.Simulate(nest, penv, []int64{cfg.CacheElems}, m)
+	if err != nil {
+		return nil, err
+	}
+	flops, err := Flops(nest).Eval(penv)
+	if err != nil {
+		return nil, err
+	}
+	return mkPrediction(cfg, res.Misses[0], flops), nil
 }
 
 // predictFrame runs one prediction against an already-bound frame (the split

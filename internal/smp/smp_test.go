@@ -1,6 +1,7 @@
 package smp
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -109,7 +110,7 @@ func TestSimulateMatchesPredict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := Simulate(nest, env, cfg)
+	sim, err := Simulate(nest, env, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,5 +180,41 @@ func TestCostModelSeconds(t *testing.T) {
 	}
 	if got := p.SecondsBus(m); got != 4.0 {
 		t.Errorf("SecondsBus = %v", got)
+	}
+}
+
+// TestSimulateShardsUnevenSplit confirms the divisibility error surfaces.
+func TestSimulateShardsUnevenSplit(t *testing.T) {
+	nest, err := kernels.TiledTwoIndex(kernels.SymbolicTwoIndexBounds())
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := expr.Env{
+		"NI": 8, "NJ": 8, "NM": 8, "NN": 8,
+		"TI": 4, "TJ": 4, "TM": 4, "TN": 4,
+	}
+	cfg := Config{Procs: 3, SplitSymbol: "NN", CacheElems: 64, Model: DefaultCostModel()}
+	if _, err := Simulate(nest, env, cfg, nil); err == nil {
+		t.Fatal("expected divisibility error for P=3, NN=8")
+	}
+}
+
+// TestSimulateAddressBound: a per-processor subproblem over more than
+// trace.DefaultBudget elements is refused before a simulator is sized (at
+// about 24 bytes per address, this one would ask for over 100 GB).
+func TestSimulateAddressBound(t *testing.T) {
+	nest, err := kernels.TiledTwoIndex(kernels.SymbolicTwoIndexBounds())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 1 << 15
+	env := expr.Env{
+		"NI": n, "NJ": n, "NM": n, "NN": n,
+		"TI": 64, "TJ": 16, "TM": 16, "TN": 64,
+	}
+	cfg := Config{Procs: 2, SplitSymbol: "NN", CacheElems: 8192, Model: DefaultCostModel()}
+	_, err = Simulate(nest, env, cfg, nil)
+	if err == nil || !strings.Contains(err.Error(), "elements exceeds limit 268435456") {
+		t.Fatalf("got %v, want the address-space bound", err)
 	}
 }

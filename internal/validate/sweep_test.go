@@ -91,7 +91,7 @@ func runOne(c Case, watches []int64, opt SweepOptions) ([]Comparison, error) {
 		res, err = simulateSampled(c, watches, opt)
 	default:
 		if opt.BlockSize == 0 {
-			res, err = simulate(c.Analysis.Nest, c.Env, watches, opt.Obs)
+			res, err = Simulate(c.Analysis.Nest, c.Env, watches, opt.Obs)
 			break
 		}
 		var p *trace.Program

@@ -67,26 +67,29 @@ func Run(a *core.Analysis, env expr.Env, watches []int64) ([]Comparison, error) 
 // "simulate.total" timer and the simulator's operation counters are flushed
 // into the registry's "cachesim.*" counters. A nil registry disables
 // recording (Run is exactly RunObserved with nil).
-//
-// The simulation goes through the batched pipeline (trace.RunBlocks feeding
-// cachesim.StackSim.AccessBlock) of the exact engine.
 func RunObserved(a *core.Analysis, env expr.Env, watches []int64, m *obs.Metrics) ([]Comparison, error) {
-	res, err := simulate(a.Nest, env, watches, m)
+	sw := m.Timer("simulate.total").Start()
+	res, err := Simulate(a.Nest, env, watches, m)
+	sw.Stop()
 	if err != nil {
 		return nil, err
 	}
 	return compare(a, env, watches, res)
 }
 
-// simulate produces the "Simulated" side of a comparison: the nest's exact
-// trace through the batched stack simulator, timed under "simulate.total"
-// with the simulator's counters flushed into m.
-func simulate(nest *loopir.Nest, env expr.Env, watches []int64, m *obs.Metrics) (cachesim.Results, error) {
-	sw := m.Timer("simulate.total").Start()
-	defer sw.Stop()
+// Simulate is the exact simulation behind cachechar, smpbench, the paper's
+// tables and the root package: it compiles the nest's trace under env, runs
+// it in blocks through one StackSim watching every capacity, and flushes
+// the simulator's counters into m's "cachesim.*" (nil disables). An address
+// space above trace.DefaultBudget elements is refused before anything is
+// sized from it, since the simulator allocates per address.
+func Simulate(nest *loopir.Nest, env expr.Env, watches []int64, m *obs.Metrics) (cachesim.Results, error) {
 	p, err := trace.Compile(nest, env)
 	if err != nil {
 		return cachesim.Results{}, err
+	}
+	if p.Size > trace.DefaultBudget {
+		return cachesim.Results{}, fmt.Errorf("address space of %d elements exceeds limit %d", p.Size, int64(trace.DefaultBudget))
 	}
 	sim := cachesim.NewStackSim(p.Size, len(p.Sites), watches)
 	p.RunBlocks(trace.DefaultBlockSize, sim.AccessBlock)
@@ -139,7 +142,7 @@ func compare(a *core.Analysis, env expr.Env, watches []int64, res cachesim.Resul
 // differential tests use it to check transformed nests against the
 // simulator directly, independent of the model that ranked them.
 func SimulatedMisses(nest *loopir.Nest, env expr.Env, cacheElems int64) (int64, error) {
-	res, err := simulate(nest, env, []int64{cacheElems}, nil)
+	res, err := Simulate(nest, env, []int64{cacheElems}, nil)
 	if err != nil {
 		return 0, err
 	}

@@ -36,7 +36,7 @@ import (
 	"repro/internal/loopir"
 	"repro/internal/smp"
 	"repro/internal/tilesearch"
-	"repro/internal/trace"
+	"repro/internal/validate"
 )
 
 // Core model types.
@@ -80,15 +80,10 @@ func PredictMisses(a *Analysis, env Env, cacheElems int64) (*MissReport, error) 
 // SimulateMisses generates the exact reference trace of the nest under env
 // and plays it through the exact LRU stack simulator, returning miss counts
 // for each watched cache capacity. This is the SimpleScalar-equivalent
-// ground truth.
+// ground truth. An address space above 1<<28 elements is refused before
+// the simulator is sized.
 func SimulateMisses(nest *Nest, env Env, watchElems []int64) (SimResults, error) {
-	p, err := trace.Compile(nest, env)
-	if err != nil {
-		return SimResults{}, err
-	}
-	sim := cachesim.NewStackSim(p.Size, len(p.Sites), watchElems)
-	p.RunBlocks(trace.DefaultBlockSize, sim.AccessBlock)
-	return sim.Results(), nil
+	return validate.Simulate(nest, env, watchElems, nil)
 }
 
 // SearchTiles runs the stack-distance-guided tile-size search of §6.
