@@ -209,7 +209,7 @@ func BenchmarkExhaustiveParallel(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(res.Evaluated), "candidates")
-			b.ReportMetric(100*res.Cache.HitRate(), "cache-hit-%")
+			b.ReportMetric(100*res.HitRate(), "cache-hit-%")
 		})
 	}
 }
@@ -241,7 +241,7 @@ func BenchmarkSearchParallel(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(res.Evaluated), "candidates")
-			b.ReportMetric(100*res.Cache.HitRate(), "cache-hit-%")
+			b.ReportMetric(100*res.HitRate(), "cache-hit-%")
 		})
 	}
 }

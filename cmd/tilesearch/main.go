@@ -202,7 +202,7 @@ func search(w io.Writer, r *obs.ToolRun, kernel string, n, cacheKB int64, jobs i
 		}
 	}
 	fmt.Fprintf(w, "model evaluations: %d candidates, %d component evaluations (cache hit rate %.1f%%)\n",
-		res.Evaluated, res.Cache.Computed, 100*res.Cache.HitRate())
+		res.Evaluated, res.Computed, 100*res.HitRate())
 	r.SetExtra("kernel", kernel)
 	r.SetExtra("n", n)
 	r.SetExtra("cacheKB", cacheKB)

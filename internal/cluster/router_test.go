@@ -109,13 +109,35 @@ func TestRouterCounterBalance(t *testing.T) {
 	send("oversized body at the in-flight bound", http.MethodPost, predict, oversized, 400, "router.errors")
 	<-rt.inflight
 
-	batch := `{"candidates":{"kernel":"matmul","n":16,"tiles":[4,4,4],"cacheKB":4,"dims":["TI","TJ","TK"],"sets":[[2,4,4],[4,4,4],[8,8,8],[4,2,8],[2,2,2],[8,4,2]]}}`
-	exp, err := service.ExpandBatch([]byte(batch), 256)
-	if err != nil {
-		t.Fatal(err)
+	// The ring hashes the replicas' URLs, which name random ports, so a
+	// fixed set of rows can land wholly on one replica. Add rows until the
+	// batch covers both.
+	sets := []string{"[2,4,4]", "[4,4,4]", "[8,8,8]", "[4,2,8]", "[2,2,2]", "[8,4,2]"}
+	var extra []string
+	for _, ti := range []int{1, 2, 4, 8, 16} {
+		for _, tj := range []int{1, 2, 4, 8, 16} {
+			extra = append(extra, fmt.Sprintf("[%d,%d,16]", ti, tj))
+		}
 	}
-	if groups, err := rt.groupItems(exp); err != nil || len(groups) != 2 {
-		t.Fatalf("the batch splits into %d groups (%v), want one per replica", len(groups), err)
+	var batch string
+	var groups []batchGroup
+	for {
+		batch = `{"candidates":{"kernel":"matmul","n":16,"tiles":[4,4,4],"cacheKB":4,"dims":["TI","TJ","TK"],"sets":[` + strings.Join(sets, ",") + `]}}`
+		exp, err := service.ExpandBatch([]byte(batch), 256)
+		if err != nil {
+			t.Fatal(err)
+		}
+		groups, err = rt.groupItems(exp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(groups) == 2 || len(extra) == 0 {
+			break
+		}
+		sets, extra = append(sets, extra[0]), extra[1:]
+	}
+	if len(groups) != 2 {
+		t.Fatalf("the batch splits into %d groups, want one per replica", len(groups))
 	}
 	send("split batch", http.MethodPost, "/v1/batch", batch, 200, "router.ok")
 

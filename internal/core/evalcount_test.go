@@ -124,8 +124,8 @@ func TestEvalCacheMetricsInvariant(t *testing.T) {
 			t.Errorf("cache %d: evaluated %d grid points, want %d",
 				capacity, res.Evaluated, gridValues*gridValues*gridValues)
 		}
-		if res.Cache != want {
-			t.Errorf("cache %d: Result.Cache %+v, derived %+v", capacity, res.Cache, want)
+		if res.CacheStats != want {
+			t.Errorf("cache %d: Result.CacheStats %+v, derived %+v", capacity, res.CacheStats, want)
 		}
 		sum.Lookups += want.Lookups
 		sum.Computed += want.Computed
@@ -142,8 +142,8 @@ func TestEvalCacheMetricsConcurrent(t *testing.T) {
 	want := derivedStats(a)
 	for _, j := range []int{1, 8} {
 		m := obs.New()
-		if res := exhaustiveMatmul(t, a, gridOptions(512, j, m)); res.Cache != want {
-			t.Errorf("j=%d: Result.Cache %+v, derived %+v", j, res.Cache, want)
+		if res := exhaustiveMatmul(t, a, gridOptions(512, j, m)); res.CacheStats != want {
+			t.Errorf("j=%d: Result.CacheStats %+v, derived %+v", j, res.CacheStats, want)
 		}
 		checkInstruments(t, fmt.Sprintf("j=%d", j), m, want)
 	}
@@ -158,8 +158,8 @@ func TestEvalCacheMetricsConcurrent(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if res.Cache != want {
-				t.Errorf("concurrent search: Result.Cache %+v, derived %+v", res.Cache, want)
+			if res.CacheStats != want {
+				t.Errorf("concurrent search: Result.CacheStats %+v, derived %+v", res.CacheStats, want)
 			}
 		}()
 	}

@@ -120,12 +120,7 @@ func (a *Analysis) siteStridesLastDim(site loopir.RefSite) bool {
 	last := ref.Subs[len(ref.Subs)-1]
 	// Find the innermost enclosing loop whose index appears anywhere in
 	// the reference.
-	appears := map[string]bool{}
-	for _, sub := range ref.Subs {
-		for _, t := range sub.Terms {
-			appears[t.Index] = true
-		}
-	}
+	appears := subscriptIndices(ref)
 	encl := a.Nest.Enclosing(site.Stmt)
 	for i := len(encl) - 1; i >= 0; i-- {
 		if appears[encl[i].Index] {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/expr"
@@ -82,14 +83,8 @@ func (c *Component) String() string {
 // that loop pinned to its first iteration.
 func (a *Analysis) partition(site loopir.RefSite) ([]*Component, error) {
 	nest := a.Nest
-	ref := site.Ref()
-	array := ref.Array
-	appears := map[string]bool{}
-	for _, sub := range ref.Subs {
-		for _, t := range sub.Terms {
-			appears[t.Index] = true
-		}
-	}
+	array := site.Ref().Array
+	appears := subscriptIndices(site.Ref())
 	encl := nest.Enclosing(site.Stmt)
 
 	// countWith computes the instance count given the pinned set and an
@@ -118,7 +113,7 @@ func (a *Analysis) partition(site loopir.RefSite) ([]*Component, error) {
 		siblings := a.siblingsOf(node, parent)
 		// Nearest preceding sibling whose subtree references the array.
 		pIdx := -1
-		self := a.indexOf(siblings, node)
+		self := slices.Index(siblings, node)
 		for i := self - 1; i >= 0; i-- {
 			if a.sc.arrayIn(siblings[i], array) {
 				pIdx = i
@@ -150,7 +145,7 @@ func (a *Analysis) partition(site loopir.RefSite) ([]*Component, error) {
 			return comps, nil
 		}
 		if !appears[parent.Index] {
-			comp, err := a.selfComponent(site, parent, pinned, countWith(pinned, parent))
+			comp, err := a.selfComponent(site, node, parent, pinned, countWith(pinned, parent))
 			if err != nil {
 				return nil, err
 			}
@@ -161,13 +156,14 @@ func (a *Analysis) partition(site loopir.RefSite) ([]*Component, error) {
 	}
 }
 
-// selfComponent builds the self-reuse component carried by loop `parent`.
-// The span is one complete body iteration of the carrier; with the
-// TailToHeadWrap option, when the most recent access to the array in the
-// previous iteration belongs to a different branch of the carrier's body,
-// the tighter tail-to-head span is used instead.
-func (a *Analysis) selfComponent(site loopir.RefSite, parent *loopir.Loop, pinned map[string]bool, count *expr.Expr) (*Component, error) {
-	array := site.Ref().Array
+// selfComponent builds the self-reuse component carried by loop `parent`
+// for the target inside its child X. The span is one complete body
+// iteration of the carrier; with the TailToHeadWrap option, when the most
+// recent access to the array in the previous iteration belongs to a
+// different branch P of the carrier's body, the tighter tail-to-head span
+// is used instead: the suffix of P and every branch after it in iteration
+// x, then every branch before X and the prefix of X in iteration x+1.
+func (a *Analysis) selfComponent(site loopir.RefSite, X loopir.Node, parent *loopir.Loop, pinned map[string]bool, count *expr.Expr) (*Component, error) {
 	sd, exact, costs := a.sc.bodySpanCost(parent)
 	comp := &Component{
 		Site:      site,
@@ -179,36 +175,29 @@ func (a *Analysis) selfComponent(site loopir.RefSite, parent *loopir.Loop, pinne
 		Exact:     exact,
 		Breakdown: costs,
 	}
-	if a.sc.opts.TailToHeadWrap {
-		if src, ok := a.sc.lastSiteFor(parent, array); ok && src.Stmt != site.Stmt {
-			P := a.sc.childContaining(parent, src.Stmt)
-			X := a.sc.childContaining(parent, site.Stmt)
-			if P != nil && X != nil && P != X {
-				pinnedTgt := map[string]bool{}
-				for l := range pinned {
-					if a.sc.loopsIn[X][l] {
-						pinnedTgt[l] = true
-					}
-				}
-				piTgt := a.outermostAppearing(site, X, pinnedTgt)
-				var costs []ArrayCost
-				sd, exact, costs = a.sc.wrapSpanCost(src, P, site, X, parent, pinnedTgt, piTgt)
-				comp.Source = src
-				comp.SD = sd
-				comp.Exact = exact
-				comp.Breakdown = costs
-				comp.Pattern = a.pattern(site, parent, pinned, "step:"+src.Key())
-				if !sd.IsConst() {
-					if piTgt == "" {
-						return nil, fmt.Errorf("core: variable wrap SD without a distinguished loop for %s", site.Key())
-					}
-					comp.FreeVar = piTgt
-					comp.FreeRange = a.Nest.Loop(piTgt).Trip
-				}
-			}
-		}
+	if !a.sc.opts.TailToHeadWrap {
+		return comp, nil
 	}
-	return comp, nil
+	src, ok := a.sc.lastSiteFor(parent, site.Ref().Array)
+	if !ok || src.Stmt == site.Stmt {
+		return comp, nil
+	}
+	P := a.sc.childContaining(parent, src.Stmt)
+	if P == X {
+		return comp, nil
+	}
+	var between []region
+	for _, nd := range parent.Body[slices.Index(parent.Body, P)+1:] {
+		between = append(between, region{node: nd, kind: regionFull, phase: 1})
+	}
+	for _, nd := range parent.Body[:slices.Index(parent.Body, X)] {
+		between = append(between, region{node: nd, kind: regionFull, phase: 2})
+	}
+	tgt := a.sc.endpointOf(site, X, 2)
+	comp.Source = src
+	comp.SD, comp.Exact, comp.Breakdown = a.sc.betweenSpanCost(a.sc.endpointOf(src, P, 1), tgt, between, parent)
+	comp.Pattern = a.pattern(site, parent, pinned, "step:"+src.Key())
+	return comp, a.setFreeVar(comp, tgt.pi)
 }
 
 // crossComponent builds the cross-statement component for target tgt inside
@@ -218,64 +207,40 @@ func (a *Analysis) crossComponent(
 	tgt, src loopir.RefSite,
 	P, X loopir.Node,
 	between []loopir.Node,
-	pinnedTgt map[string]bool,
+	pinned map[string]bool,
 	count *expr.Expr,
 ) (*Component, error) {
-	nest := a.Nest
-	// Source-side pins: the source's non-appearing loops inside P sit at
-	// their final iteration (it is the last access in P).
-	srcAppears := map[string]bool{}
-	for _, sub := range src.Ref().Subs {
-		for _, t := range sub.Terms {
-			srcAppears[t.Index] = true
-		}
+	regs := make([]region, len(between))
+	for i, nd := range between {
+		regs[i] = region{node: nd, kind: regionFull}
 	}
-	pinnedSrc := map[string]bool{}
-	for _, l := range nest.Enclosing(src.Stmt) {
-		if a.sc.loopsIn[P][l.Index] && !srcAppears[l.Index] {
-			pinnedSrc[l.Index] = true
-		}
-	}
-	// Distinguished appearing loops: outermost appearing inside each branch.
-	piTgt := a.outermostAppearing(tgt, X, pinnedTgt)
-	piSrc := a.outermostAppearing(src, P, pinnedSrc)
-
-	sd, exact, costs := a.sc.crossSpanCost(src, P, tgt, X, between, pinnedSrc, pinnedTgt, piSrc, piTgt)
+	tgtEnd := a.sc.endpointOf(tgt, X, 0)
+	sd, exact, costs := a.sc.betweenSpanCost(a.sc.endpointOf(src, P, 0), tgtEnd, regs, nil)
 	comp := &Component{
 		Site:      tgt,
 		Kind:      CrossStmt,
 		Source:    src,
 		Count:     count,
 		SD:        sd,
-		Pattern:   a.pattern(tgt, nil, pinnedTgt, "cross:"+src.Key()),
+		Pattern:   a.pattern(tgt, nil, pinned, "cross:"+src.Key()),
 		Exact:     exact,
 		Breakdown: costs,
 	}
-	if !sd.IsConst() {
-		if piTgt == "" {
-			return nil, fmt.Errorf("core: variable SD without a distinguished loop for %s", tgt.Key())
-		}
-		comp.FreeVar = piTgt
-		comp.FreeRange = nest.Loop(piTgt).Trip
-	}
-	return comp, nil
+	return comp, a.setFreeVar(comp, tgtEnd.pi)
 }
 
-// outermostAppearing returns the outermost loop inside branch B that appears
-// in the reference and is not pinned, or "".
-func (a *Analysis) outermostAppearing(site loopir.RefSite, B loopir.Node, pinned map[string]bool) string {
-	appears := map[string]bool{}
-	for _, sub := range site.Ref().Subs {
-		for _, t := range sub.Terms {
-			appears[t.Index] = true
-		}
+// setFreeVar gives a component whose stack distance is variable its free
+// variable: pi, the distinguished loop of the span's target.
+func (a *Analysis) setFreeVar(comp *Component, pi string) error {
+	if comp.SD.IsConst() {
+		return nil
 	}
-	for _, l := range a.Nest.Enclosing(site.Stmt) {
-		if a.sc.loopsIn[B][l.Index] && appears[l.Index] && !pinned[l.Index] {
-			return l.Index
-		}
+	if pi == "" {
+		return fmt.Errorf("core: variable SD without a distinguished loop for %s", comp.Site.Key())
 	}
-	return ""
+	comp.FreeVar = pi
+	comp.FreeRange = a.Nest.Loop(pi).Trip
+	return nil
 }
 
 // siblingsOf returns the ordered node list containing node: the parent's
@@ -287,26 +252,12 @@ func (a *Analysis) siblingsOf(node loopir.Node, parent *loopir.Loop) []loopir.No
 	return parent.Body
 }
 
-func (a *Analysis) indexOf(list []loopir.Node, node loopir.Node) int {
-	for i, nd := range list {
-		if nd == node {
-			return i
-		}
-	}
-	return -1
-}
-
 // pattern renders an iteration-vector sketch for the component in the style
 // of the paper's Table 1: appearing indices as letters, the carrier as
 // "x→x+1", pinned non-appearing indices as 0, free non-appearing indices
 // as *.
 func (a *Analysis) pattern(site loopir.RefSite, carrier *loopir.Loop, pinned map[string]bool, tag string) string {
-	appears := map[string]bool{}
-	for _, sub := range site.Ref().Subs {
-		for _, t := range sub.Terms {
-			appears[t.Index] = true
-		}
-	}
+	appears := subscriptIndices(site.Ref())
 	letters := "abcdefgh"
 	li := 0
 	var parts []string

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -35,6 +36,13 @@ import (
 // (or exactly 2 values when no deeper term shares the dimension). This is
 // the paper's "cost of one complete iteration of the m loop" with the
 // boundary-crossing correction visible in Table 1.
+//
+// Every other span runs between two references in different branches of a
+// common parent (Fig. 5): the suffix of the source branch, the branches in
+// between in full, and the prefix of the target branch. Cross-statement
+// reuse and the tail-to-head wrap of a self-reuse both cost it through
+// betweenSpanCost; they differ only in which carrier iteration each side
+// sits in.
 
 type roleKind int
 
@@ -84,9 +92,9 @@ type dimProfile struct {
 type spanCoster struct {
 	nest *loopir.Nest
 	opts Options
-	// spanTimer accumulates time spent in the three span-costing entry
-	// points (nil when Options.Obs is nil — timing then costs one nil test
-	// per call).
+	// spanTimer accumulates time spent in the two span-costing entry
+	// points, bodySpanCost and betweenSpanCost (nil when Options.Obs is nil
+	// — timing then costs one nil test per call).
 	spanTimer *obs.Timer
 	// subtree caches
 	loopsIn map[loopir.Node]map[string]bool
@@ -423,107 +431,78 @@ func (sc *spanCoster) bodySpanCost(L *loopir.Loop) (LinForm, bool, []ArrayCost) 
 	return total, exact1 && exact2, costs
 }
 
-// crossSpanCost returns the stack distance of a cross-statement reuse whose
-// source is the last access to the array in subtree P (at reference src) and
-// whose target is reference tgt inside subtree X; between holds the sibling
-// subtrees executed in full between P and X. pinned lists the loops on the
-// path inside X (respectively inside P) that are non-appearing in the target
-// (resp. source) reference and hence pinned. pi is the distinguished
-// appearing loop index ("" if none), whose trip bounds the free variable.
-func (sc *spanCoster) crossSpanCost(
-	src loopir.RefSite, P loopir.Node,
-	tgt loopir.RefSite, X loopir.Node,
-	between []loopir.Node,
-	pinnedSrc, pinnedTgt map[string]bool,
-	piSrc, piTgt string,
-) (LinForm, bool, []ArrayCost) {
+// endpoint is one end of a span between two references: the reference,
+// the branch of their common parent that holds it, and the carrier
+// iteration it sits in (the phase of its regions). roles and pi are the
+// geometry of the branch's partial region. Walking the reference's
+// enclosing loops inside the branch outermost-first, the loops before the
+// distinguished loop π do not appear in the reference and stay pinned at
+// the endpoint's position; π, the outermost loop the reference names,
+// covers a partial range; loops deeper than π run fully in the bulk of the
+// region (only the final partial slice pins them, which is a lower-order
+// effect). Without π every loop is pinned and the region is a single slice.
+type endpoint struct {
+	site   loopir.RefSite
+	branch loopir.Node
+	phase  int
+	roles  map[string]roleKind
+	pi     string
+}
+
+func (sc *spanCoster) endpointOf(site loopir.RefSite, branch loopir.Node, phase int) endpoint {
+	e := endpoint{site: site, branch: branch, phase: phase, roles: map[string]roleKind{}}
+	appears := subscriptIndices(site.Ref())
+	for _, l := range sc.nest.Enclosing(site.Stmt) {
+		switch {
+		case !sc.loopsIn[branch][l.Index] || e.pi != "":
+			// outside the branch, or deeper than π: full
+		case appears[l.Index]:
+			e.pi = l.Index
+			e.roles[l.Index] = rolePi
+		default:
+			e.roles[l.Index] = rolePinned
+		}
+	}
+	return e
+}
+
+// betweenSpanCost returns the stack distance of a reuse whose source src is
+// the last access to the array in its branch and whose target tgt sits in a
+// later branch: the suffix of the source branch, the regions between in
+// full, and the prefix of the target branch. A cross-statement span has no
+// carrier and every region at phase 0. A tail-to-head span crosses one step
+// of carrier: the source side sits in the previous iteration (phase 1) and
+// the target side in the current one (phase 2), and subscript dimensions
+// naming the carrier take the phase's single iteration value.
+func (sc *spanCoster) betweenSpanCost(src, tgt endpoint, between []region, carrier *loopir.Loop) (LinForm, bool, []ArrayCost) {
 	sw := sc.spanTimer.Start()
 	defer sw.Stop()
-	array := tgt.Ref().Array
-	exact := true
-
-	// Role geometry of a partial region: walking the reference's enclosing
-	// chain outermost-first, loops before the distinguished loop π that are
-	// pinned stay pinned for the whole region (they sit at the endpoint's
-	// position); π itself covers a partial range; loops deeper than π run
-	// fully in the bulk of the region regardless of pinning (only the final
-	// partial slice pins them, which is a lower-order effect).
-	mkRoles := func(site loopir.RefSite, branch loopir.Node, pinned map[string]bool, pi string) map[string]roleKind {
-		roles := map[string]roleKind{}
-		seenPi := false
-		for _, l := range sc.nest.Enclosing(site.Stmt) {
-			if !sc.loopsIn[branch][l.Index] {
-				continue
-			}
-			switch {
-			case l.Index == pi:
-				roles[l.Index] = rolePi
-				seenPi = true
-			case pinned[l.Index] && !seenPi:
-				roles[l.Index] = rolePinned
-			default:
-				// full (either unpinned, or pinned but deeper than π)
-			}
-		}
-		if pi == "" {
-			// No appearing loop inside the branch: the endpoint pins every
-			// non-appearing loop; the region is a single slice.
-			for l := range pinned {
-				roles[l] = rolePinned
-			}
-		}
-		return roles
-	}
-
-	var boxes []box
-	// Suffix of the source branch.
-	sufReg := region{node: P, kind: regionSuffix, roles: mkRoles(src, P, pinnedSrc, piSrc)}
-	sufBoxes, ok := sc.regionBoxes(sufReg, nil)
+	boxes, exact := sc.regionBoxes(region{node: src.branch, kind: regionSuffix, roles: src.roles, phase: src.phase}, carrier)
+	pre, ok := sc.regionBoxes(region{node: tgt.branch, kind: regionPrefix, roles: tgt.roles, phase: tgt.phase}, carrier)
 	exact = exact && ok
-	// Prefix of the target branch.
-	preReg := region{node: X, kind: regionPrefix, roles: mkRoles(tgt, X, pinnedTgt, piTgt)}
-	preBoxes, ok := sc.regionBoxes(preReg, nil)
-	exact = exact && ok
+	boxes = append(boxes, pre...)
 
 	// Complement rule: the reused array's suffix and prefix boxes jointly
 	// cover exactly the full sweep of the common structure (the source's
 	// high side plus the target's low side of the π dimension). Replace them
-	// with a single full box derived from the target reference.
+	// with the full boxes of both endpoints, in which every loop inside the
+	// branch runs fully; duplicate and contained boxes are folded by
+	// mergeBoxesDetailed.
 	if sc.opts.ComplementRule {
-		dropReused := func(bs []box) []box {
-			var out []box
-			for _, b := range bs {
-				if b.array == array {
-					continue // replaced by the full-common box below
-				}
-				out = append(out, b)
-			}
-			return out
-		}
-		// Build the full box for the reused array from both endpoints:
-		// every loop inside the respective branch runs fully. The suffix
-		// (high side) and prefix (low side) of the π dimension are jointly
-		// a complete sweep, so the full box is the exact union; duplicate
-		// and contained boxes are folded by mergeBoxesDetailed.
-		fullTgt, ok2 := sc.refBox(tgt, region{node: X, kind: regionFull}, nil)
-		exact = exact && ok2
-		fullSrc, ok3 := sc.refBox(src, region{node: P, kind: regionFull}, nil)
-		exact = exact && ok3
-		boxes = append(boxes, dropReused(sufBoxes)...)
-		boxes = append(boxes, dropReused(preBoxes)...)
+		array := tgt.site.Ref().Array
+		boxes = slices.DeleteFunc(boxes, func(b box) bool { return b.array == array })
+		fullTgt, ok1 := sc.refBox(tgt.site, region{node: tgt.branch, kind: regionFull, phase: tgt.phase}, carrier)
+		fullSrc, ok2 := sc.refBox(src.site, region{node: src.branch, kind: regionFull, phase: src.phase}, carrier)
+		exact = exact && ok1 && ok2
 		boxes = append(boxes, fullTgt, fullSrc)
-	} else {
-		boxes = append(boxes, sufBoxes...)
-		boxes = append(boxes, preBoxes...)
 	}
-	// Fully executed in-between branches.
-	for _, nd := range between {
-		bs, ok2 := sc.regionBoxes(region{node: nd, kind: regionFull, roles: nil}, nil)
-		exact = exact && ok2
+	for _, reg := range between {
+		bs, ok := sc.regionBoxes(reg, carrier)
+		exact = exact && ok
 		boxes = append(boxes, bs...)
 	}
-	total, ok3, costs := mergeBoxesDetailed(boxes)
-	return total, exact && ok3, costs
+	total, ok, costs := mergeBoxesDetailed(boxes)
+	return total, exact && ok, costs
 }
 
 // childContaining returns the child of loop L whose subtree contains the
@@ -539,127 +518,13 @@ func (sc *spanCoster) childContaining(L *loopir.Loop, s *loopir.Stmt) loopir.Nod
 	return nil
 }
 
-// wrapSpanCost computes the stack distance of a self-reuse carried by loop
-// L whose source is the last access to the array in a *different* branch of
-// L's body (the TailToHeadWrap refinement). The span runs from the source's
-// position in iteration x to the target's position in iteration x+1:
-//
-//	tail (phase 1, L = x):   suffix of the source branch, then every branch
-//	                         after it, in full;
-//	head (phase 2, L = x+1): every branch before the target branch in full,
-//	                         then the prefix of the target branch.
-//
-// Subscript dimensions naming L take the phase's single iteration value.
-// The reused array's suffix/prefix boxes merge into full-branch sweeps by
-// the complement rule (when enabled).
-func (sc *spanCoster) wrapSpanCost(
-	src loopir.RefSite, P loopir.Node,
-	tgt loopir.RefSite, X loopir.Node,
-	L *loopir.Loop,
-	pinnedTgt map[string]bool,
-	piTgt string,
-) (LinForm, bool, []ArrayCost) {
-	sw := sc.spanTimer.Start()
-	defer sw.Stop()
-	array := tgt.Ref().Array
-	exact := true
-
-	srcAppears := map[string]bool{}
-	for _, sub := range src.Ref().Subs {
+// subscriptIndices is the set of loop indices a reference's subscripts name.
+func subscriptIndices(ref *loopir.Ref) map[string]bool {
+	out := map[string]bool{}
+	for _, sub := range ref.Subs {
 		for _, t := range sub.Terms {
-			srcAppears[t.Index] = true
+			out[t.Index] = true
 		}
 	}
-	pinnedSrc := map[string]bool{}
-	for _, l := range sc.nest.Enclosing(src.Stmt) {
-		if sc.loopsIn[P][l.Index] && !srcAppears[l.Index] {
-			pinnedSrc[l.Index] = true
-		}
-	}
-	piSrc := ""
-	for _, l := range sc.nest.Enclosing(src.Stmt) {
-		if sc.loopsIn[P][l.Index] && srcAppears[l.Index] && !pinnedSrc[l.Index] {
-			piSrc = l.Index
-			break
-		}
-	}
-
-	mkRoles := func(site loopir.RefSite, branch loopir.Node, pinned map[string]bool, pi string) map[string]roleKind {
-		roles := map[string]roleKind{}
-		seenPi := false
-		for _, l := range sc.nest.Enclosing(site.Stmt) {
-			if !sc.loopsIn[branch][l.Index] {
-				continue
-			}
-			switch {
-			case l.Index == pi:
-				roles[l.Index] = rolePi
-				seenPi = true
-			case pinned[l.Index] && !seenPi:
-				roles[l.Index] = rolePinned
-			}
-		}
-		if pi == "" {
-			for l := range pinned {
-				roles[l] = rolePinned
-			}
-		}
-		return roles
-	}
-
-	var boxes []box
-	add := func(bs []box, ok bool) {
-		boxes = append(boxes, bs...)
-		exact = exact && ok
-	}
-
-	// Tail: suffix of P, then every branch after P, all at phase 1.
-	sufReg := region{node: P, kind: regionSuffix, roles: mkRoles(src, P, pinnedSrc, piSrc), phase: 1}
-	sufBoxes, ok := sc.regionBoxes(sufReg, L)
-	exact = exact && ok
-	// Head: every branch before X, then the prefix of X, at phase 2.
-	preReg := region{node: X, kind: regionPrefix, roles: mkRoles(tgt, X, pinnedTgt, piTgt), phase: 2}
-	preBoxes, ok := sc.regionBoxes(preReg, L)
-	exact = exact && ok
-
-	if sc.opts.ComplementRule {
-		drop := func(bs []box) []box {
-			var out []box
-			for _, b := range bs {
-				if b.array != array {
-					out = append(out, b)
-				}
-			}
-			return out
-		}
-		fullTgt, ok2 := sc.refBox(tgt, region{node: X, kind: regionFull, phase: 2}, L)
-		fullSrc, ok3 := sc.refBox(src, region{node: P, kind: regionFull, phase: 1}, L)
-		exact = exact && ok2 && ok3
-		boxes = append(boxes, drop(sufBoxes)...)
-		boxes = append(boxes, drop(preBoxes)...)
-		boxes = append(boxes, fullTgt, fullSrc)
-	} else {
-		boxes = append(boxes, sufBoxes...)
-		boxes = append(boxes, preBoxes...)
-	}
-
-	seenP := false
-	for _, child := range L.Body {
-		if child == P {
-			seenP = true
-			continue
-		}
-		if seenP {
-			add(sc.regionBoxes(region{node: child, kind: regionFull, phase: 1}, L))
-		}
-	}
-	for _, child := range L.Body {
-		if child == X {
-			break
-		}
-		add(sc.regionBoxes(region{node: child, kind: regionFull, phase: 2}, L))
-	}
-
-	total, ok4, costs := mergeBoxesDetailed(boxes)
-	return total, exact && ok4, costs
+	return out
 }

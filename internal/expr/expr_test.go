@@ -140,21 +140,6 @@ func TestVars(t *testing.T) {
 	}
 }
 
-func TestSubst(t *testing.T) {
-	n, ti := Var("N"), Var("TI")
-	e := Add(Mul(n, ti), Const(3))
-	s := e.Subst(map[string]*Expr{"N": Mul(Const(2), ti)})
-	want := Add(Mul(Const(2), ti, ti), Const(3))
-	if !s.Equal(want) {
-		t.Fatalf("got %s want %s", s, want)
-	}
-	// Subst into opaque nodes.
-	d := Div(n, ti).Subst(map[string]*Expr{"N": Const(64), "TI": Const(8)})
-	if v, ok := d.ConstVal(); !ok || v != 8 {
-		t.Fatalf("subst div got %s", d)
-	}
-}
-
 func TestStringDeterministic(t *testing.T) {
 	a := Add(Var("B"), Var("A"), Const(2))
 	if a.String() != "A + B + 2" {
@@ -214,43 +199,4 @@ func (e *Expr) MustEval(env Env) int64 {
 		panic(err)
 	}
 	return v
-}
-
-// Subst returns e with every occurrence of the named symbols replaced by the
-// given expressions. Substitution re-normalizes the result.
-func (e *Expr) Subst(bind map[string]*Expr) *Expr {
-	switch e.kind {
-	case KindInf:
-		return e
-	case KindPoly:
-		total := Zero()
-		for key, coef := range e.poly {
-			term := Const(coef)
-			if key != "" {
-				for _, name := range strings.Split(key, "*") {
-					if r, ok := bind[name]; ok {
-						term = Mul(term, r)
-					} else {
-						term = Mul(term, Var(name))
-					}
-				}
-			}
-			total = Add(total, term)
-		}
-		return total
-	case KindDiv:
-		return Div(e.args[0].Subst(bind), e.args[1].Subst(bind))
-	case KindCeilDiv:
-		return CeilDiv(e.args[0].Subst(bind), e.args[1].Subst(bind))
-	case KindSum, KindProd:
-		args := make([]*Expr, len(e.args))
-		for i, a := range e.args {
-			args[i] = a.Subst(bind)
-		}
-		if e.kind == KindSum {
-			return Add(args...)
-		}
-		return Mul(args...)
-	}
-	panic("expr: unknown kind")
 }

@@ -17,7 +17,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/loopir"
-	"repro/internal/obs"
 	"repro/internal/tilesearch"
 	"repro/internal/trace"
 )
@@ -434,41 +433,19 @@ func (req *TileSearchRequest) options(ctx context.Context, spec *loopir.Spec, cf
 	}
 }
 
-// PhaseSummary reports the search's phase structure (coarse sweep,
-// frontier, refinement) as evaluated-candidate counts. Deterministic for a
-// given request.
-type PhaseSummary struct {
-	Coarse       int64 `json:"coarse"`
-	Refine       int64 `json:"refine"`
-	FrontierSize int64 `json:"frontierSize"`
-	Probes       int64 `json:"probes"` // frontier-detection probe evaluations
-	Pruned       int64 `json:"pruned"`
-	Evaluated    int64 `json:"evaluated"`
-}
-
-// TileSearchResponse is the search outcome plus its phase summary.
+// TileSearchResponse is the search outcome plus its phase counts.
 type TileSearchResponse struct {
 	Nest string `json:"nest"`
 	CacheEcho
-	Result tilesearch.ResultJSON `json:"result"`
-	Phases PhaseSummary          `json:"phases"`
+	Result *tilesearch.Result `json:"result"`
+	Phases tilesearch.Phases  `json:"phases"`
 }
 
-// streamPhaseRecord is one /v1/tilesearch?stream=1 progress line: a
-// completed search phase with the best candidate known so far. The records
-// are deterministic for a given request (phases are barriers and the
-// search is sequential inside its pool slot), so stream output is
-// golden-testable like every other response.
-type streamPhaseRecord struct {
-	Phase      string                   `json:"phase"`
-	Round      int64                    `json:"round,omitempty"`
-	Candidates int64                    `json:"candidates"`
-	Best       tilesearch.CandidateJSON `json:"best"`
-}
-
-// planTileSearch plans a /v1/tilesearch body. The computation reports one
-// progress record per completed search phase, and a per-request obs
-// registry collects the phase counters for the response.
+// planTileSearch plans a /v1/tilesearch body. Under ?stream=1 the
+// computation reports each completed search phase as its
+// tilesearch.ProgressEvent; the records are deterministic for a given
+// request (phases are barriers and the search is sequential inside its pool
+// slot), so stream output is golden-testable like every other response.
 func planTileSearch(body []byte) (string, computeFn, error) {
 	var req TileSearchRequest
 	if err := decodeInto(body, &req); err != nil {
@@ -486,36 +463,19 @@ func planTileSearch(body []byte) (string, computeFn, error) {
 		if err != nil {
 			return nil, err
 		}
-		m := obs.New()
 		opts := req.options(ctx, spec, cfg)
-		opts.Obs = m
 		if progress != nil {
-			opts.Progress = func(ev tilesearch.ProgressEvent) {
-				progress(streamPhaseRecord{
-					Phase:      ev.Phase,
-					Round:      ev.Round,
-					Candidates: ev.Candidates,
-					Best:       tilesearch.CandidateJSON{Tiles: ev.Best.Tiles, Misses: ev.Best.Misses},
-				})
-			}
+			opts.Progress = func(ev tilesearch.ProgressEvent) { progress(ev) }
 		}
 		res, err := tilesearch.Search(a, opts)
 		if err != nil {
 			return nil, err
 		}
-		counters, gauges := m.Counters(), m.Gauges()
 		return marshal(TileSearchResponse{
 			Nest:      a.Nest.Name,
 			CacheEcho: echoOf(cfg),
-			Result:    res.JSON(),
-			Phases: PhaseSummary{
-				Coarse:       counters["search.candidates.coarse"],
-				Refine:       counters["search.candidates.refine"],
-				FrontierSize: gauges["search.frontier.size"],
-				Probes:       counters["search.candidates.frontier"],
-				Pruned:       counters["search.pruned"],
-				Evaluated:    gauges["search.evaluated"],
-			},
+			Result:    res,
+			Phases:    res.Phases,
 		})
 	}, nil
 }

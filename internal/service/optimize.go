@@ -42,11 +42,11 @@ type OptimizeResponse struct {
 // sequentially in enumeration order, so the records are deterministic for
 // a given request like the tilesearch phase records.
 type streamVariantRecord struct {
-	Variant   int                      `json:"variant"` // index in enumeration order
-	Count     int                      `json:"count"`   // total variants being scored
-	Plan      string                   `json:"plan"`
-	Best      tilesearch.CandidateJSON `json:"best"`
-	Evaluated int                      `json:"evaluated"`
+	Variant   int                  `json:"variant"` // index in enumeration order
+	Count     int                  `json:"count"`   // total variants being scored
+	Plan      string               `json:"plan"`
+	Best      tilesearch.Candidate `json:"best"`
+	Evaluated int                  `json:"evaluated"`
 }
 
 // planOptimize plans a /v1/optimize body. Its key mirrors the tile
@@ -84,7 +84,7 @@ func planOptimize(body []byte) (string, computeFn, error) {
 					Variant:   ev.Index,
 					Count:     ev.Count,
 					Plan:      ev.Plan.String(),
-					Best:      tilesearch.CandidateJSON{Tiles: ev.Best.Tiles, Misses: ev.Best.Misses},
+					Best:      ev.Best,
 					Evaluated: ev.Evaluated,
 				})
 			}

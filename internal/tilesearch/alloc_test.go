@@ -23,7 +23,7 @@ func warmEvaluator(tb testing.TB) (*evaluator, map[string]int64) {
 		BaseEnv:    expr.Env{"N": 64},
 	})
 	tiles := map[string]int64{"TI": 8, "TJ": 8, "TK": 8}
-	if _, err := ev.eval(tiles, ev.seqFrame); err != nil {
+	if _, err := ev.eval(tiles); err != nil {
 		tb.Fatal(err)
 	}
 	return ev, tiles
@@ -36,7 +36,7 @@ func warmEvaluator(tb testing.TB) (*evaluator, map[string]int64) {
 func TestWarmCandidateEvalAllocs(t *testing.T) {
 	ev, tiles := warmEvaluator(t)
 	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := ev.eval(tiles, ev.seqFrame); err != nil {
+		if _, err := ev.eval(tiles); err != nil {
 			t.Fatal(err)
 		}
 	})

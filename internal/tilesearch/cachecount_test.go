@@ -44,9 +44,9 @@ func oracleCacheStats(ev *evaluator) CacheStats {
 	}
 	seen := map[string]bool{}
 	var s CacheStats
-	for _, e := range ev.cands {
+	for _, c := range ev.cands {
 		env := maps.Clone(ev.opt.BaseEnv)
-		for sym, v := range e.c.Tiles {
+		for sym, v := range c.Tiles {
 			env[sym] = v
 		}
 		f := a.SymTab().FrameOf(env)
@@ -216,7 +216,7 @@ func countCases(t *testing.T) []countCase {
 	return cases
 }
 
-// TestCacheStatsMatchOracle: every search's Result.Cache equals the oracle's
+// TestCacheStatsMatchOracle: every search's Result.CacheStats equals the oracle's
 // count of its scored set, the evalcache.* instruments equal the sum over
 // the searches a call ran, and both are the same at Parallelism 1 and 8.
 func TestCacheStatsMatchOracle(t *testing.T) {
@@ -233,7 +233,7 @@ func TestCacheStatsMatchOracle(t *testing.T) {
 				var total CacheStats
 				for i, ev := range *evs {
 					want := oracleCacheStats(ev)
-					if got := results[i].Cache; got != want {
+					if got := results[i].CacheStats; got != want {
 						t.Errorf("j=%d search %d: Cache %+v, oracle %+v", j, i, got, want)
 					}
 					total.Lookups += want.Lookups

@@ -1,11 +1,11 @@
 package tilesearch
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/expr"
@@ -16,18 +16,17 @@ import (
 // cache keyed by the tile assignment scores each distinct tile vector once
 // per search, straight through the analysis' compiled programs.
 //
-// Batches of candidates are evaluated by a fixed worker pool. Each
-// candidate entry is computed under a sync.Once, so duplicate concurrent
-// evaluations coalesce and the set of scored candidates, and with it
-// Evaluated and CacheStats, is deterministic for a given search regardless
-// of the parallelism level. Batch results are returned in input order and
-// reduced sequentially, which makes the search outcome — including
-// tie-breaking between equal-miss candidates — byte-identical across
-// parallelism levels.
+// The cache belongs to the search goroutine. A batch lists the keys it is
+// missing, a fixed worker pool scores them into the batch's own slots, and
+// the search goroutine installs the results, so the set of scored
+// candidates, and with it Evaluated and CacheStats, is deterministic for a
+// given search regardless of the parallelism level. Batch results are
+// returned in input order and reduced sequentially, which makes the search
+// outcome — including tie-breaking between equal-miss candidates —
+// byte-identical across parallelism levels.
 type evaluator struct {
 	a       *core.Analysis
 	opt     Options
-	ctx     context.Context
 	workers int
 	// cfg is the cache geometry every candidate is scored against.
 	cfg core.CacheConfig
@@ -39,7 +38,7 @@ type evaluator struct {
 	// groups partition the components by the dims they mention, for the
 	// CacheStats count.
 	groups []dimGroup
-	// seqFrame is the reusable frame of the calling goroutine (frontier
+	// seqFrame is the reusable frame of the search goroutine (frontier
 	// probes and sequential batches). Worker goroutines build their own in
 	// evalBatch — frames are single-goroutine scratch.
 	seqFrame *expr.Frame
@@ -49,8 +48,8 @@ type evaluator struct {
 	infSD   []bool
 	boundSD []bool
 
-	mu    sync.Mutex
-	cands map[string]*candEntry
+	// cands holds every candidate scored so far, by tileKey.
+	cands map[string]Candidate
 }
 
 // dimGroup is a set of components that mention the same search dims.
@@ -59,17 +58,7 @@ type dimGroup struct {
 	comps int64 // components in the group
 }
 
-type candEntry struct {
-	once sync.Once
-	c    Candidate
-	err  error
-}
-
 func newEvaluator(a *core.Analysis, opt Options) *evaluator {
-	ctx := opt.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	workers := opt.Parallelism
 	if workers < 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -80,9 +69,8 @@ func newEvaluator(a *core.Analysis, opt Options) *evaluator {
 	ev := &evaluator{
 		a:       a,
 		opt:     opt,
-		ctx:     ctx,
 		workers: workers,
-		cands:   map[string]*candEntry{},
+		cands:   map[string]Candidate{},
 	}
 	ev.cfg = opt.cacheConfig()
 	tab := a.SymTab()
@@ -141,33 +129,14 @@ func (ev *evaluator) newFrame() *expr.Frame {
 	return f
 }
 
-// entry returns the cache slot for a tile assignment, creating it if needed.
-func (ev *evaluator) entry(key string) *candEntry {
-	ev.mu.Lock()
-	e, ok := ev.cands[key]
-	if !ok {
-		e = &candEntry{}
-		ev.cands[key] = e
-	}
-	ev.mu.Unlock()
-	return e
-}
-
-// evaluated reports the number of distinct tile assignments scored so far.
-func (ev *evaluator) evaluated() int {
-	ev.mu.Lock()
-	defer ev.mu.Unlock()
-	return len(ev.cands)
-}
-
 // CacheStats counts the component evaluations behind a search. Lookups is
 // the number of component evaluations the search ran; Computed is the
 // number of distinct (component, bindings) pairs among them. Both are
 // functions of the set of scored candidates, so they are deterministic at
 // every parallelism level.
 type CacheStats struct {
-	Lookups  int64
-	Computed int64
+	Lookups  int64 `json:"cacheLookups"`
+	Computed int64 `json:"cacheComputed"`
 }
 
 // HitRate is the fraction of component evaluations that repeat an earlier
@@ -199,8 +168,6 @@ func (s CacheStats) Record(m *obs.Metrics) {
 // scored tile vectors onto the dims it mentions. The projections are read
 // off the candidate keys, which hold 8 bytes per dim in Dims order.
 func (ev *evaluator) cacheStats() CacheStats {
-	ev.mu.Lock()
-	defer ev.mu.Unlock()
 	n := int64(len(ev.cands))
 	s := CacheStats{Lookups: n * int64(len(ev.a.Components))}
 	var keys []string
@@ -249,20 +216,25 @@ func (ev *evaluator) result(best Candidate, frontier []Candidate) *Result {
 	}
 	s := ev.cacheStats()
 	s.Record(ev.opt.Obs)
-	return &Result{Best: best, Frontier: frontier, Evaluated: ev.evaluated(), Cache: s}
+	return &Result{Best: best, Frontier: frontier, Evaluated: len(ev.cands), CacheStats: s}
 }
 
-// eval scores one tile assignment, memoized on the assignment key. The
-// frame is the calling goroutine's scratch — workers pass their own,
-// sequential callers pass ev.seqFrame.
-func (ev *evaluator) eval(tiles map[string]int64, f *expr.Frame) (Candidate, error) {
-	e := ev.entry(tileKey(tiles, ev.opt.Dims))
-	e.once.Do(func() {
-		e.c, e.err = ev.compute(tiles, f)
-	})
-	return e.c, e.err
+// eval scores one tile assignment on the search goroutine, memoized on the
+// assignment key.
+func (ev *evaluator) eval(tiles map[string]int64) (Candidate, error) {
+	key := tileKey(tiles, ev.opt.Dims)
+	if c, ok := ev.cands[key]; ok {
+		return c, nil
+	}
+	c, err := ev.compute(tiles, ev.seqFrame)
+	if err != nil {
+		return Candidate{}, err
+	}
+	ev.cands[key] = c
+	return c, nil
 }
 
+// compute scores one tile assignment on the frame of the calling goroutine.
 func (ev *evaluator) compute(tiles map[string]int64, f *expr.Frame) (Candidate, error) {
 	for i, d := range ev.opt.Dims {
 		f.Set(ev.dimSlots[i], tiles[d.Symbol])
@@ -280,37 +252,58 @@ func (ev *evaluator) compute(tiles map[string]int64, f *expr.Frame) (Candidate, 
 	return Candidate{Tiles: cloneTiles(tiles), Misses: misses}, nil
 }
 
-// evalBatch scores a slice of tile assignments with the worker pool and
-// returns the candidates in input order. The returned error, if any, is the
-// one at the lowest input index, matching what a sequential in-order sweep
-// would report: indices are handed to workers in increasing order and every
-// started item runs to completion, so the earliest failure is always
-// observed. Context cancellation aborts un-started items.
+// evalBatch scores a slice of tile assignments and returns the candidates
+// in input order. The assignments the cache is missing are scored once
+// each, first occurrence first, by the worker pool into the batch's own
+// slots; the search goroutine then installs them. The returned error, if
+// any, is the one at the lowest input index, matching what a sequential
+// in-order sweep would report: indices are handed to workers in increasing
+// order and every started item runs to completion, so the earliest failure
+// is always observed. Context cancellation aborts un-started items.
 func (ev *evaluator) evalBatch(assigns []map[string]int64) ([]Candidate, error) {
-	out := make([]Candidate, len(assigns))
-	if ev.workers <= 1 || len(assigns) <= 1 {
-		for i, a := range assigns {
-			if err := ev.ctx.Err(); err != nil {
-				return nil, err
-			}
-			c, err := ev.eval(a, ev.seqFrame)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = c
+	keys := make([]string, len(assigns))
+	var missing []int // indices into assigns
+	listed := map[string]bool{}
+	for i, t := range assigns {
+		keys[i] = tileKey(t, ev.opt.Dims)
+		if _, ok := ev.cands[keys[i]]; !ok && !listed[keys[i]] {
+			listed[keys[i]] = true
+			missing = append(missing, i)
 		}
-		return out, nil
 	}
-	errs := make([]error, len(assigns))
-	var next int64
-	var nextMu sync.Mutex
-	take := func() int {
-		nextMu.Lock()
-		i := int(next)
-		next++
-		nextMu.Unlock()
-		return i
+	scored := make([]Candidate, len(missing))
+	if err := ev.score(assigns, missing, scored); err != nil {
+		return nil, err
 	}
+	for j, i := range missing {
+		ev.cands[keys[i]] = scored[j]
+	}
+	out := make([]Candidate, len(assigns))
+	for i, key := range keys {
+		out[i] = ev.cands[key]
+	}
+	return out, nil
+}
+
+// score computes assigns[missing[j]] into out[j], sequentially or on the
+// worker pool.
+func (ev *evaluator) score(assigns []map[string]int64, missing []int, out []Candidate) error {
+	ctx := ev.opt.Context
+	if ev.workers <= 1 || len(missing) <= 1 {
+		for j, i := range missing {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			c, err := ev.compute(assigns[i], ev.seqFrame)
+			if err != nil {
+				return err
+			}
+			out[j] = c
+		}
+		return nil
+	}
+	errs := make([]error, len(missing))
+	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < ev.workers; w++ {
 		wg.Add(1)
@@ -318,7 +311,7 @@ func (ev *evaluator) evalBatch(assigns []map[string]int64) ([]Candidate, error) 
 			defer wg.Done()
 			// Per-worker utilization instruments. These are the one family
 			// of metrics that legitimately varies with Parallelism: the
-			// dynamic take() schedule decides which worker scores which
+			// dynamic schedule decides which worker scores which
 			// candidate. Busy time is accumulated per item so that
 			// (worker.N.busy / batch wall time) reads as utilization.
 			var items *obs.Counter
@@ -329,16 +322,16 @@ func (ev *evaluator) evalBatch(assigns []map[string]int64) ([]Candidate, error) 
 			}
 			f := ev.newFrame() // worker-lifetime frame, reused per candidate
 			for {
-				i := take()
-				if i >= len(assigns) {
+				j := int(next.Add(1) - 1)
+				if j >= len(missing) {
 					return
 				}
-				if err := ev.ctx.Err(); err != nil {
-					errs[i] = err
+				if err := ctx.Err(); err != nil {
+					errs[j] = err
 					continue
 				}
 				sw := busy.Start()
-				out[i], errs[i] = ev.eval(assigns[i], f)
+				out[j], errs[j] = ev.compute(assigns[missing[j]], f)
 				sw.Stop()
 				items.Inc()
 			}
@@ -347,10 +340,10 @@ func (ev *evaluator) evalBatch(assigns []map[string]int64) ([]Candidate, error) 
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // boundFreeMisses scores a candidate in unknown-bounds mode: a component

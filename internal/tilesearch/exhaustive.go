@@ -20,11 +20,8 @@ func Exhaustive(a *core.Analysis, opt Options) (*Result, error) {
 	if len(opt.Dims) == 0 {
 		return nil, fmt.Errorf("tilesearch: no dimensions to search")
 	}
-	if err := opt.cacheConfig().Validate(); err != nil {
+	if err := opt.prepare(1); err != nil {
 		return nil, err
-	}
-	if opt.MinTile <= 0 {
-		opt.MinTile = 1
 	}
 	ev := newEvaluator(a, opt)
 	grid := make([][]int64, len(opt.Dims))
@@ -54,6 +51,6 @@ func Exhaustive(a *core.Analysis, opt Options) (*Result, error) {
 		return nil, err
 	}
 	best := bestOf(cands)
-	opt.Obs.Gauge("search.evaluated").Set(int64(ev.evaluated()))
+	opt.Obs.Gauge("search.evaluated").Set(int64(len(ev.cands)))
 	return ev.result(best, nil), nil
 }

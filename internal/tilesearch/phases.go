@@ -200,38 +200,11 @@ func KneeAnalysisConfig(a *core.Analysis, base expr.Env, dims []Dim, cfg core.Ca
 	return out, nil
 }
 
-// maxSD evaluates the largest value a (possibly position-dependent) stack
-// distance takes under env: the tree-walking form, kept as the oracle the
-// knee tests verify claims against.
-func maxSD(sd core.LinForm, env expr.Env) (int64, error) {
-	base, err := sd.Base.Eval(env)
-	if err != nil {
-		return 0, err
-	}
-	if sd.IsConst() {
-		return base, nil
-	}
-	slope, err := sd.Slope.Eval(env)
-	if err != nil {
-		return 0, err
-	}
-	// The free variable's range is not tracked here; bound it by the
-	// largest bound-ish symbol in env for a conservative maximum.
-	var maxSym int64 = 1
-	for _, v := range env {
-		if v > maxSym {
-			maxSym = v
-		}
-	}
-	if slope > 0 {
-		return base + slope*(maxSym-1), nil
-	}
-	return base, nil
-}
-
-// maxSDFrame is maxSD through compiled programs on a frame. maxOther and v
-// reconstruct the surrogate free-variable bound — the largest bound symbol —
-// without scanning an Env.
+// maxSDFrame evaluates the largest value a (possibly position-dependent)
+// stack distance takes on a frame, through compiled programs. maxOther and
+// v reconstruct the surrogate free-variable bound — the largest bound
+// symbol — without scanning an Env. maxSD in phases_test.go is the
+// tree-walking oracle it is checked against.
 func maxSDFrame(pBase, pSlope *expr.Program, f *expr.Frame, maxOther, v int64) (int64, error) {
 	base, err := pBase.Eval(f)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/expr"
 	"repro/internal/testutil"
 )
@@ -88,4 +89,33 @@ func TestKneesPredictSearchOptimum(t *testing.T) {
 			t.Errorf("optimum %s=%d not explained by any knee:\n%s", dim, v, FormatKnees(knees))
 		}
 	}
+}
+
+// maxSD evaluates the largest value a (possibly position-dependent) stack
+// distance takes under env: the tree-walking form, kept as the oracle the
+// knee tests verify claims against.
+func maxSD(sd core.LinForm, env expr.Env) (int64, error) {
+	base, err := sd.Base.Eval(env)
+	if err != nil {
+		return 0, err
+	}
+	if sd.IsConst() {
+		return base, nil
+	}
+	slope, err := sd.Slope.Eval(env)
+	if err != nil {
+		return 0, err
+	}
+	// The free variable's range is not tracked here; bound it by the
+	// largest bound-ish symbol in env for a conservative maximum.
+	var maxSym int64 = 1
+	for _, v := range env {
+		if v > maxSym {
+			maxSym = v
+		}
+	}
+	if slope > 0 {
+		return base + slope*(maxSym-1), nil
+	}
+	return base, nil
 }

@@ -108,10 +108,7 @@ func (pr *PlanResult) Baseline() *PlanVariantResult { return &pr.Variants[0] }
 // variant — so when no structural transform is legal, or none helps, the
 // result is exactly the tile-only search's.
 func SearchPlans(nest *loopir.Nest, opt PlanOptions) (*PlanResult, error) {
-	if opt.MinTile <= 0 {
-		opt.MinTile = 4
-	}
-	if err := opt.cacheConfig().Validate(); err != nil {
+	if err := opt.prepare(4); err != nil {
 		return nil, err
 	}
 	variants, skipped, err := EnumerateVariants(nest, opt)
@@ -123,7 +120,7 @@ func SearchPlans(nest *loopir.Nest, opt PlanOptions) (*PlanResult, error) {
 	m.Counter("plansearch.skipped").Add(int64(skipped))
 	pr := &PlanResult{Skipped: skipped}
 	for i, v := range variants {
-		if err := ctxErr(opt); err != nil {
+		if err := opt.Context.Err(); err != nil {
 			return nil, err
 		}
 		span := opt.Trace.Start("plansearch.variant." + v.Plan.String())
@@ -150,13 +147,6 @@ func SearchPlans(nest *loopir.Nest, opt PlanOptions) (*PlanResult, error) {
 		}
 	}
 	return pr, nil
-}
-
-func ctxErr(opt PlanOptions) error {
-	if opt.Context == nil {
-		return nil
-	}
-	return opt.Context.Err()
 }
 
 // searchVariant compiles one variant's analysis and scores it: the §6
@@ -192,7 +182,7 @@ func searchVariant(v PlanVariant, opt PlanOptions) (*Result, error) {
 // so untiled and tiled variants compare uniformly.
 func scoreUntiled(a *core.Analysis, opt Options) (*Result, error) {
 	ev := newEvaluator(a, opt)
-	c, err := ev.eval(map[string]int64{}, ev.seqFrame)
+	c, err := ev.eval(map[string]int64{})
 	if err != nil {
 		return nil, err
 	}

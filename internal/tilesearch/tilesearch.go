@@ -26,6 +26,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/expr"
@@ -74,10 +75,10 @@ type Options struct {
 	// Context, when non-nil, cancels an in-flight search; Search and
 	// Exhaustive then return the context's error.
 	Context context.Context
-	// Obs, when non-nil, receives the search's instruments: candidate
-	// counts per phase ("search.candidates.*"), the frontier size, pruning
-	// totals, the component-evaluation counts of a successful search
-	// ("evalcache.*", see CacheStats.Record) and the per-worker pool
+	// Obs, when non-nil, receives the instruments of a successful search:
+	// its Phases (candidate counts per phase "search.candidates.*", the
+	// frontier size, pruning totals), its component-evaluation counts
+	// ("evalcache.*", see CacheStats.Record), and the per-worker pool
 	// utilization ("worker.*", the only instruments that legitimately vary
 	// with Parallelism). Nil disables instrumentation at no measurable cost.
 	Obs *obs.Metrics
@@ -93,12 +94,13 @@ type Options struct {
 	Progress func(ProgressEvent)
 }
 
-// ProgressEvent reports one completed search phase to Options.Progress.
+// ProgressEvent reports one completed search phase to Options.Progress;
+// /v1/tilesearch?stream=1 streams it as one NDJSON record.
 type ProgressEvent struct {
-	Phase      string    // "coarse", "frontier" or "refine"
-	Round      int64     // refinement round (1-based); 0 for coarse/frontier
-	Candidates int64     // candidates evaluated in this phase (frontier: survivors)
-	Best       Candidate // best candidate known after this phase
+	Phase      string    `json:"phase"`           // "coarse", "frontier" or "refine"
+	Round      int64     `json:"round,omitempty"` // refinement round (1-based); 0 for coarse/frontier
+	Candidates int64     `json:"candidates"`      // candidates evaluated in this phase (frontier: survivors)
+	Best       Candidate `json:"best"`            // best candidate known after this phase
 }
 
 // cacheConfig packs the cache geometry options into a core.CacheConfig.
@@ -112,20 +114,65 @@ func (opt Options) cacheConfig() core.CacheConfig {
 	}
 }
 
-// Candidate is one evaluated tile assignment.
-type Candidate struct {
-	Tiles  map[string]int64
-	Misses int64
+// prepare checks the cache geometry and fills the defaults every entry
+// point shares: MinTile (minTile when unset) and a background Context.
+func (opt *Options) prepare(minTile int64) error {
+	if err := opt.cacheConfig().Validate(); err != nil {
+		return err
+	}
+	if opt.MinTile <= 0 {
+		opt.MinTile = minTile
+	}
+	if opt.Context == nil {
+		opt.Context = context.Background()
+	}
+	return nil
 }
 
-// Result reports the search outcome.
+// Candidate is one evaluated tile assignment. Tiles marshals as a JSON
+// object with sorted keys, so equal candidates marshal to equal bytes.
+type Candidate struct {
+	Tiles  map[string]int64 `json:"tiles"`
+	Misses int64            `json:"misses"`
+}
+
+// Result reports the search outcome. It marshals as the "result" of a
+// /v1/tilesearch response; every field is deterministic for a given
+// search, at every parallelism level.
 type Result struct {
-	Best      Candidate
-	Frontier  []Candidate // frontier candidates from the coarse phase
-	Evaluated int         // distinct tile assignments scored
-	// Cache counts the component evaluations behind Evaluated; for a given
-	// search it is deterministic across parallelism levels.
-	Cache CacheStats
+	Best      Candidate   `json:"best"`
+	Frontier  []Candidate `json:"frontier"`  // frontier candidates from the coarse phase
+	Evaluated int         `json:"evaluated"` // distinct tile assignments scored
+	// CacheStats counts the component evaluations behind Evaluated.
+	CacheStats
+	// Phases counts the work of Search's phases; zero for Exhaustive and
+	// for untiled plan variants.
+	Phases Phases `json:"-"`
+}
+
+// Phases counts a search's candidates phase by phase: the "phases" of a
+// /v1/tilesearch response, and what a successful search records on the
+// search.* instruments.
+type Phases struct {
+	Coarse       int64 `json:"coarse"`       // coarse-grid candidates
+	Refine       int64 `json:"refine"`       // refinement candidates, all rounds
+	FrontierSize int64 `json:"frontierSize"` // frontier candidates kept
+	Probes       int64 `json:"probes"`       // frontier-detection probe evaluations
+	Pruned       int64 `json:"pruned"`       // candidates pruned between rounds
+	Evaluated    int64 `json:"evaluated"`    // distinct tile assignments scored
+}
+
+// record adds the counts to the search.* instruments. The refinement
+// counters exist only when a refinement round ran.
+func (p Phases) record(m *obs.Metrics, refined bool) {
+	m.Counter("search.candidates.coarse").Add(p.Coarse)
+	m.Counter("search.candidates.frontier").Add(p.Probes)
+	m.Gauge("search.frontier.size").Set(p.FrontierSize)
+	if refined {
+		m.Counter("search.candidates.refine").Add(p.Refine)
+		m.Counter("search.pruned").Add(p.Pruned)
+	}
+	m.Gauge("search.evaluated").Set(p.Evaluated)
 }
 
 // Search runs the §6 algorithm against an analyzed nest. It is the
@@ -136,11 +183,8 @@ func Search(a *core.Analysis, opt Options) (*Result, error) {
 	if len(opt.Dims) == 0 {
 		return nil, fmt.Errorf("tilesearch: no dimensions to search")
 	}
-	if err := opt.cacheConfig().Validate(); err != nil {
+	if err := opt.prepare(4); err != nil {
 		return nil, err
-	}
-	if opt.MinTile <= 0 {
-		opt.MinTile = 4
 	}
 	return newEvaluator(a, opt).run()
 }
@@ -151,7 +195,7 @@ func Search(a *core.Analysis, opt Options) (*Result, error) {
 // tie-breaks — is byte-identical at every parallelism level.
 func (ev *evaluator) run() (*Result, error) {
 	opt := ev.opt
-	m := opt.Obs
+	var ph Phases
 
 	// Phase 1: coarse sweep over power-of-two sizes.
 	grid := make([][]int64, len(opt.Dims))
@@ -167,32 +211,32 @@ func (ev *evaluator) run() (*Result, error) {
 		}
 	}
 	coarseAssigns := enumerate(grid, opt.Dims)
-	m.Counter("search.candidates.coarse").Add(int64(len(coarseAssigns)))
+	ph.Coarse = int64(len(coarseAssigns))
 	span := opt.Trace.Start("search.coarse")
-	span.SetAttr("candidates", int64(len(coarseAssigns)))
+	span.SetAttr("candidates", ph.Coarse)
 	coarse, err := ev.evalBatch(coarseAssigns)
 	span.End()
 	if err != nil {
 		return nil, err
 	}
 	if opt.Progress != nil {
-		opt.Progress(ProgressEvent{Phase: "coarse", Candidates: int64(len(coarseAssigns)), Best: bestOf(coarse)})
+		opt.Progress(ProgressEvent{Phase: "coarse", Candidates: ph.Coarse, Best: bestOf(coarse)})
 	}
 
 	// Phase 2: keep the frontier — candidates whose every single-dimension
 	// doubling either leaves the grid or pushes an additional stack
 	// distance past the cache capacity (detected as a miss increase).
 	span = opt.Trace.Start("search.frontier")
-	frontier, err := ev.frontier(coarse)
+	frontier, probes, err := ev.frontier(coarse)
 	if err != nil {
 		span.End()
 		return nil, err
 	}
-	span.SetAttr("size", int64(len(frontier)))
+	ph.Probes, ph.FrontierSize = probes, int64(len(frontier))
+	span.SetAttr("size", ph.FrontierSize)
 	span.End()
-	m.Gauge("search.frontier.size").Set(int64(len(frontier)))
 	if opt.Progress != nil {
-		opt.Progress(ProgressEvent{Phase: "frontier", Candidates: int64(len(frontier)), Best: bestOf(frontier)})
+		opt.Progress(ProgressEvent{Phase: "frontier", Candidates: ph.FrontierSize, Best: bestOf(frontier)})
 	}
 
 	// Phase 3: refine around frontier points with halved steps. Each
@@ -218,7 +262,7 @@ func (ev *evaluator) run() (*Result, error) {
 				}
 			}
 		}
-		m.Counter("search.candidates.refine").Add(int64(len(assigns)))
+		ph.Refine += int64(len(assigns))
 		span = opt.Trace.Start("search.refine")
 		span.SetAttr("round", round)
 		span.SetAttr("step", step)
@@ -239,12 +283,15 @@ func (ev *evaluator) run() (*Result, error) {
 		// Phase 4: prune to the most promising candidates before the next
 		// refinement round.
 		before := len(pool)
-		pool = topK(pool, 8)
-		m.Counter("search.pruned").Add(int64(before - len(pool)))
+		pool = ev.topK(pool, 8)
+		ph.Pruned += int64(before - len(pool))
 	}
 
-	m.Gauge("search.evaluated").Set(int64(ev.evaluated()))
-	return ev.result(best, frontier), nil
+	ph.Evaluated = int64(len(ev.cands))
+	ph.record(opt.Obs, round > 0)
+	res := ev.result(best, frontier)
+	res.Phases = ph
+	return res, nil
 }
 
 // enumerate builds the cartesian product of the per-dimension grids in
@@ -273,12 +320,13 @@ func enumerate(grid [][]int64, dims []Dim) []map[string]int64 {
 }
 
 // frontier keeps coarse candidates that cannot be doubled in any dimension
-// without either leaving the grid or increasing the miss count. Doubled
-// points in the power-of-two coarse grid are themselves coarse points, so
-// this phase runs on cache hits and needs no parallel batch.
-func (ev *evaluator) frontier(coarse []Candidate) ([]Candidate, error) {
-	probes := ev.opt.Obs.Counter("search.candidates.frontier")
+// without either leaving the grid or increasing the miss count, counting
+// its probes. Doubled points in the power-of-two coarse grid are themselves
+// coarse points, so this phase runs on cache hits and needs no parallel
+// batch.
+func (ev *evaluator) frontier(coarse []Candidate) ([]Candidate, int64, error) {
 	var out []Candidate
+	var probes int64
 	for _, c := range coarse {
 		isFrontier := true
 		for _, d := range ev.opt.Dims {
@@ -289,10 +337,10 @@ func (ev *evaluator) frontier(coarse []Candidate) ([]Candidate, error) {
 			if ev.opt.DivisorOf != 0 && ev.opt.DivisorOf%v != 0 {
 				continue
 			}
-			probes.Inc()
-			bigger, err := ev.eval(nt2(cloneTiles(c.Tiles), d.Symbol, v), ev.seqFrame)
+			probes++
+			bigger, err := ev.eval(nt2(cloneTiles(c.Tiles), d.Symbol, v))
 			if err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 			if bigger.Misses <= c.Misses {
 				// growing this dimension does not hurt: not on the frontier
@@ -307,7 +355,7 @@ func (ev *evaluator) frontier(coarse []Candidate) ([]Candidate, error) {
 	if len(out) == 0 {
 		out = []Candidate{bestOf(coarse)}
 	}
-	return topK(out, 8), nil
+	return ev.topK(out, 8), probes, nil
 }
 
 func bestOf(cs []Candidate) Candidate {
@@ -320,13 +368,13 @@ func bestOf(cs []Candidate) Candidate {
 	return best
 }
 
-func topK(cs []Candidate, k int) []Candidate {
+func (ev *evaluator) topK(cs []Candidate, k int) []Candidate {
 	sorted := append([]Candidate(nil), cs...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Misses < sorted[j].Misses })
 	seen := map[string]bool{}
 	var out []Candidate
 	for _, c := range sorted {
-		key := fmt.Sprint(c.Tiles)
+		key := tileKey(c.Tiles, ev.opt.Dims)
 		if seen[key] {
 			continue
 		}
@@ -378,16 +426,5 @@ func (c Candidate) String() string {
 	for i, k := range keys {
 		parts[i] = fmt.Sprintf("%s=%d", k, c.Tiles[k])
 	}
-	return fmt.Sprintf("(%s) misses=%d", joinComma(parts), c.Misses)
-}
-
-func joinComma(parts []string) string {
-	out := ""
-	for i, p := range parts {
-		if i > 0 {
-			out += ", "
-		}
-		out += p
-	}
-	return out
+	return fmt.Sprintf("(%s) misses=%d", strings.Join(parts, ", "), c.Misses)
 }

@@ -37,7 +37,6 @@ var hold = map[string]string{
 	"tilesearch.KneeAnalysisConfig": "ROADMAP item 6: explain's knees around the winning tile",
 	"tilesearch.FormatKnees":        "ROADMAP item 6: explain's knees around the winning tile",
 	"tilesearch.Knee":               "ROADMAP item 6: explain's knees around the winning tile",
-	"tilesearch.maxSD":              "ROADMAP item 6: explain's knees around the winning tile",
 	"tilesearch.maxSDFrame":         "ROADMAP item 6: explain's knees around the winning tile",
 
 	// Held for ROADMAP item 7 (timing the advice on the machine), which
