@@ -52,10 +52,17 @@ func Simulate(a *core.Analysis, env expr.Env, watches []int64) (cachesim.Results
 // core.Analysis.GetFrame); the serving layer uses it to keep the per-
 // request steady state allocation-free up to the result slices.
 func SimulateFrame(a *core.Analysis, f *expr.Frame, watches []int64) (cachesim.Results, Info, error) {
+	// Site keys are formatted once per request; siteOf maps a component's
+	// site to the last site index with its key.
 	sites := a.Nest.Sites()
+	keys := SiteLabels(a.Nest)
 	siteIdx := make(map[string]int, len(sites))
+	for i, k := range keys {
+		siteIdx[k] = i
+	}
+	siteOf := make(map[loopir.RefSite]int, len(sites))
 	for i, s := range sites {
-		siteIdx[s.Key()] = i
+		siteOf[s] = siteIdx[keys[i]]
 	}
 	res := cachesim.Results{
 		Watches: append([]int64(nil), watches...),
@@ -82,7 +89,7 @@ func SimulateFrame(a *core.Analysis, f *expr.Frame, watches []int64) (cachesim.R
 		if wi == 0 {
 			res.Accesses = rep.Accesses
 			for _, d := range rep.Detail {
-				si := siteIdx[d.Component.Site.Key()]
+				si := siteOf[d.Component.Site]
 				res.PerSite[si].Accesses += d.Count
 				if d.Component.SD.Base.IsInf() {
 					res.PerSite[si].FirstTouch += d.Count
@@ -90,8 +97,8 @@ func SimulateFrame(a *core.Analysis, f *expr.Frame, watches []int64) (cachesim.R
 				}
 			}
 		}
-		for si, s := range sites {
-			res.PerSite[si].Misses[wi] = rep.BySite[s.Key()]
+		for si, k := range keys {
+			res.PerSite[si].Misses[wi] = rep.BySite[k]
 		}
 	}
 	if len(watches) == 0 {
@@ -103,7 +110,7 @@ func SimulateFrame(a *core.Analysis, f *expr.Frame, watches []int64) (cachesim.R
 		}
 		res.Accesses = rep.Accesses
 		for _, d := range rep.Detail {
-			si := siteIdx[d.Component.Site.Key()]
+			si := siteOf[d.Component.Site]
 			res.PerSite[si].Accesses += d.Count
 			if d.Component.SD.Base.IsInf() {
 				res.PerSite[si].FirstTouch += d.Count

@@ -54,7 +54,7 @@ type compiledComponent struct {
 	base    *expr.Program // nil when inf
 	slope   *expr.Program // nil when inf or constSD
 	rng     *expr.Program // nil when inf or constSD
-	site    string        // Site.Key(), for the non-positive-range error
+	site    string        // Site.Key(): the report's BySite key and the range error's subject
 	// slots are the sorted SymTab slots of the symbols the component's
 	// Count, SD base, slope and FreeRange mention: the bindings its values
 	// are a function of.
@@ -331,7 +331,7 @@ func (a *Analysis) predict(f *expr.Frame, cfg CacheConfig, rep *MissReport) (int
 		total += cm.Misses
 		if rep != nil {
 			rep.Detail = append(rep.Detail, cm)
-			rep.BySite[c.Site.Key()] += cm.Misses
+			rep.BySite[a.ca.comps[i].site] += cm.Misses
 			rep.Accesses += cm.Count
 		}
 	}

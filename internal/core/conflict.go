@@ -358,7 +358,14 @@ type chunkVal struct {
 	load float64 // lines it stacks on each set it covers
 }
 
-// conflictEval is the per-prediction scratch: one frame, one geometry.
+// scratchLen is the capacity of classify's stack buffers for one
+// component's intruding chunks, in-span generators and array extents; the
+// built-in kernels need at most 8. A larger component spills to the heap.
+const scratchLen = 8
+
+// conflictEval is the per-prediction scratch: one frame, one geometry. It
+// and classify's buffers live on the stack, so scoring a candidate on a
+// set-associative geometry allocates nothing.
 type conflictEval struct {
 	ca   *compiledAnalysis
 	f    *expr.Frame
@@ -377,26 +384,25 @@ func (ca *compiledAnalysis) newConflictEval(f *expr.Frame, cfg CacheConfig) *con
 
 // totalFootprint evaluates the combined size of every referenced array —
 // the extent of the contiguous address space the trace layout assigns.
+// ca.dims lists each array's extents together, first dimension first.
 func (ce *conflictEval) totalFootprint() (int64, error) {
 	if ce.footprintOK {
 		return ce.footprint, nil
 	}
-	sizes := map[string]int64{}
+	var total, size int64
 	for _, d := range ce.ca.dims {
 		v, err := d.prog.Eval(ce.f)
 		if err != nil {
 			return 0, err
 		}
-		if cur, ok := sizes[d.array]; ok {
-			sizes[d.array] = cur * v
+		if d.di == 0 {
+			total += size
+			size = v
 		} else {
-			sizes[d.array] = v
+			size *= v
 		}
 	}
-	var total int64
-	for _, s := range sizes {
-		total += s
-	}
+	total += size
 	ce.footprint = total
 	ce.footprintOK = true
 	return total, nil
@@ -452,7 +458,7 @@ func (ce *conflictEval) classify(i int, c *Component, v componentValues, capacit
 		selfSize = 1
 	}
 
-	gens, err := ce.evalGens(cc)
+	gens, err := ce.evalGens(cc, make([]genVal, 0, scratchLen))
 	if err != nil {
 		return cm, err
 	}
@@ -472,7 +478,7 @@ func (ce *conflictEval) classify(i int, c *Component, v componentValues, capacit
 		weight float64 // fraction of reused lines in sets of this load
 		slack  float64 // ways left for intruders; < 0 thrashes outright
 	}
-	var strata []stratum
+	strata := make([]stratum, 0, 2)
 	if nHigh > 0 {
 		wHigh := float64(nHigh*(cLo+1)) / float64(selfLines)
 		strata = append(strata,
@@ -498,7 +504,7 @@ func (ce *conflictEval) classify(i int, c *Component, v componentValues, capacit
 		aliasLaps = 1
 	}
 
-	var chunks []chunkVal
+	chunks := make([]chunkVal, 0, scratchLen)
 	for _, och := range cc.others {
 		size, err := evalChunk(och.base, och.slope)
 		if err != nil {
@@ -538,27 +544,25 @@ func (ce *conflictEval) classify(i int, c *Component, v componentValues, capacit
 	return cm, nil
 }
 
-// evalGens evaluates the component's in-span generators: row-major
+// evalGens appends the component's in-span generators to out: row-major
 // dimension weights times the per-term subscript strides.
-func (ce *conflictEval) evalGens(cc *conflictComp) ([]genVal, error) {
+func (ce *conflictEval) evalGens(cc *conflictComp, out []genVal) ([]genVal, error) {
 	if len(cc.gens) == 0 {
-		return nil, nil
+		return out, nil
 	}
-	exts := make([]int64, len(cc.dims))
-	for i, p := range cc.dims {
+	// The extents, evaluated in order, become the weights in place.
+	weights := make([]int64, 0, scratchLen)
+	for _, p := range cc.dims {
 		v, err := p.Eval(ce.f)
 		if err != nil {
 			return nil, err
 		}
-		exts[i] = v
+		weights = append(weights, v)
 	}
-	weights := make([]int64, len(exts))
 	w := int64(1)
-	for i := len(exts) - 1; i >= 0; i-- {
-		weights[i] = w
-		w *= exts[i]
+	for i := len(weights) - 1; i >= 0; i-- {
+		weights[i], w = w, w*weights[i]
 	}
-	out := make([]genVal, 0, len(cc.gens))
 	for _, g := range cc.gens {
 		trip, err := g.trip.Eval(ce.f)
 		if err != nil {

@@ -164,26 +164,11 @@ func (a *Analysis) partition(site loopir.RefSite) ([]*Component, error) {
 // is used instead: the suffix of P and every branch after it in iteration
 // x, then every branch before X and the prefix of X in iteration x+1.
 func (a *Analysis) selfComponent(site loopir.RefSite, X loopir.Node, parent *loopir.Loop, pinned map[string]bool, count *expr.Expr) (*Component, error) {
-	sd, exact, costs := a.sc.bodySpanCost(parent)
-	comp := &Component{
-		Site:      site,
-		Kind:      SelfCarried,
-		Carrier:   parent,
-		Count:     count,
-		SD:        sd,
-		Pattern:   a.pattern(site, parent, pinned, "step"),
-		Exact:     exact,
-		Breakdown: costs,
-	}
-	if !a.sc.opts.TailToHeadWrap {
-		return comp, nil
-	}
-	src, ok := a.sc.lastSiteFor(parent, site.Ref().Array)
-	if !ok || src.Stmt == site.Stmt {
-		return comp, nil
-	}
-	P := a.sc.childContaining(parent, src.Stmt)
-	if P == X {
+	comp := &Component{Site: site, Kind: SelfCarried, Carrier: parent, Count: count}
+	src, P, wrap := a.wrapSource(site, X, parent)
+	if !wrap {
+		comp.SD, comp.Exact, comp.Breakdown = a.sc.bodySpanCost(parent)
+		comp.Pattern = a.pattern(site, parent, pinned, "step")
 		return comp, nil
 	}
 	var between []region
@@ -198,6 +183,23 @@ func (a *Analysis) selfComponent(site loopir.RefSite, X loopir.Node, parent *loo
 	comp.SD, comp.Exact, comp.Breakdown = a.sc.betweenSpanCost(a.sc.endpointOf(src, P, 1), tgt, between, parent)
 	comp.Pattern = a.pattern(site, parent, pinned, "step:"+src.Key())
 	return comp, a.setFreeVar(comp, tgt.pi)
+}
+
+// wrapSource returns the source of the tail-to-head span of a self-reuse
+// carried by parent for the target inside X, with the branch P holding it:
+// the most recent access to the array in the previous iteration. wrap is
+// false when the option is off or that access is in X itself, and the full
+// body span applies.
+func (a *Analysis) wrapSource(site loopir.RefSite, X loopir.Node, parent *loopir.Loop) (src loopir.RefSite, P loopir.Node, wrap bool) {
+	if !a.sc.opts.TailToHeadWrap {
+		return src, nil, false
+	}
+	src, ok := a.sc.lastSiteFor(parent, site.Ref().Array)
+	if !ok || src.Stmt == site.Stmt {
+		return src, nil, false
+	}
+	P = a.sc.childContaining(parent, src.Stmt)
+	return src, P, P != X
 }
 
 // crossComponent builds the cross-statement component for target tgt inside

@@ -54,7 +54,7 @@ func BuildKernel(kind string, n int64, tiles []int64) (*loopir.Nest, expr.Env, e
 		return nest, expr.Env{"N": n, "V": v}, nil
 	case "matmul":
 		if len(tiles) == 0 {
-			tiles = []int64{32, 32, 32}
+			tiles = defaultTiles([]int64{n, n, n}, []int64{32, 32, 32})
 		}
 		if len(tiles) != 3 {
 			return nil, nil, fmt.Errorf("matmul needs 3 tile sizes, got %d", len(tiles))
@@ -67,7 +67,7 @@ func BuildKernel(kind string, n int64, tiles []int64) (*loopir.Nest, expr.Env, e
 		return nest, env, err
 	case "twoindex":
 		if len(tiles) == 0 {
-			tiles = []int64{64, 16, 16, 64}
+			tiles = defaultTiles([]int64{n, n, n, n}, []int64{64, 16, 16, 64})
 		}
 		if len(tiles) != 4 {
 			return nil, nil, fmt.Errorf("twoindex needs 4 tile sizes, got %d", len(tiles))
@@ -102,12 +102,7 @@ func BuildKernel(kind string, n int64, tiles []int64) (*loopir.Nest, expr.Env, e
 			o = 1
 		}
 		if len(tiles) == 0 {
-			tiles = []int64{n / 4, n / 4, o / 2, o / 2, n / 4, n / 4}
-			for i, tv := range tiles {
-				if tv < 1 {
-					tiles[i] = 1
-				}
-			}
+			tiles = defaultTiles([]int64{n, n, o, o, n, n}, []int64{n / 4, n / 4, o / 2, o / 2, n / 4, n / 4})
 		}
 		if len(tiles) != 6 {
 			return nil, nil, fmt.Errorf("ccsd needs 6 tile sizes (TA,TB,TI,TJ,TC,TD), got %d", len(tiles))
@@ -120,6 +115,22 @@ func BuildKernel(kind string, n int64, tiles []int64) (*loopir.Nest, expr.Env, e
 		return nest, env, err
 	}
 	return nil, nil, fmt.Errorf("unknown kernel %q (want matmul, matmul-naive, twoindex, twoindexchain, fourindex or ccsd)", kind)
+}
+
+// defaultTiles returns the default tile sizes of a kernel request without
+// tiles: each preferred size, at least 1, reduced to its gcd with the
+// positive loop bound it tiles, so that it divides the bound. A preferred
+// size that already divides its bound is kept.
+func defaultTiles(bounds, preferred []int64) []int64 {
+	out := make([]int64, len(preferred))
+	for i, t := range preferred {
+		t = max(t, 1)
+		for n := bounds[i]; n > 0; {
+			t, n = n, t%n
+		}
+		out[i] = t
+	}
+	return out
 }
 
 // LoadNestFile parses a loop nest from the textual format (see

@@ -32,6 +32,46 @@ func TestBuildKernelVariants(t *testing.T) {
 	}
 }
 
+// TestBuildKernelDefaultTiles: every kernel builds without tiles for every
+// n from 8 to 512, since each default tile divides the bound it tiles; where
+// the preferred sizes divide n they are the defaults unchanged.
+func TestBuildKernelDefaultTiles(t *testing.T) {
+	for _, kind := range []string{"matmul", "matmul-naive", "twoindex", "twoindexchain", "fourindex", "ccsd"} {
+		for n := int64(8); n <= 512; n++ {
+			nest, env, err := BuildKernel(kind, n, nil)
+			if err != nil {
+				t.Fatalf("%s n=%d: %v", kind, n, err)
+			}
+			if err := nest.ValidateEnv(env); err != nil {
+				t.Fatalf("%s n=%d env: %v", kind, n, err)
+			}
+		}
+	}
+	for _, c := range []struct {
+		kind string
+		n    int64
+		want map[string]int64
+	}{
+		{"matmul", 64, map[string]int64{"TI": 32, "TJ": 32, "TK": 32}},
+		{"matmul", 16, map[string]int64{"TI": 16, "TJ": 16, "TK": 16}},
+		{"matmul", 100, map[string]int64{"TI": 4, "TJ": 4, "TK": 4}},
+		{"twoindex", 128, map[string]int64{"TI": 64, "TJ": 16, "TM": 16, "TN": 64}},
+		{"twoindex", 96, map[string]int64{"TI": 32, "TJ": 16, "TM": 16, "TN": 32}},
+		{"ccsd", 8, map[string]int64{"TA": 2, "TB": 2, "TI": 2, "TJ": 2, "TC": 2, "TD": 2}},
+		{"ccsd", 10, map[string]int64{"TA": 2, "TB": 2, "TI": 1, "TJ": 1, "TC": 2, "TD": 2}},
+	} {
+		_, env, err := BuildKernel(c.kind, c.n, nil)
+		if err != nil {
+			t.Fatalf("%s n=%d: %v", c.kind, c.n, err)
+		}
+		for sym, v := range c.want {
+			if env[sym] != v {
+				t.Errorf("%s n=%d: default %s = %d, want %d", c.kind, c.n, sym, env[sym], v)
+			}
+		}
+	}
+}
+
 func TestBuildKernelErrors(t *testing.T) {
 	if _, _, err := BuildKernel("nope", 64, nil); err == nil {
 		t.Error("unknown kernel accepted")

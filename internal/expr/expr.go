@@ -197,8 +197,18 @@ func (e *Expr) HasAnyVar(names map[string]bool) bool {
 }
 
 // Add returns the sum of the given expressions. Polynomial operands are
-// merged into canonical form; Inf absorbs everything.
+// merged into canonical form; Inf absorbs everything. The sum of Zero() and
+// one other operand is that operand, returned without the merge and intern
+// that would yield the same node.
 func Add(xs ...*Expr) *Expr {
+	if len(xs) == 2 && xs[0] != nil && xs[1] != nil {
+		switch {
+		case xs[0] == zeroExpr:
+			return xs[1]
+		case xs[1] == zeroExpr:
+			return xs[0]
+		}
+	}
 	acc := poly{}
 	var rest []*Expr
 	for _, x := range xs {
@@ -248,8 +258,17 @@ func Sub(a, b *Expr) *Expr {
 
 // Mul returns the product of the given expressions. Products of polynomials
 // are expanded into canonical form; Inf absorbs non-zero operands; zero
-// annihilates.
+// annihilates. As in Add, the product of One() and one other operand is
+// that operand.
 func Mul(xs ...*Expr) *Expr {
+	if len(xs) == 2 && xs[0] != nil && xs[1] != nil {
+		switch {
+		case xs[0] == oneExpr:
+			return xs[1]
+		case xs[1] == oneExpr:
+			return xs[0]
+		}
+	}
 	accum := poly{"": 1}
 	var rest []*Expr
 	sawInf := false

@@ -1,6 +1,7 @@
 package tilesearch
 
 import (
+	"encoding/binary"
 	"fmt"
 	"maps"
 	"math/rand"
@@ -20,7 +21,8 @@ import (
 
 // oracleCacheStats is the reference count of one search's scored set: the
 // key rule of a component memo written out directly. It rebuilds each
-// scored candidate's frame from BaseEnv plus the candidate's tiles and keys
+// scored candidate's frame from BaseEnv plus the tiles its cache key holds
+// (8 little-endian bytes per dim, in Dims order) and keys
 // every component by the values of the symbols its Count, SD base, slope
 // and FreeRange mention; Computed is the number of distinct (component,
 // key) pairs, Lookups the number of component evaluations.
@@ -44,10 +46,10 @@ func oracleCacheStats(ev *evaluator) CacheStats {
 	}
 	seen := map[string]bool{}
 	var s CacheStats
-	for _, c := range ev.cands {
+	for key := range ev.cands {
 		env := maps.Clone(ev.opt.BaseEnv)
-		for sym, v := range c.Tiles {
-			env[sym] = v
+		for d, dim := range ev.opt.Dims {
+			env[dim.Symbol] = int64(binary.LittleEndian.Uint64([]byte(key[8*d:])))
 		}
 		f := a.SymTab().FrameOf(env)
 		for i := range a.Components {

@@ -1,6 +1,7 @@
 package tilesearch
 
 import (
+	"encoding/binary"
 	"fmt"
 	"runtime"
 	"slices"
@@ -48,8 +49,19 @@ type evaluator struct {
 	infSD   []bool
 	boundSD []bool
 
-	// cands holds every candidate scored so far, by tileKey.
-	cands map[string]Candidate
+	// cands maps the key of every tile vector scored so far (appendKey) to
+	// its miss count. key is the search goroutine's reused key buffer:
+	// lookups index cands with string(key), which does not allocate.
+	cands map[string]int64
+	key   []byte
+}
+
+// point is one candidate inside the search: its tile values in Dims order
+// and its miss count. Only the candidates a search reports are turned into
+// Candidates, whose tiles are keyed by symbol.
+type point struct {
+	tiles  []int64
+	misses int64
 }
 
 // dimGroup is a set of components that mention the same search dims.
@@ -70,7 +82,7 @@ func newEvaluator(a *core.Analysis, opt Options) *evaluator {
 		a:       a,
 		opt:     opt,
 		workers: workers,
-		cands:   map[string]Candidate{},
+		cands:   map[string]int64{},
 	}
 	ev.cfg = opt.cacheConfig()
 	tab := a.SymTab()
@@ -208,48 +220,68 @@ func (ev *evaluator) cacheStats() CacheStats {
 // search before its result is built: tests read the scored set from it.
 var testHookScored func(*evaluator)
 
-// result closes a successful search: it counts the scored set and records
-// the counts on Options.Obs.
-func (ev *evaluator) result(best Candidate, frontier []Candidate) *Result {
+// result closes a successful search: it counts the scored set, records
+// the counts on Options.Obs, and builds the reported candidates. A nil
+// frontier stays nil.
+func (ev *evaluator) result(best point, frontier []point) *Result {
 	if testHookScored != nil {
 		testHookScored(ev)
 	}
 	s := ev.cacheStats()
 	s.Record(ev.opt.Obs)
-	return &Result{Best: best, Frontier: frontier, Evaluated: len(ev.cands), CacheStats: s}
+	res := &Result{Best: ev.candidate(best), Evaluated: len(ev.cands), CacheStats: s}
+	if frontier != nil {
+		res.Frontier = make([]Candidate, len(frontier))
+		for i, p := range frontier {
+			res.Frontier[i] = ev.candidate(p)
+		}
+	}
+	return res
 }
 
-// eval scores one tile assignment on the search goroutine, memoized on the
-// assignment key.
-func (ev *evaluator) eval(tiles map[string]int64) (Candidate, error) {
-	key := tileKey(tiles, ev.opt.Dims)
-	if c, ok := ev.cands[key]; ok {
-		return c, nil
-	}
-	c, err := ev.compute(tiles, ev.seqFrame)
-	if err != nil {
-		return Candidate{}, err
-	}
-	ev.cands[key] = c
-	return c, nil
-}
-
-// compute scores one tile assignment on the frame of the calling goroutine.
-func (ev *evaluator) compute(tiles map[string]int64, f *expr.Frame) (Candidate, error) {
+// candidate builds the reported form of a point: its tiles keyed by symbol.
+func (ev *evaluator) candidate(p point) Candidate {
+	tiles := make(map[string]int64, len(p.tiles))
 	for i, d := range ev.opt.Dims {
-		f.Set(ev.dimSlots[i], tiles[d.Symbol])
+		tiles[d.Symbol] = p.tiles[i]
 	}
-	var misses int64
-	var err error
-	if ev.opt.UnknownBounds != nil {
-		misses, err = ev.boundFreeMisses(f)
-	} else {
-		misses, err = ev.a.PredictTotalFrameConfig(f, ev.cfg)
+	return Candidate{Tiles: tiles, Misses: p.misses}
+}
+
+// appendKey appends the candidate-cache key of a tile vector: each value's
+// 8 little-endian bytes, in Dims order. Dimension order is fixed for a
+// search, so the symbol names need not appear in the key.
+func appendKey(buf []byte, tiles []int64) []byte {
+	for _, v := range tiles {
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
 	}
+	return buf
+}
+
+// eval scores one tile vector on the search goroutine, memoized on its key,
+// and returns its miss count.
+func (ev *evaluator) eval(tiles []int64) (int64, error) {
+	ev.key = appendKey(ev.key[:0], tiles)
+	if m, ok := ev.cands[string(ev.key)]; ok {
+		return m, nil
+	}
+	m, err := ev.compute(tiles, ev.seqFrame)
 	if err != nil {
-		return Candidate{}, err
+		return 0, err
 	}
-	return Candidate{Tiles: cloneTiles(tiles), Misses: misses}, nil
+	ev.cands[string(ev.key)] = m
+	return m, nil
+}
+
+// compute scores one tile vector on the frame of the calling goroutine.
+func (ev *evaluator) compute(tiles []int64, f *expr.Frame) (int64, error) {
+	for i, v := range tiles {
+		f.Set(ev.dimSlots[i], v)
+	}
+	if ev.opt.UnknownBounds != nil {
+		return ev.boundFreeMisses(f)
+	}
+	return ev.a.PredictTotalFrameConfig(f, ev.cfg)
 }
 
 // evalBatch scores a slice of tile assignments and returns the candidates
@@ -260,45 +292,48 @@ func (ev *evaluator) compute(tiles map[string]int64, f *expr.Frame) (Candidate, 
 // in-order sweep would report: indices are handed to workers in increasing
 // order and every started item runs to completion, so the earliest failure
 // is always observed. Context cancellation aborts un-started items.
-func (ev *evaluator) evalBatch(assigns []map[string]int64) ([]Candidate, error) {
-	keys := make([]string, len(assigns))
-	var missing []int // indices into assigns
-	listed := map[string]bool{}
+func (ev *evaluator) evalBatch(assigns [][]int64) ([]point, error) {
+	var missing []int           // indices into assigns
+	pending := map[string]int{} // key of assigns[missing[j]] -> j
 	for i, t := range assigns {
-		keys[i] = tileKey(t, ev.opt.Dims)
-		if _, ok := ev.cands[keys[i]]; !ok && !listed[keys[i]] {
-			listed[keys[i]] = true
+		ev.key = appendKey(ev.key[:0], t)
+		if _, ok := ev.cands[string(ev.key)]; ok {
+			continue
+		}
+		if _, ok := pending[string(ev.key)]; !ok { // only an insert allocates the key
+			pending[string(ev.key)] = len(missing)
 			missing = append(missing, i)
 		}
 	}
-	scored := make([]Candidate, len(missing))
+	scored := make([]int64, len(missing))
 	if err := ev.score(assigns, missing, scored); err != nil {
 		return nil, err
 	}
-	for j, i := range missing {
-		ev.cands[keys[i]] = scored[j]
+	for key, j := range pending {
+		ev.cands[key] = scored[j]
 	}
-	out := make([]Candidate, len(assigns))
-	for i, key := range keys {
-		out[i] = ev.cands[key]
+	out := make([]point, len(assigns))
+	for i, t := range assigns {
+		ev.key = appendKey(ev.key[:0], t)
+		out[i] = point{tiles: t, misses: ev.cands[string(ev.key)]}
 	}
 	return out, nil
 }
 
 // score computes assigns[missing[j]] into out[j], sequentially or on the
 // worker pool.
-func (ev *evaluator) score(assigns []map[string]int64, missing []int, out []Candidate) error {
+func (ev *evaluator) score(assigns [][]int64, missing []int, out []int64) error {
 	ctx := ev.opt.Context
 	if ev.workers <= 1 || len(missing) <= 1 {
 		for j, i := range missing {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			c, err := ev.compute(assigns[i], ev.seqFrame)
+			m, err := ev.compute(assigns[i], ev.seqFrame)
 			if err != nil {
 				return err
 			}
-			out[j] = c
+			out[j] = m
 		}
 		return nil
 	}

@@ -41,7 +41,7 @@ func Exhaustive(a *core.Analysis, opt Options) (*Result, error) {
 			return nil, fmt.Errorf("tilesearch: empty grid for %s", d.Symbol)
 		}
 	}
-	assigns := enumerate(grid, opt.Dims)
+	assigns := enumerate(grid)
 	opt.Obs.Counter("search.candidates.exhaustive").Add(int64(len(assigns)))
 	span := opt.Trace.Start("search.exhaustive")
 	span.SetAttr("candidates", int64(len(assigns)))

@@ -182,11 +182,12 @@ func searchVariant(v PlanVariant, opt PlanOptions) (*Result, error) {
 // so untiled and tiled variants compare uniformly.
 func scoreUntiled(a *core.Analysis, opt Options) (*Result, error) {
 	ev := newEvaluator(a, opt)
-	c, err := ev.eval(map[string]int64{})
+	m, err := ev.eval(nil)
 	if err != nil {
 		return nil, err
 	}
-	return ev.result(c, []Candidate{c}), nil
+	c := point{misses: m}
+	return ev.result(c, []point{c}), nil
 }
 
 // EnumerateVariants builds the structural half of the joint space: every

@@ -25,6 +25,7 @@ package tilesearch
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -210,7 +211,7 @@ func (ev *evaluator) run() (*Result, error) {
 			grid[i] = []int64{opt.MinTile}
 		}
 	}
-	coarseAssigns := enumerate(grid, opt.Dims)
+	coarseAssigns := enumerate(grid)
 	ph.Coarse = int64(len(coarseAssigns))
 	span := opt.Trace.Start("search.coarse")
 	span.SetAttr("candidates", ph.Coarse)
@@ -220,7 +221,7 @@ func (ev *evaluator) run() (*Result, error) {
 		return nil, err
 	}
 	if opt.Progress != nil {
-		opt.Progress(ProgressEvent{Phase: "coarse", Candidates: ph.Coarse, Best: bestOf(coarse)})
+		opt.Progress(ProgressEvent{Phase: "coarse", Candidates: ph.Coarse, Best: ev.candidate(bestOf(coarse))})
 	}
 
 	// Phase 2: keep the frontier — candidates whose every single-dimension
@@ -236,29 +237,34 @@ func (ev *evaluator) run() (*Result, error) {
 	span.SetAttr("size", ph.FrontierSize)
 	span.End()
 	if opt.Progress != nil {
-		opt.Progress(ProgressEvent{Phase: "frontier", Candidates: ph.FrontierSize, Best: bestOf(frontier)})
+		opt.Progress(ProgressEvent{Phase: "frontier", Candidates: ph.FrontierSize, Best: ev.candidate(bestOf(frontier))})
 	}
 
 	// Phase 3: refine around frontier points with halved steps. Each
-	// round's neighborhood is enumerated in deterministic order and scored
-	// as one parallel batch.
+	// round's neighborhood is enumerated in deterministic order, carved
+	// from one arena, and scored as one parallel batch.
 	best := bestOf(frontier)
 	pool := frontier
 	round := int64(0)
+	n := len(opt.Dims)
 	for step := opt.MinTile / 2; step >= 1; step /= 2 {
 		round++
-		var assigns []map[string]int64
+		var assigns [][]int64
+		arena := make([]int64, 0, 2*n*n*len(pool)) // ≤ 2 neighbours per dim per point
 		for _, c := range pool {
-			for _, d := range opt.Dims {
+			for i, d := range opt.Dims {
 				for _, delta := range []int64{-step, step} {
-					v := c.Tiles[d.Symbol] + delta
+					v := c.tiles[i] + delta
 					if v < 1 || v > d.Max {
 						continue
 					}
 					if opt.DivisorOf != 0 && opt.DivisorOf%v != 0 {
 						continue
 					}
-					assigns = append(assigns, nt2(cloneTiles(c.Tiles), d.Symbol, v))
+					arena = append(arena, c.tiles...)
+					t := arena[len(arena)-n:]
+					t[i] = v
+					assigns = append(assigns, t)
 				}
 			}
 		}
@@ -274,16 +280,16 @@ func (ev *evaluator) run() (*Result, error) {
 		}
 		pool = append(pool, next...)
 		b := bestOf(pool)
-		if b.Misses < best.Misses {
+		if b.misses < best.misses {
 			best = b
 		}
 		if opt.Progress != nil {
-			opt.Progress(ProgressEvent{Phase: "refine", Round: round, Candidates: int64(len(assigns)), Best: best})
+			opt.Progress(ProgressEvent{Phase: "refine", Round: round, Candidates: int64(len(assigns)), Best: ev.candidate(best)})
 		}
 		// Phase 4: prune to the most promising candidates before the next
 		// refinement round.
 		before := len(pool)
-		pool = ev.topK(pool, 8)
+		pool = topK(pool, 8)
 		ph.Pruned += int64(before - len(pool))
 	}
 
@@ -296,26 +302,23 @@ func (ev *evaluator) run() (*Result, error) {
 
 // enumerate builds the cartesian product of the per-dimension grids in
 // row-major order (last dimension fastest), matching a nested sequential
-// sweep.
-func enumerate(grid [][]int64, dims []Dim) []map[string]int64 {
+// sweep. The vectors are carved from one arena.
+func enumerate(grid [][]int64) [][]int64 {
 	total := 1
 	for _, g := range grid {
 		total *= len(g)
 	}
-	out := make([]map[string]int64, 0, total)
-	assign := map[string]int64{}
-	var sweep func(i int)
-	sweep = func(i int) {
-		if i == len(dims) {
-			out = append(out, cloneTiles(assign))
-			return
+	n := len(grid)
+	arena := make([]int64, total*n)
+	out := make([][]int64, total)
+	for k := range out {
+		t := arena[k*n : (k+1)*n]
+		for i, rest := n-1, k; i >= 0; i-- {
+			t[i] = grid[i][rest%len(grid[i])]
+			rest /= len(grid[i])
 		}
-		for _, s := range grid[i] {
-			assign[dims[i].Symbol] = s
-			sweep(i + 1)
-		}
+		out[k] = t
 	}
-	sweep(0)
 	return out
 }
 
@@ -324,13 +327,14 @@ func enumerate(grid [][]int64, dims []Dim) []map[string]int64 {
 // its probes. Doubled points in the power-of-two coarse grid are themselves
 // coarse points, so this phase runs on cache hits and needs no parallel
 // batch.
-func (ev *evaluator) frontier(coarse []Candidate) ([]Candidate, int64, error) {
-	var out []Candidate
+func (ev *evaluator) frontier(coarse []point) ([]point, int64, error) {
+	var out []point
 	var probes int64
+	probe := make([]int64, len(ev.opt.Dims))
 	for _, c := range coarse {
 		isFrontier := true
-		for _, d := range ev.opt.Dims {
-			v := c.Tiles[d.Symbol] * 2
+		for i, d := range ev.opt.Dims {
+			v := c.tiles[i] * 2
 			if v > d.Max {
 				continue
 			}
@@ -338,11 +342,13 @@ func (ev *evaluator) frontier(coarse []Candidate) ([]Candidate, int64, error) {
 				continue
 			}
 			probes++
-			bigger, err := ev.eval(nt2(cloneTiles(c.Tiles), d.Symbol, v))
+			copy(probe, c.tiles)
+			probe[i] = v
+			bigger, err := ev.eval(probe)
 			if err != nil {
 				return nil, 0, err
 			}
-			if bigger.Misses <= c.Misses {
+			if bigger <= c.misses {
 				// growing this dimension does not hurt: not on the frontier
 				isFrontier = false
 				break
@@ -353,66 +359,36 @@ func (ev *evaluator) frontier(coarse []Candidate) ([]Candidate, int64, error) {
 		}
 	}
 	if len(out) == 0 {
-		out = []Candidate{bestOf(coarse)}
+		out = []point{bestOf(coarse)}
 	}
-	return ev.topK(out, 8), probes, nil
+	return topK(out, 8), probes, nil
 }
 
-func bestOf(cs []Candidate) Candidate {
+func bestOf(cs []point) point {
 	best := cs[0]
 	for _, c := range cs[1:] {
-		if c.Misses < best.Misses {
+		if c.misses < best.misses {
 			best = c
 		}
 	}
 	return best
 }
 
-func (ev *evaluator) topK(cs []Candidate, k int) []Candidate {
-	sorted := append([]Candidate(nil), cs...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Misses < sorted[j].Misses })
-	seen := map[string]bool{}
-	var out []Candidate
+// topK returns the k best distinct points of cs, fewest misses first.
+func topK(cs []point, k int) []point {
+	sorted := append([]point(nil), cs...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i].misses < sorted[j].misses })
+	var out []point
 	for _, c := range sorted {
-		key := tileKey(c.Tiles, ev.opt.Dims)
-		if seen[key] {
+		if slices.ContainsFunc(out, func(o point) bool { return slices.Equal(o.tiles, c.tiles) }) {
 			continue
 		}
-		seen[key] = true
 		out = append(out, c)
 		if len(out) == k {
 			break
 		}
 	}
 	return out
-}
-
-func cloneTiles(t map[string]int64) map[string]int64 {
-	out := make(map[string]int64, len(t))
-	for k, v := range t {
-		out[k] = v
-	}
-	return out
-}
-
-func nt2(t map[string]int64, k string, v int64) map[string]int64 {
-	t[k] = v
-	return t
-}
-
-// tileKey packs the assignment's tile values in dimension order into a
-// fixed-width binary string: the candidate-cache key. Dimension order is
-// fixed for a search, so the symbol names need not appear in the key (the
-// fmt-rendered form this replaces cost more than some candidate scores).
-func tileKey(t map[string]int64, dims []Dim) string {
-	buf := make([]byte, 0, 8*len(dims))
-	for _, d := range dims {
-		v := t[d.Symbol]
-		buf = append(buf,
-			byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-			byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
-	}
-	return string(buf)
 }
 
 // String renders a candidate as (TI=64, TJ=16, ...).
