@@ -64,13 +64,15 @@ bench:
 # Byte-verification smoke of the repository benchmark: every workload in
 # BENCHMARK.json runs for 2 s, and the target fails unless each run's last
 # line (its result) reports "correct":true, i.e. every answer matched
-# Service.Compute byte for byte. A traced search-cold run follows: it also
-# replays every request through tilesearch.Search, SearchPlans and
-# core.AnalyzeWithOptions, and is not correct when more than a fifth of the
-# replays' layer self-times sum past 1.5x their HTTP latency, which is what
-# a served path that skips work the library calls do looks like. (A traced
-# simulate-cold run is left out: at 2 s it goes over that fifth on a 2-CPU
-# host with no change to the code.)
+# Service.Compute byte for byte. Traced search-cold and point-cold runs
+# follow: they also replay every request through the library calls the
+# service makes (tilesearch.Search, SearchPlans and core.AnalyzeWithOptions
+# for searches; experiments.BuildKernel, Spec.Canonicalize and the
+# prediction for point requests), and are not correct when more than a
+# fifth of the replays' layer self-times sum past 1.5x their HTTP latency,
+# which is what a served path that skips work the library calls do looks
+# like. (A traced simulate-cold run is left out: at 2 s it goes over that
+# fifth on a 2-CPU host with no change to the code.)
 bench-smoke:
 	@ws=$$(jq -r '.workloads[].name' BENCHMARK.json) && [ -n "$$ws" ] || exit 1; \
 	for w in $$ws; do \
@@ -82,7 +84,11 @@ bench-smoke:
 	out=$$(sh perfbench/run.sh --workload search-cold --seed 1 --seconds 4 --trace 1) || exit 1; \
 	line=$$(printf '%s\n' "$$out" | tail -n 1); \
 	echo "search-cold traced: $$line"; \
-	case "$$line" in *'"correct":true'*) ;; *) echo "bench-smoke: traced search-cold is not correct"; exit 1;; esac
+	case "$$line" in *'"correct":true'*) ;; *) echo "bench-smoke: traced search-cold is not correct"; exit 1;; esac; \
+	out=$$(sh perfbench/run.sh --workload point-cold --seed 1 --seconds 4 --trace 1) || exit 1; \
+	line=$$(printf '%s\n' "$$out" | tail -n 1); \
+	echo "point-cold traced: $$line"; \
+	case "$$line" in *'"correct":true'*) ;; *) echo "bench-smoke: traced point-cold is not correct"; exit 1;; esac
 
 # Paired A/B of the repository benchmark, the work tree against BASE: 10
 # alternating pairs per workload (about 25 minutes on a 2-CPU host). The

@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/core"
@@ -29,7 +30,7 @@ func main() {
 	}
 }
 
-func run(w *os.File, simulate bool) error {
+func run(w io.Writer, simulate bool) error {
 	fmt.Fprintln(w, "# Reproduction report")
 	fmt.Fprintln(w)
 	fmt.Fprintln(w, "Generated by `cmd/report`. Cache sizes count double-precision elements")

@@ -5,6 +5,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/expr"
 	"repro/internal/kernels"
@@ -12,8 +13,8 @@ import (
 	"repro/internal/tce"
 )
 
-// BuildKernel constructs one of the built-in kernels with a common loop
-// bound and tile sizes:
+// BuildKernel returns one of the built-in kernels with a common loop bound
+// and tile sizes:
 //
 //	matmul     — 6-deep tiled matrix multiplication (3 tiles)
 //	twoindex   — tiled fused two-index transform, Fig. 6 (4 tiles)
@@ -28,30 +29,36 @@ import (
 //	matmul-naive  — the plain 3-loop matmul (no tiles)
 //	twoindexchain — the unfused two-index transform chain, Fig. 5 (no
 //	                tiles; n is the AO range, the MO range is n/2)
+//
+// A kind's nest does not depend on n or the tiles, which only set the
+// returned env, a fresh map the caller owns. The nest is built once per
+// process, on the first call for its kind, and every later call returns
+// the same *loopir.Nest. Like every nest it is immutable (see
+// loopir.NewNest): callers read, analyze and transform it, and never
+// modify it.
 func BuildKernel(kind string, n int64, tiles []int64) (*loopir.Nest, expr.Env, error) {
+	build, ok := kernelNests[kind]
+	if !ok {
+		return nil, nil, fmt.Errorf("unknown kernel %q (want matmul, matmul-naive, twoindex, twoindexchain, fourindex or ccsd)", kind)
+	}
+	var env expr.Env
+	var err error
 	switch kind {
 	case "matmul-naive":
 		if len(tiles) != 0 {
 			return nil, nil, fmt.Errorf("matmul-naive takes no tile sizes (untiled form)")
 		}
-		nest, err := kernels.Matmul()
-		if err != nil {
-			return nil, nil, err
-		}
-		return nest, expr.Env{"N": n}, nil
+		env = expr.Env{"N": n}
 	case "twoindexchain":
 		if len(tiles) != 0 {
 			return nil, nil, fmt.Errorf("twoindexchain takes no tile sizes (untiled form)")
 		}
-		nest, err := tce.UnfusedTwoIndex(nil)
-		if err != nil {
-			return nil, nil, err
+		env = expr.Env{"N": n, "V": max(n/2, 1)}
+	case "fourindex":
+		if len(tiles) != 0 {
+			return nil, nil, fmt.Errorf("fourindex takes no tile sizes (fully fused form)")
 		}
-		v := n / 2
-		if v < 1 {
-			v = 1
-		}
-		return nest, expr.Env{"N": n, "V": v}, nil
+		env = expr.Env{"N": n, "V": max(n/2, 1)}
 	case "matmul":
 		if len(tiles) == 0 {
 			tiles = defaultTiles([]int64{n, n, n}, []int64{32, 32, 32})
@@ -59,12 +66,7 @@ func BuildKernel(kind string, n int64, tiles []int64) (*loopir.Nest, expr.Env, e
 		if len(tiles) != 3 {
 			return nil, nil, fmt.Errorf("matmul needs 3 tile sizes, got %d", len(tiles))
 		}
-		nest, err := kernels.TiledMatmul()
-		if err != nil {
-			return nil, nil, err
-		}
-		env, err := kernels.MatmulEnv(n, tiles[0], tiles[1], tiles[2])
-		return nest, env, err
+		env, err = kernels.MatmulEnv(n, tiles[0], tiles[1], tiles[2])
 	case "twoindex":
 		if len(tiles) == 0 {
 			tiles = defaultTiles([]int64{n, n, n, n}, []int64{64, 16, 16, 64})
@@ -72,49 +74,47 @@ func BuildKernel(kind string, n int64, tiles []int64) (*loopir.Nest, expr.Env, e
 		if len(tiles) != 4 {
 			return nil, nil, fmt.Errorf("twoindex needs 4 tile sizes, got %d", len(tiles))
 		}
-		nest, err := kernels.TiledTwoIndex(kernels.SymbolicTwoIndexBounds())
-		if err != nil {
-			return nil, nil, err
-		}
-		env, err := kernels.TwoIndexEnv(n, tiles[0], tiles[1], tiles[2], tiles[3])
-		return nest, env, err
-	case "fourindex":
-		if len(tiles) != 0 {
-			return nil, nil, fmt.Errorf("fourindex takes no tile sizes (fully fused form)")
-		}
-		c, r := tce.FourIndexTransform()
-		tree, err := tce.OpMin(c, r, expr.Env{"N": 64, "V": 32})
-		if err != nil {
-			return nil, nil, err
-		}
-		nest, err := tce.GenFusedTransformChain("four-index-fused", tree.Sequence(), r)
-		if err != nil {
-			return nil, nil, err
-		}
-		v := n / 2
-		if v < 1 {
-			v = 1
-		}
-		return nest, expr.Env{"N": n, "V": v}, nil
+		env, err = kernels.TwoIndexEnv(n, tiles[0], tiles[1], tiles[2], tiles[3])
 	case "ccsd":
-		o := n / 2
-		if o < 1 {
-			o = 1
-		}
+		o := max(n/2, 1)
 		if len(tiles) == 0 {
 			tiles = defaultTiles([]int64{n, n, o, o, n, n}, []int64{n / 4, n / 4, o / 2, o / 2, n / 4, n / 4})
 		}
 		if len(tiles) != 6 {
 			return nil, nil, fmt.Errorf("ccsd needs 6 tile sizes (TA,TB,TI,TJ,TC,TD), got %d", len(tiles))
 		}
-		nest, err := kernels.TiledCCSD()
-		if err != nil {
-			return nil, nil, err
-		}
-		env, err := kernels.CCSDEnv(n, o, tiles[0], tiles[1], tiles[2], tiles[3], tiles[4], tiles[5])
-		return nest, env, err
+		env, err = kernels.CCSDEnv(n, o, tiles[0], tiles[1], tiles[2], tiles[3], tiles[4], tiles[5])
 	}
-	return nil, nil, fmt.Errorf("unknown kernel %q (want matmul, matmul-naive, twoindex, twoindexchain, fourindex or ccsd)", kind)
+	nest, berr := build()
+	if berr != nil {
+		return nil, nil, berr
+	}
+	return nest, env, err
+}
+
+// kernelNests builds each built-in kernel's nest once, on first use: the
+// nest depends on the kind alone. The table is fixed; nothing a caller
+// passes enters it.
+var kernelNests = map[string]func() (*loopir.Nest, error){
+	"matmul-naive": sync.OnceValues(kernels.Matmul),
+	"twoindexchain": sync.OnceValues(func() (*loopir.Nest, error) {
+		return tce.UnfusedTwoIndex(nil)
+	}),
+	"matmul": sync.OnceValues(kernels.TiledMatmul),
+	"twoindex": sync.OnceValues(func() (*loopir.Nest, error) {
+		return kernels.TiledTwoIndex(kernels.SymbolicTwoIndexBounds())
+	}),
+	"fourindex": sync.OnceValues(func() (*loopir.Nest, error) {
+		// The chain's operation-minimal tree is chosen at fixed bindings,
+		// whatever n is, so the nest depends on the kind alone.
+		c, r := tce.FourIndexTransform()
+		tree, err := tce.OpMin(c, r, expr.Env{"N": 64, "V": 32})
+		if err != nil {
+			return nil, err
+		}
+		return tce.GenFusedTransformChain("four-index-fused", tree.Sequence(), r)
+	}),
+	"ccsd": sync.OnceValues(kernels.TiledCCSD),
 }
 
 // defaultTiles returns the default tile sizes of a kernel request without

@@ -98,10 +98,15 @@ func Const(v int64) *Expr {
 
 // Var returns the named symbol as an expression. The name must be non-empty
 // and must not contain the characters '*', '+', or whitespace, which are
-// reserved by the canonical printer.
+// reserved by the canonical printer. A symbol renders as its name, so a
+// symbol interned before is found by that key without building its
+// one-term polynomial again.
 func Var(name string) *Expr {
 	if name == "" || strings.ContainsAny(name, "*+ \t\n") {
 		panic("expr: invalid variable name " + fmt.Sprintf("%q", name))
+	}
+	if got, ok := internTab.Load(internKey{KindPoly, name}); ok {
+		return got.(*Expr)
 	}
 	return newPoly(poly{name: 1})
 }

@@ -90,3 +90,50 @@ func TestUnitFastPaths(t *testing.T) {
 		}()
 	}
 }
+
+// TestVarFastPath: Var finds an interned symbol by its name and returns
+// the node that building, rendering and interning the symbol returns, for
+// every symbol and loop index of the six kernels, for names interned by no
+// one before, and for names that render like other nodes (a constant, the
+// infinity sentinel). An invalid name still panics.
+func TestVarFastPath(t *testing.T) {
+	names := []string{"fresh_symbol_a", "fresh_symbol_b", "2", "-1", "inf", "N"}
+	for _, kind := range []string{"matmul", "matmul-naive", "twoindex", "twoindexchain", "fourindex", "ccsd"} {
+		nest, _, err := experiments.BuildKernel(kind, 64, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		names = append(names, nest.SymbolNames()...)
+		for _, l := range nest.Loops() {
+			names = append(names, l.Index)
+		}
+	}
+	expr.Const(2)
+	expr.Const(-1)
+	for i, name := range names {
+		// Half the names are built first, half looked up first.
+		var fast, slow *expr.Expr
+		if i%2 == 0 {
+			fast, slow = expr.Var(name), expr.VarSlow(name)
+		} else {
+			slow = expr.VarSlow(name)
+			fast = expr.Var(name)
+		}
+		if fast != slow {
+			t.Errorf("Var(%q) = %p %s, the built node is %p %s", name, fast, fast, slow, slow)
+		}
+		if again := expr.Var(name); again != fast {
+			t.Errorf("Var(%q) returned two nodes", name)
+		}
+	}
+	for _, bad := range []string{"", "a*b", "a+b", "a b", "a\tb", "a\nb"} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Var(%q) did not panic", bad)
+				}
+			}()
+			expr.Var(bad)
+		}()
+	}
+}

@@ -13,8 +13,10 @@ package loopir
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/expr"
 )
@@ -139,10 +141,22 @@ type Nest struct {
 	encl    map[*Stmt][]*Loop
 	loopByI map[string]*Loop
 	refStmt map[string][]*Stmt // array name -> statements touching it, program order
+
+	sourceOnce  sync.Once
+	source      string // Unparse's text, rendered on its first call
+	symbolsOnce sync.Once
+	symbols     []string // the sorted symbol names, listed by symbolList
 }
 
 // NewNest builds and validates a nest. The arrays slice declares every array
-// referenced anywhere in the tree.
+// referenced anywhere in the tree, and every statement label must be
+// unique, since the per-site answers key a site by its label.
+//
+// A built nest is immutable: NewNest takes ownership of the arrays and
+// nodes it is given, and nothing may change them, or the nest's fields,
+// afterwards. The transformations (PermutePerfect, FuseLegal, TileAll) clone
+// the statements they reuse, so one nest can be shared by any number of
+// concurrent readers, transformations and analyses.
 func NewNest(name string, arrays []*Array, root []Node) (*Nest, error) {
 	n := &Nest{
 		Name:    name,
@@ -233,6 +247,13 @@ func NewNest(name string, arrays []*Array, root []Node) (*Nest, error) {
 	if len(n.stmts) == 0 {
 		return nil, fmt.Errorf("loopir: nest %s has no statements", name)
 	}
+	labels := make(map[string]bool, len(n.stmts))
+	for _, st := range n.stmts {
+		if labels[st.Label] {
+			return nil, fmt.Errorf("loopir: duplicate statement label %s", st.Label)
+		}
+		labels[st.Label] = true
+	}
 	return n, nil
 }
 
@@ -281,8 +302,19 @@ func (n *Nest) Enclosing(s *Stmt) []*Loop { return n.encl[s] }
 func (n *Nest) Parent(nd Node) *Loop { return n.parent[nd] }
 
 // SymbolNames returns every symbol mentioned by trip counts, strides, or
-// array extents, sorted.
-func (n *Nest) SymbolNames() []string {
+// array extents, sorted. The list is computed once per nest; each call
+// returns a copy the caller owns.
+func (n *Nest) SymbolNames() []string { return slices.Clone(n.symbolList()) }
+
+// symbolList returns the nest's sorted symbols, listed on first use. The
+// nest is immutable, so the list stays valid for its lifetime; callers
+// must not modify it.
+func (n *Nest) symbolList() []string {
+	n.symbolsOnce.Do(func() { n.symbols = n.listSymbols() })
+	return n.symbols
+}
+
+func (n *Nest) listSymbols() []string {
 	vars := map[string]bool{}
 	for _, l := range n.loops {
 		l.Trip.Vars(vars)
@@ -314,7 +346,7 @@ func (n *Nest) SymbolNames() []string {
 // ValidateEnv checks that env binds every symbol of the nest to a positive
 // value and that every trip count and array extent evaluates positive.
 func (n *Nest) ValidateEnv(env expr.Env) error {
-	for _, name := range n.SymbolNames() {
+	for _, name := range n.symbolList() {
 		v, ok := env[name]
 		if !ok {
 			return fmt.Errorf("loopir: env missing symbol %s", name)

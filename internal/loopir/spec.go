@@ -41,19 +41,7 @@ func (s *Spec) Canonicalize() (*Spec, *Nest, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	out := &Spec{Nest: Unparse(nest)}
-	if len(s.Env) > 0 {
-		names := nest.SymbolNames()
-		for _, name := range names {
-			if v, ok := s.Env[name]; ok {
-				if out.Env == nil {
-					out.Env = map[string]int64{}
-				}
-				out.Env[name] = v
-			}
-		}
-	}
-	return out, nest, nil
+	return SpecOf(nest, s.Env), nest, nil
 }
 
 // Key renders the spec's key without re-canonicalizing. It is only
@@ -95,15 +83,18 @@ func (s *Spec) ExprEnv() expr.Env {
 
 // SpecOf renders a nest and environment as a canonical Spec: the inverse
 // boundary of Canonicalize for callers that already hold a parsed nest (the
-// service resolves built-in kernels this way).
+// service resolves built-in kernels this way). The nest's source and
+// symbols are rendered once per nest, so a shared nest costs only the
+// bindings.
 func SpecOf(nest *Nest, env expr.Env) *Spec {
 	s := &Spec{Nest: Unparse(nest)}
-	if len(env) > 0 {
-		s.Env = map[string]int64{}
-		for _, name := range nest.SymbolNames() {
-			if v, ok := env[name]; ok {
-				s.Env[name] = v
+	symbols := nest.symbolList()
+	for _, name := range symbols {
+		if v, ok := env[name]; ok {
+			if s.Env == nil {
+				s.Env = make(map[string]int64, len(symbols))
 			}
+			s.Env[name] = v
 		}
 	}
 	return s

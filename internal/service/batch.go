@@ -6,9 +6,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
+	"sort"
 	"strconv"
 	"sync"
 
+	"repro/internal/core"
 	"repro/internal/loopir"
 	"repro/internal/obs"
 )
@@ -157,6 +160,7 @@ func expandCandidates(exp *BatchExpansion, c *BatchCandidates) error {
 		}
 		seen[d] = true
 	}
+	rows := newCandidateRows(spec, cfg, c)
 	for _, set := range c.Sets {
 		if len(set) != len(c.Dims) {
 			exp.Items = append(exp.Items, BatchItemSpec{
@@ -165,23 +169,11 @@ func expandCandidates(exp *BatchExpansion, c *BatchCandidates) error {
 			})
 			continue
 		}
-		env := make(map[string]int64, len(spec.Env))
-		for k, v := range spec.Env {
-			env[k] = v
-		}
-		bad := false
-		for j, v := range set {
-			if v < 1 {
-				exp.Items = append(exp.Items, BatchItemSpec{
-					Path: predictPath,
-					Err:  fmt.Errorf("%w: tile size must be >= 1, got %s=%d", errBadRequest, c.Dims[j], v),
-				})
-				bad = true
-				break
-			}
-			env[c.Dims[j]] = v
-		}
-		if bad {
+		if j := slices.IndexFunc(set, func(v int64) bool { return v < 1 }); j >= 0 {
+			exp.Items = append(exp.Items, BatchItemSpec{
+				Path: predictPath,
+				Err:  fmt.Errorf("%w: tile size must be >= 1, got %s=%d", errBadRequest, c.Dims[j], set[j]),
+			})
 			continue
 		}
 		// The overridden symbols are nest symbols, so the spec stays
@@ -191,30 +183,120 @@ func expandCandidates(exp *BatchExpansion, c *BatchCandidates) error {
 		// canonical nest with the row's environment and copies the header's
 		// capacity/geometry/detail fields, so a replica planning it lands on
 		// the same key and computes the same bytes as this row.
-		rowSpec := &loopir.Spec{Nest: spec.Nest, Env: env}
-		rowBody, merr := marshal(PredictRequest{
-			ModelRequest: ModelRequest{
-				NestRequest: NestRequest{Nest: rowSpec.Nest, Env: rowSpec.Env},
-				CacheElems:  cfg.CapacityElems,
-				Ways:        c.Ways,
-				Line:        c.Line,
-			},
-			Detail: c.Detail,
-		})
-		if merr != nil {
-			exp.Items = append(exp.Items, BatchItemSpec{Path: predictPath, Err: merr})
-			continue
-		}
+		body, key, rowSpec := rows.row(set)
 		exp.Items = append(exp.Items, BatchItemSpec{
 			Path: predictPath,
-			Body: bytes.TrimSuffix(rowBody, []byte{'\n'}),
-			Key:  predictKey(rowSpec, cfg, c.Detail),
+			Body: body,
+			Key:  key,
 			compute: func(s *Service, ctx context.Context, _ func(any)) ([]byte, error) {
 				return s.computePredict(ctx, rowSpec, cfg, c.Detail)
 			},
 		})
 	}
 	return nil
+}
+
+// candidateRows renders the rows of one candidates form. Every row binds
+// the same names and differs only in the values of the dims, so the sorted
+// names, the body's escaped head and tail and the key's head and tail are
+// built once per batch, and each row appends its values between them. A
+// row's body is byte-for-byte the compact JSON of its PredictRequest, and
+// its key is predictKey of its spec.
+type candidateRows struct {
+	names    []string // the row environment's names, sorted
+	dimOf    []int    // per name: its index in Dims, or -1 for a base binding
+	base     []int64  // per name: its base value (dims: unused)
+	jsonKeys [][]byte // per name: its escaped JSON object key and colon
+	nest     string
+
+	bodyHead, bodyTail []byte // {"nest":…,"env":{ and },"cacheElems":…}
+	keyHead, keyTail   string // predict NUL nest NUL, and NUL capacity…
+}
+
+func newCandidateRows(spec *loopir.Spec, cfg core.CacheConfig, c *BatchCandidates) *candidateRows {
+	r := &candidateRows{nest: spec.Nest}
+	dimIdx := make(map[string]int, len(c.Dims))
+	for j, d := range c.Dims {
+		dimIdx[d] = j
+		r.names = append(r.names, d)
+	}
+	for name := range spec.Env {
+		if _, ok := dimIdx[name]; !ok {
+			r.names = append(r.names, name)
+		}
+	}
+	sort.Strings(r.names)
+	for _, name := range r.names {
+		j, ok := dimIdx[name]
+		if !ok {
+			j = -1
+		}
+		r.dimOf = append(r.dimOf, j)
+		r.base = append(r.base, spec.Env[name])
+		r.jsonKeys = append(r.jsonKeys, append(jsonString(name), ':'))
+	}
+	// The field order and omissions are PredictRequest's: kernel, n and
+	// tiles are empty, env is present when it binds anything, cacheKB is
+	// never set and a zero capacity is omitted.
+	r.bodyHead = append([]byte(`{"nest":`), jsonString(spec.Nest)...)
+	if len(r.names) > 0 {
+		r.bodyHead = append(r.bodyHead, `,"env":{`...)
+		r.bodyTail = append(r.bodyTail, '}')
+	}
+	if cfg.CapacityElems != 0 {
+		r.bodyTail = append(r.bodyTail, `,"cacheElems":`...)
+		r.bodyTail = strconv.AppendInt(r.bodyTail, cfg.CapacityElems, 10)
+	}
+	if c.Ways != nil {
+		r.bodyTail = append(r.bodyTail, `,"ways":`...)
+		r.bodyTail = strconv.AppendInt(r.bodyTail, *c.Ways, 10)
+	}
+	if c.Line != nil {
+		r.bodyTail = append(r.bodyTail, `,"line":`...)
+		r.bodyTail = strconv.AppendInt(r.bodyTail, *c.Line, 10)
+	}
+	if c.Detail {
+		r.bodyTail = append(r.bodyTail, `,"detail":true`...)
+	}
+	r.bodyTail = append(r.bodyTail, '}')
+	r.keyHead = "predict\x00" + spec.Nest + "\x00"
+	r.keyTail = predictKeyTail(cfg, c.Detail)
+	return r
+}
+
+// row renders one valid row: its body, its key and its canonical spec.
+func (r *candidateRows) row(set []int64) ([]byte, string, *loopir.Spec) {
+	env := make(map[string]int64, len(r.names))
+	body := make([]byte, 0, len(r.bodyHead)+len(r.bodyTail)+24*len(r.names))
+	body = append(body, r.bodyHead...)
+	key := make([]byte, 0, len(r.keyHead)+len(r.keyTail)+16*len(r.names))
+	key = append(key, r.keyHead...)
+	for i, name := range r.names {
+		v := r.base[i]
+		if j := r.dimOf[i]; j >= 0 {
+			v = set[j]
+		}
+		env[name] = v
+		if i > 0 {
+			body = append(body, ',')
+			key = append(key, ',')
+		}
+		body = append(body, r.jsonKeys[i]...)
+		body = strconv.AppendInt(body, v, 10)
+		key = append(key, name...)
+		key = append(key, '=')
+		key = strconv.AppendInt(key, v, 10)
+	}
+	body = append(body, r.bodyTail...)
+	key = append(key, r.keyTail...)
+	return body, string(key), &loopir.Spec{Nest: r.nest, Env: env}
+}
+
+// jsonString is s as a JSON string, escaped as marshal escapes it. A
+// string always encodes.
+func jsonString(s string) []byte {
+	data, _ := json.Marshal(s)
+	return data
 }
 
 // serveBatch serves /v1/batch: the planned batch is admitted atomically,

@@ -254,7 +254,13 @@ func waysKey(cfg core.CacheConfig) string {
 }
 
 func predictKey(spec *loopir.Spec, cfg core.CacheConfig, detail bool) string {
-	k := "predict\x00" + spec.Key() + "\x00" + strconv.FormatInt(cfg.CapacityElems, 10) + waysKey(cfg)
+	return "predict\x00" + spec.Key() + predictKeyTail(cfg, detail)
+}
+
+// predictKeyTail is the part of a predict key after the spec's: the
+// capacity, the geometry and the detail flag.
+func predictKeyTail(cfg core.CacheConfig, detail bool) string {
+	k := "\x00" + strconv.FormatInt(cfg.CapacityElems, 10) + waysKey(cfg)
 	if detail {
 		k += "\x00detail"
 	}

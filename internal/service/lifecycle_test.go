@@ -90,6 +90,15 @@ func FuzzHandler(f *testing.F) {
 	}
 	f.Add([]byte(batchFixture))
 	f.Add([]byte(oobSimulate))
+	f.Add([]byte(`{` + dupLabelNest + `,"cacheElems":64,"detail":true}`))
+	for _, kind := range []string{"matmul", "matmul-naive", "twoindex", "twoindexchain", "fourindex", "ccsd"} {
+		f.Add([]byte(`{"kernel":"` + kind + `","n":16,"cacheElems":64}`))
+	}
+	for _, tiles := range []string{`"matmul","tiles":[4,2,8]`, `"twoindex","tiles":[4,4,8,2]`, `"ccsd","tiles":[2,2,2,2,2,2]`} {
+		f.Add([]byte(`{"kernel":` + tiles + `,"n":16,"cacheElems":64}`))
+	}
+	f.Add([]byte(`{"candidates":{"kernel":"twoindex","n":32,"env":{"NJ":16,"X":1},"cacheElems":256,"ways":2,"line":4,"detail":true,` +
+		`"dims":["TI","TN"],"sets":[[4,8],[0,2],[16]]}}`))
 	m := obs.New()
 	svc := New(Config{Obs: m, Workers: 2, QueueDepth: 16, RequestTimeout: 200 * time.Millisecond, MaxTraceLen: 1 << 16})
 	f.Cleanup(svc.Close)

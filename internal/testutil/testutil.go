@@ -1,8 +1,10 @@
 // Package testutil provides the nest fixtures shared across test suites:
-// the paper's kernels in analyzed form and the random-nest generator in a
-// fail-fast wrapper. The tile-search, validation and command tests all
-// construct the same small set of nests; building them here keeps the
-// construction in one place instead of per-file copies.
+// the paper's kernels in analyzed form, the random-nest generator in a
+// fail-fast wrapper, and the former canonical renderer the loopir and
+// experiments tests check the once-rendered text against. The tile-search,
+// validation and command tests all construct the same small set of nests;
+// building them here keeps the construction in one place instead of
+// per-file copies.
 //
 // The helpers take testing.TB, so they work from tests, benchmarks and
 // fuzz targets alike, and fail the caller directly on construction errors
